@@ -3,9 +3,15 @@
 The pipeline's emission sites are all guarded by a subscriber-list emptiness
 test (``if bus.issue: ...``), so an unobserved run should match pre-bus
 throughput.  :class:`PreBusMachine` reproduces the pre-bus hot loop exactly
-— the current ``run``/``_issue``/``_branch_cost`` with every bus statement
-and resilience handler deleted — and this bench asserts the instrumented,
-zero-subscriber machine stays within 5% of it.
+— the current per-uop ``run``/``_issue_uop``/``_branch_cost`` with every bus
+statement, resilience handler and translated-block entry deleted — and this
+bench asserts the instrumented, zero-subscriber machine stays within 5% of
+it on the same per-uop path (block translation forced off, as in
+``tests/cpu/test_blocks.py``).
+
+Unobserved runs normally enter translated blocks (``repro.cpu.blocks``),
+which observed runs never do, so the price of subscribing is also recorded
+against the translated path: that is what a user pays to look at a run.
 
 Measurement shape, each part earned by a failure mode it removes:
 
@@ -37,7 +43,7 @@ else:
 
 from repro.analysis import format_table, ratio
 from repro.cpu import Machine
-from repro.cpu.executor import decode, uop_table
+from repro.cpu.executor import SCOREBOARD_KEYS, decode, uop_table
 from repro.cpu.pairing import can_pair
 from repro.cpu.stats import RunStats
 from repro.errors import SimulationError
@@ -81,10 +87,9 @@ class PreBusMachine(Machine):
         if instr.opcode.sem == "jmp":
             predicted = True
         else:
-            predicted = self.predictor.predict(
-                pc, outcome.target if outcome.target is not None else pc
-            )
-            self.predictor.update(pc, outcome.target or pc, outcome.taken)
+            target = outcome.target if outcome.target is not None else pc
+            predicted = self.predictor.predict(pc, target)
+            self.predictor.update(pc, target, outcome.taken)
         penalty = 0
         if predicted != outcome.taken:
             stats.mispredicts += 1
@@ -103,8 +108,7 @@ class PreBusMachine(Machine):
         size = len(instructions)
         uops = uop_table(program)
         uops_get = uops.get
-        reg_ready = {}
-        reg_ready_get = reg_ready.get
+        reg_ready = [0] * SCOREBOARD_KEYS
         issue_counts = {}
         issue_counts_get = issue_counts.get
         pair_cache = self._pair_cache
@@ -128,7 +132,7 @@ class PreBusMachine(Machine):
 
             ready = 0
             for key in uop.read_keys:
-                when = reg_ready_get(key, 0)
+                when = reg_ready[key]
                 if when > ready:
                     ready = when
             if ready > cycle:
@@ -170,7 +174,7 @@ class PreBusMachine(Machine):
                 if ok:
                     ready = 0
                     for key in fuop.read_keys:
-                        when = reg_ready_get(key, 0)
+                        when = reg_ready[key]
                         if when > ready:
                             ready = when
                     if ready <= cycle:
@@ -203,23 +207,33 @@ class PreBusMachine(Machine):
             if mmx_busy:
                 stats.mmx_busy_cycles += 1
 
-        self._fold_issue_counts(stats, uops, issue_counts)
+        self._fold_issue_counts(stats, uops, issue_counts, {})
         stats.cycles = cycle
         stats.finished = state.halted
         return stats
+
+
+def _per_uop(program):
+    """A machine that never enters translated blocks."""
+    machine = Machine(program)
+    machine._translate = False
+    return machine
 
 
 def _cases(program):
     counter = []
     return [
         ("prebus", lambda: PreBusMachine(program), None),
-        ("idle", lambda: Machine(program), None),
+        ("idle", lambda: _per_uop(program), None),
         # A trace profiler that was attached and then detached must leave the
         # machine indistinguishable from one that never saw it: detach drops
         # the subscriber lists back to empty, so the hot loop's emptiness
         # guards skip every emission site again.
-        ("tracer_off", lambda: Machine(program),
+        ("tracer_off", lambda: _per_uop(program),
          lambda machine: TraceProfiler().attach(machine).detach()),
+        # What an unobserved run really does: enter translated blocks (the
+        # warm-up run has translated the loop body).
+        ("translated", lambda: Machine(program), None),
         ("observed", lambda: Machine(program),
          lambda machine: machine.bus.subscribe("issue", counter.append)),
     ]
@@ -268,9 +282,9 @@ def test_zero_subscriber_overhead(benchmark):
     assert instrumented_stats.as_dict() == prebus_stats.as_dict()
 
     samples = benchmark.pedantic(_sample_processes, rounds=1, iterations=1)
-    prebus_time, idle_time, tracer_off_time, observed_time = (
+    prebus_time, idle_time, tracer_off_time, translated_time, observed_time = (
         statistics.median(s[name] for s in samples)
-        for name in ("prebus", "idle", "tracer_off", "observed")
+        for name in ("prebus", "idle", "tracer_off", "translated", "observed")
     )
     idle_overhead = statistics.median(
         s["idle"] / s["prebus"] - 1 for s in samples
@@ -281,14 +295,24 @@ def test_zero_subscriber_overhead(benchmark):
     observed_overhead = statistics.median(
         s["observed"] / s["prebus"] - 1 for s in samples
     )
+    translated_overhead = statistics.median(
+        s["translated"] / s["prebus"] - 1 for s in samples
+    )
+    observed_vs_translated = statistics.median(
+        s["observed"] / s["translated"] - 1 for s in samples
+    )
     rows = [
         ["pre-bus baseline", f"{prebus_time * 1e3:.1f}", "-"],
         ["event bus, no subscribers", f"{idle_time * 1e3:.1f}",
          ratio(idle_overhead * 100, 2) + "%"],
         ["trace profiler attached+detached", f"{tracer_off_time * 1e3:.1f}",
          ratio(tracer_off_overhead * 100, 2) + "%"],
+        ["translated blocks, no subscribers", f"{translated_time * 1e3:.1f}",
+         ratio(translated_overhead * 100, 2) + "%"],
         ["event bus, issue subscriber", f"{observed_time * 1e3:.1f}",
          ratio(observed_overhead * 100, 2) + "%"],
+        ["issue subscriber vs translated", "-",
+         ratio(observed_vs_translated * 100, 2) + "%"],
     ]
     headers = ["pipeline", "median ms/run", "overhead"]
     text = format_table(
@@ -301,9 +325,12 @@ def test_zero_subscriber_overhead(benchmark):
     emit("obs_overhead", text, headers=headers, rows=rows,
          data={"prebus_s": prebus_time, "idle_s": idle_time,
                "tracer_off_s": tracer_off_time,
+               "translated_s": translated_time,
                "observed_s": observed_time, "idle_overhead": idle_overhead,
                "tracer_off_overhead": tracer_off_overhead,
+               "translated_overhead": translated_overhead,
                "observed_overhead": observed_overhead,
+               "observed_vs_translated_overhead": observed_vs_translated,
                "processes": PROCESSES, "rounds": ROUNDS})
 
     # The guard: an unobserved instrumented run is within 5% of pre-bus.

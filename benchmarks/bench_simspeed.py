@@ -17,13 +17,19 @@ kernels, under two comparisons:
   understates it because the oracle also rides the new engine.  The
   ratio is only meaningful where the live numbers come from comparable
   hardware, so it is reported, not asserted.
+* **translated vs per-uop** — the SWAR runs above enter translated blocks
+  (``repro.cpu.blocks``); the same kernels are timed once more, same
+  method, with translation forced off, and the ratio is reported.
 """
 
 import json
+import statistics
+import time
 
 from conftest import RESULTS_DIR, emit
 
 from repro.analysis import format_table
+from repro.kernels import make_kernel
 from repro.perf import (
     DEFAULT_ROUNDS,
     geomean_speedup,
@@ -47,6 +53,29 @@ PRE_PR_CYCLES_PER_S = {
 #: Absolute floor on the in-tree SWAR-vs-reference speedup: whatever the
 #: committed baseline says, SWAR must still clearly beat the NumPy oracle.
 MIN_SPEEDUP = 1.2
+
+
+def _per_uop_seconds(name: str, params: dict[str, int], rounds: int) -> float:
+    """Median seconds per SWAR run that never enters a translated block.
+
+    The methodology of ``repro.perf``: one untimed warm-up run, then
+    *rounds* timed runs on fresh machines.
+    """
+    kernel = make_kernel(name, **params)
+
+    def machine():
+        built = kernel.machine()
+        built._translate = False
+        return built
+
+    machine().run()
+    times = []
+    for _ in range(rounds):
+        built = machine()
+        start = time.perf_counter()
+        built.run()
+        times.append(time.perf_counter() - start)
+    return statistics.median(times)
 
 
 def _committed_speedups() -> dict[str, float]:
@@ -74,6 +103,11 @@ def test_simspeed(benchmark):
         entry["speedup_vs_pre_pr"] = round(
             speed.swar_cycles_per_s / recorded, 2
         )
+    for speed, entry in zip(results, report["kernels"]):
+        per_uop_s = _per_uop_seconds(speed.name, speed.params, ROUNDS)
+        entry["per_uop_s"] = round(per_uop_s, 6)
+        entry["per_uop_cycles_per_s"] = round(speed.cycles / per_uop_s, 1)
+        entry["translated_speedup"] = round(per_uop_s / speed.swar_s, 2)
     report["pre_pr"] = {
         "commit": PRE_PR_COMMIT,
         "min_speedup_vs_pre_pr": min(
@@ -82,9 +116,10 @@ def test_simspeed(benchmark):
     }
 
     headers, rows = simspeed_table(results)
-    headers.append("vs pre-PR")
+    headers += ["vs pre-PR", "vs per-uop"]
     for row, entry in zip(rows, report["kernels"]):
         row.append(f"{entry['speedup_vs_pre_pr']:.2f}x")
+        row.append(f"{entry['translated_speedup']:.2f}x")
     table = format_table(
         headers, rows,
         title=(
@@ -97,7 +132,9 @@ def test_simspeed(benchmark):
         f"min in-tree speedup {report['min_speedup']:.2f}x "
         f"(geomean {geomean_speedup(results):.2f}x); "
         f"min vs pre-PR engine "
-        f"{report['pre_pr']['min_speedup_vs_pre_pr']:.2f}x"
+        f"{report['pre_pr']['min_speedup_vs_pre_pr']:.2f}x; "
+        f"min translated vs per-uop "
+        f"{min(entry['translated_speedup'] for entry in report['kernels']):.2f}x"
     )
     emit("simspeed", text, headers=headers, rows=rows, data=report)
 

@@ -44,7 +44,7 @@ from repro.cpu.memory import Memory
 from repro.cpu.state import MachineState
 from repro.isa.instructions import Instruction, Program
 from repro.isa.operands import Imm, Mem
-from repro.isa.registers import SCALAR_MASK, Register
+from repro.isa.registers import NUM_MMX_REGS, SCALAR_MASK, Register
 from repro.simd.lanes import WORD_MASK
 
 
@@ -505,6 +505,10 @@ def _halt(outcome):
 
 # --- the decoded micro-op ----------------------------------------------------
 
+#: Size of the pipeline's flat scoreboard: scalar registers use their index,
+#: MMX registers ``16 + index`` (see ``DecodedOp.read_keys``).
+SCOREBOARD_KEYS = 16 + NUM_MMX_REGS
+
 
 class DecodedOp:
     """One static instruction, resolved to a flat executable form.
@@ -518,15 +522,18 @@ class DecodedOp:
     """
 
     __slots__ = (
-        "instr", "run", "fall", "is_mmx", "is_branch", "iclass", "is_permute",
+        "instr", "run", "fall", "fn", "is_mmx", "is_branch", "iclass", "is_permute",
         "is_alignment_candidate", "latency", "reads_memory",
         "read_regs", "written_regs", "read_keys", "written_keys",
     )
 
-    def __init__(self, instr: Instruction, run, fall: ExecOutcome) -> None:
+    def __init__(self, instr: Instruction, run, fall: ExecOutcome, fn=None) -> None:
         self.instr = instr
         self.run = run
         self.fall = fall
+        #: The simd handler ``run`` is bound to (packed ops only), so the
+        #: block translator (:mod:`repro.cpu.blocks`) calls the same one.
+        self.fn = fn
         self.is_mmx = instr.is_mmx
         self.is_branch = instr.is_branch
         self.iclass = instr.iclass
@@ -565,31 +572,27 @@ def decode(instr: Instruction, program: Program, pc: int) -> DecodedOp:
     width = instr.opcode.width
     operands = instr.operands
     fall = ExecOutcome(next_pc=pc + 1)
+    fn = None
 
-    if sem in _PACKED_BINARY:
-        backend = simd.active_backend()
+    if sem in _PACKED_BINARY or sem in _SHIFTS:
+        fn = getattr(simd.active_backend(), sem)
         run = _packed2_w(
-            getattr(backend, sem), width,
+            fn, width,
             _make_reader(operands[0]), _make_reader(operands[1]),
             _make_writer(operands[0]),
         )
     elif sem in _PACKED_BINARY_NOWIDTH:
-        backend = simd.active_backend()
+        fn = getattr(simd.active_backend(), sem)
         run = _packed2(
-            getattr(backend, sem),
+            fn,
             _make_reader(operands[0]), _make_reader(operands[1]),
             _make_writer(operands[0]),
         )
     elif sem in _MINMAX:
         name, signed = _MINMAX[sem]
+        fn = getattr(simd.active_backend(), name)
         run = _packed2_minmax(
-            getattr(simd.active_backend(), name), width, signed,
-            _make_reader(operands[0]), _make_reader(operands[1]),
-            _make_writer(operands[0]),
-        )
-    elif sem in _SHIFTS:
-        run = _packed2_w(
-            getattr(simd.active_backend(), sem), width,
+            fn, width, signed,
             _make_reader(operands[0]), _make_reader(operands[1]),
             _make_writer(operands[0]),
         )
@@ -603,8 +606,9 @@ def decode(instr: Instruction, program: Program, pc: int) -> DecodedOp:
         if isinstance(operands[2], Imm):
             order = operands[2].value & 0xFF
             selector = [(order >> (2 * i)) & 3 for i in range(4)]
+        fn = getattr(simd.active_backend(), "permute_word")
         run = _pshufw(
-            getattr(simd.active_backend(), "permute_word"),
+            fn,
             _make_reader(operands[1]), _make_reader(operands[2]),
             selector, _make_writer(operands[0]),
         )
@@ -655,7 +659,7 @@ def decode(instr: Instruction, program: Program, pc: int) -> DecodedOp:
     else:
         raise SimulationError(f"no executor for opcode {instr.name!r}")
 
-    return DecodedOp(instr, run, fall)
+    return DecodedOp(instr, run, fall, fn)
 
 
 def uop_table(program: Program) -> dict[int, DecodedOp]:

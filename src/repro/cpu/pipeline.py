@@ -28,12 +28,13 @@ from typing import Protocol
 
 from repro.errors import ReproError, RunnerInterrupted, SimulationError
 from repro.resilience import ResilienceMode
+from repro.cpu import blocks
 from repro.cpu.branch import BranchPredictor, make_predictor
 from repro.cpu.executor import (
+    SCOREBOARD_KEYS,
     DecodedOp,
     ExecOutcome,
     cold_decode,
-    decode,
     uop_table,
 )
 from repro.cpu.memory import Memory
@@ -41,7 +42,6 @@ from repro.cpu.pairing import can_pair
 from repro.cpu.state import MachineState
 from repro.cpu.stats import RunStats
 from repro.isa.instructions import Instruction, Program
-from repro.isa.registers import Register
 from repro.obs.events import (
     BranchEvent,
     DegradeEvent,
@@ -69,6 +69,8 @@ class SPUAttachment(Protocol):
         controller's counters count *all* dynamic loop instructions, §4);
         advances the decoupled controller.  Returns ``None`` when inactive,
         for non-MMX instructions, or when the state routes straight through.
+        While :attr:`active` is false the call must do nothing, so translated
+        blocks (:mod:`repro.cpu.blocks`) skip it then.
         """
         ...
 
@@ -123,20 +125,16 @@ class Machine:
         # program never changes under a machine, so memoize per pc pair.
         self._pair_cache: dict[tuple[int, int], tuple[bool, str]] = {}
 
+    #: Enter translated blocks (:mod:`repro.cpu.blocks`) where allowed.
+    #: Tests clear it on an instance to force the per-uop path.
+    _translate = True
+
     # ---- helpers ---------------------------------------------------------
 
     def reset(self) -> None:
         """Clear architectural state and predictor history (memory persists)."""
         self.state = MachineState()
         self.predictor.reset()
-
-    @staticmethod
-    def _ready_cycle(instr: Instruction, reg_ready: dict[Register, int]) -> int:
-        ready = 0
-        for reg in instr.regs_read():
-            if isinstance(reg, Register):
-                ready = max(ready, reg_ready.get(reg, 0))
-        return ready
 
     def _spu_routes(self, instr: Instruction) -> dict[int, int] | None:
         if self.spu is None:
@@ -157,32 +155,11 @@ class Machine:
             uop = cold_decode(uops, program, pc, instr, uop)
         return uop
 
-    def _issue(
-        self,
-        instr: Instruction,
-        cycle: int,
-        reg_ready: dict[Register, int],
-        stats: RunStats,
-        pipe: str = "U",
-    ) -> ExecOutcome:
-        """Issue by bare instruction (compatibility path; the run loop issues
-        decoded micro-ops directly via :meth:`_issue_uop`)."""
-        uop = self._uop_at(self.state.pc)
-        if uop.instr is not instr:
-            uop = decode(instr, self.program, self.state.pc)
-        outcome = self._issue_uop(uop, cycle, reg_ready, stats, pipe)
-        stats.by_class[uop.iclass] += 1
-        if uop.is_permute:
-            stats.permutes += 1
-        if uop.is_alignment_candidate:
-            stats.alignment_candidates += 1
-        return outcome if outcome is not None else uop.fall
-
     def _issue_uop(
         self,
         uop: DecodedOp,
         cycle: int,
-        reg_ready: dict[int, int],
+        reg_ready: list[int],
         stats: RunStats,
         pipe: str = "U",
     ) -> ExecOutcome | None:
@@ -228,14 +205,17 @@ class Machine:
         stats: RunStats,
         uops: dict[int, DecodedOp],
         issue_counts: dict[int, int],
+        tally: dict[blocks.Exit, int],
     ) -> None:
         """Fold deferred per-pc issue counts into the class/permute stats.
 
         Equivalent to having called ``RunStats.record_issue`` per dynamic
         issue (minus the live ``instructions`` counter, which the issue path
         maintains), but pays the Counter/enum hashing once per *static*
-        instruction instead of once per dynamic instance.
+        instruction instead of once per dynamic instance.  Translated-block
+        exits in *tally* are folded in first (their instructions count too).
         """
+        blocks.fold_exits(stats, tally, issue_counts)
         by_class = stats.by_class
         for pc, count in issue_counts.items():
             uop = uops[pc]
@@ -316,8 +296,9 @@ class Machine:
         if instr.opcode.sem == "jmp":
             predicted = True  # static target, BTB hit assumed
         else:
-            predicted = self.predictor.predict(pc, outcome.target if outcome.target is not None else pc)
-            self.predictor.update(pc, outcome.target or pc, outcome.taken)
+            target = outcome.target if outcome.target is not None else pc
+            predicted = self.predictor.predict(pc, target)
+            self.predictor.update(pc, target, outcome.taken)
         penalty = 0
         if predicted != outcome.taken:
             stats.mispredicts += 1
@@ -345,45 +326,89 @@ class Machine:
 
         Raises :class:`SimulationError` on runaway execution (cycle budget
         exhausted) or on falling off the end of the program.
+
+        Unobserved STRICT runs (no ``issue``/``stall``/``branch``
+        subscribers) enter translated blocks at hot block heads; see
+        :mod:`repro.cpu.blocks`.  Every count and cycle is the same either
+        way.
         """
         limit = max_cycles if max_cycles is not None else self.config.max_cycles
         stats = RunStats()
         state = self.state
         program = self.program
         bus = self.bus
+        config = self.config
         instructions = program.instructions
         size = len(instructions)
         uops = uop_table(program)
         uops_get = uops.get
-        reg_ready: dict[int, int] = {}
-        reg_ready_get = reg_ready.get
+        reg_ready = [0] * SCOREBOARD_KEYS
         #: pc -> dynamic issues; folded into by_class/permute stats at exit.
         issue_counts: dict[int, int] = {}
         issue_counts_get = issue_counts.get
+        #: Translated-block exit -> times taken; folded at exit as well.
+        tally: dict[blocks.Exit, int] = {}
+        tally_get = tally.get
         pair_cache = self._pair_cache
-        dual_issue = self.config.issue_width >= 2
+        dual_issue = config.issue_width >= 2
         # Pipeline fill for the added SPU interconnect stage (§5.1.1) — the
         # timeline's initial "drain" cycles.
-        fill = 1 if self.config.extra_stage else 0
+        fill = 1 if config.extra_stage else 0
         stats.drain_cycles = fill
         cycle = fill
         pc = state.pc
         if bus.run_start:
             bus.dispatch("run_start", RunStartEvent(program=program.name, fill_cycles=fill))
 
+        heads = None
+        if (self._translate and self.resilience is ResilienceMode.STRICT
+                and not (bus.issue or bus.stall or bus.branch)):
+            with_spu = self.spu is not None
+            heads = blocks.block_heads(program, with_spu, config.issue_width,
+                                       config.memory_latency)
+            heads.setdefault(pc, blocks.Head())  # the run's entry is a leader
+            heads_get = heads.get
+            env = blocks.run_env(self, reg_ready, stats)
+            hot = blocks.HOT_ENTRIES
+            fail_reasons = stats.pair_fail_reasons
+
         while not state.halted:
             if cycle > limit:
-                self._fold_issue_counts(stats, uops, issue_counts)
+                self._fold_issue_counts(stats, uops, issue_counts, tally)
                 self._abort(
                     stats, cycle, "watchdog",
                     f"cycle budget exceeded ({limit}) in {program.name!r} at pc={pc}",
                 )
             if not 0 <= pc < size:
-                self._fold_issue_counts(stats, uops, issue_counts)
+                self._fold_issue_counts(stats, uops, issue_counts, tally)
                 self._abort(
                     stats, cycle, "runaway_pc",
                     f"fell off program {program.name!r} (pc={pc}); missing halt?",
                 )
+            if heads is not None:
+                head = heads_get(pc)
+                if head is not None:
+                    block = head.fn
+                    if block is None:
+                        head.count += 1
+                        if head.count >= hot:
+                            block = blocks.translate(
+                                heads, program, pc, reg_ready, cycle, with_spu,
+                                dual_issue, config.memory_latency,
+                            )
+                    # Enter only if the watchdog cannot fire inside the block,
+                    # so it fires here, at the same cycle and pc as unblocked.
+                    if block is not None and cycle + head.span <= limit:
+                        cycle, index = block(env, cycle)
+                        if index >= 0:
+                            exit = head.exits[index]
+                            taken = tally_get(exit, 0)
+                            if not taken:
+                                blocks.first_issue(exit, issue_counts, fail_reasons)
+                            tally[exit] = taken + 1
+                            pc = exit.next_pc
+                            continue
+                        head.fn = None  # edited in place: retranslate next entry
             instr = instructions[pc]
             uop = uops_get(pc)
             if uop is None or uop.instr is not instr:
@@ -391,7 +416,7 @@ class Machine:
 
             ready = 0
             for key in uop.read_keys:
-                when = reg_ready_get(key, 0)
+                when = reg_ready[key]
                 if when > ready:
                     ready = when
             if ready > cycle:
@@ -445,7 +470,7 @@ class Machine:
                 if ok:
                     ready = 0
                     for key in fuop.read_keys:
-                        when = reg_ready_get(key, 0)
+                        when = reg_ready[key]
                         if when > ready:
                             ready = when
                     if ready <= cycle:
@@ -491,7 +516,7 @@ class Machine:
             if mmx_busy:
                 stats.mmx_busy_cycles += 1
 
-        self._fold_issue_counts(stats, uops, issue_counts)
+        self._fold_issue_counts(stats, uops, issue_counts, tally)
         stats.cycles = cycle
         stats.finished = state.halted
         if bus.run_end:

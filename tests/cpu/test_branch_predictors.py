@@ -3,7 +3,16 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.cpu import AlwaysTaken, Bimodal, GShare, StaticBTFN, make_predictor
+from repro.cpu import (
+    AlwaysTaken,
+    Bimodal,
+    BranchPredictor,
+    GShare,
+    Machine,
+    StaticBTFN,
+    make_predictor,
+)
+from repro.isa import assemble
 
 
 class TestStatic:
@@ -105,3 +114,30 @@ class TestRegistry:
     def test_unknown_name(self):
         with pytest.raises(ConfigurationError):
             make_predictor("oracle")
+
+
+class RecordingPredictor(BranchPredictor):
+    """Predicts taken; records the (pc, target) of every call."""
+
+    name = "recording"
+
+    def __init__(self):
+        self.predicted = []
+        self.updated = []
+
+    def predict(self, pc, target):
+        self.predicted.append((pc, target))
+        return True
+
+    def update(self, pc, target, taken):
+        self.updated.append((pc, target))
+
+
+class TestPipelineTargets:
+    def test_update_sees_the_target_predict_saw(self):
+        # ``top`` is pc 0, so the backward branch's target is the falsy 0.
+        program = assemble("top: add r1, 1\ncmp r1, 3\njnz top\nhalt")
+        predictor = RecordingPredictor()
+        Machine(program, predictor=predictor).run()
+        assert predictor.predicted == [(2, 0)] * 3
+        assert predictor.updated == predictor.predicted

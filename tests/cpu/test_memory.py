@@ -1,5 +1,7 @@
 """Tests for the flat memory model and MMIO windows."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -128,3 +130,15 @@ class TestMMIO:
         mem.map_device(0x80, 32, FakeDevice())
         mem.store(0x40, 4, 99)
         assert mem.load(0x40, 4) == 99
+
+
+class TestBacking:
+    def test_fork_gets_a_private_copy(self):
+        mem = Memory(64)
+        mem.store(0, 4, 7)
+        pid = os.fork()
+        if pid == 0:  # child: write, then leave without running cleanup
+            mem.store(0, 4, 9)
+            os._exit(0)
+        os.waitpid(pid, 0)
+        assert mem.load(0, 4) == 7
