@@ -20,6 +20,10 @@ kernels, under two comparisons:
 * **translated vs per-uop** — the SWAR runs above enter translated blocks
   (``repro.cpu.blocks``); the same kernels are timed once more, same
   method, with translation forced off, and the ratio is reported.
+* **SPU variant** — the MMX+SPU machines (``kernel.machine("spu")``) of
+  the same kernels, same method, translated (controller stepped inline,
+  operands gathered by word plans) and per-uop, with their ratio.
+  Reported, not asserted.
 """
 
 import json
@@ -55,27 +59,29 @@ PRE_PR_CYCLES_PER_S = {
 MIN_SPEEDUP = 1.2
 
 
-def _per_uop_seconds(name: str, params: dict[str, int], rounds: int) -> float:
-    """Median seconds per SWAR run that never enters a translated block.
+def _median_seconds(name: str, params: dict[str, int], rounds: int,
+                    variant: str = "mmx", translate: bool = True) -> tuple[float, int]:
+    """Median seconds per SWAR run of *variant*, and its simulated cycles.
 
     The methodology of ``repro.perf``: one untimed warm-up run, then
-    *rounds* timed runs on fresh machines.
+    *rounds* timed runs on fresh machines.  ``translate=False`` keeps every
+    run out of translated blocks.
     """
     kernel = make_kernel(name, **params)
 
     def machine():
-        built = kernel.machine()
-        built._translate = False
+        built = kernel.machine(variant)
+        built._translate = translate
         return built
 
-    machine().run()
+    cycles = machine().run().cycles
     times = []
     for _ in range(rounds):
         built = machine()
         start = time.perf_counter()
         built.run()
         times.append(time.perf_counter() - start)
-    return statistics.median(times)
+    return statistics.median(times), cycles
 
 
 def _committed_speedups() -> dict[str, float]:
@@ -104,10 +110,21 @@ def test_simspeed(benchmark):
             speed.swar_cycles_per_s / recorded, 2
         )
     for speed, entry in zip(results, report["kernels"]):
-        per_uop_s = _per_uop_seconds(speed.name, speed.params, ROUNDS)
+        per_uop_s, _ = _median_seconds(speed.name, speed.params, ROUNDS, translate=False)
         entry["per_uop_s"] = round(per_uop_s, 6)
         entry["per_uop_cycles_per_s"] = round(speed.cycles / per_uop_s, 1)
         entry["translated_speedup"] = round(per_uop_s / speed.swar_s, 2)
+        spu_s, spu_cycles = _median_seconds(speed.name, speed.params, ROUNDS, "spu")
+        spu_per_uop_s, _ = _median_seconds(speed.name, speed.params, ROUNDS, "spu",
+                                           translate=False)
+        entry["spu"] = {
+            "cycles": spu_cycles,
+            "translated_s": round(spu_s, 6),
+            "translated_cycles_per_s": round(spu_cycles / spu_s, 1),
+            "per_uop_s": round(spu_per_uop_s, 6),
+            "per_uop_cycles_per_s": round(spu_cycles / spu_per_uop_s, 1),
+            "translated_speedup": round(spu_per_uop_s / spu_s, 2),
+        }
     report["pre_pr"] = {
         "commit": PRE_PR_COMMIT,
         "min_speedup_vs_pre_pr": min(
@@ -127,6 +144,19 @@ def test_simspeed(benchmark):
             f"(median of {ROUNDS} rounds)"
         ),
     )
+    spu_headers = ["kernel", "spu sim cycles", "translated cyc/s", "per-uop cyc/s",
+                   "vs per-uop"]
+    spu_rows = [
+        [speed.label, entry["spu"]["cycles"],
+         f"{entry['spu']['translated_cycles_per_s']:,.0f}",
+         f"{entry['spu']['per_uop_cycles_per_s']:,.0f}",
+         f"{entry['spu']['translated_speedup']:.2f}x"]
+        for speed, entry in zip(results, report["kernels"])
+    ]
+    spu_table = format_table(
+        spu_headers, spu_rows,
+        title=f"MMX+SPU variant, translated vs per-uop (SWAR, median of {ROUNDS} rounds)",
+    )
     text = (
         f"{table}\n"
         f"min in-tree speedup {report['min_speedup']:.2f}x "
@@ -134,7 +164,10 @@ def test_simspeed(benchmark):
         f"min vs pre-PR engine "
         f"{report['pre_pr']['min_speedup_vs_pre_pr']:.2f}x; "
         f"min translated vs per-uop "
-        f"{min(entry['translated_speedup'] for entry in report['kernels']):.2f}x"
+        f"{min(entry['translated_speedup'] for entry in report['kernels']):.2f}x\n\n"
+        f"{spu_table}\n"
+        f"min SPU translated vs per-uop "
+        f"{min(entry['spu']['translated_speedup'] for entry in report['kernels']):.2f}x"
     )
     emit("simspeed", text, headers=headers, rows=rows, data=report)
 

@@ -25,7 +25,9 @@ from repro.core.interconnect import (
     OPERAND_BUSES,
     CrossbarConfig,
     OperandRoute,
+    WordPlan,
     get_config,
+    route_plan,
 )
 from repro.core.program import (
     DEFAULT_NUM_STATES,
@@ -80,7 +82,9 @@ __all__ = [
     "OPERAND_BUSES",
     "CrossbarConfig",
     "OperandRoute",
+    "WordPlan",
     "get_config",
+    "route_plan",
     "DEFAULT_NUM_STATES",
     "ROUTED_SLOTS",
     "SPUProgram",

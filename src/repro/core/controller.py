@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import SPUProgramError
+from repro.errors import RouteError, SPUProgramError
 from repro.resilience import ResilienceMode
-from repro.core.interconnect import CONFIG_D, CrossbarConfig
+from repro.core.interconnect import CONFIG_D, CrossbarConfig, route_plan
 from repro.core.program import DEFAULT_NUM_STATES, SPUProgram, SPUState
 from repro.obs.events import ControllerStepEvent, DegradeEvent, FaultEvent, RecoveryEvent
 
@@ -38,6 +38,35 @@ class ControllerStats:
     fault_parks: int = 0
     #: GO re-arms of a fault-parked context (degrade-mode recoveries).
     park_recoveries: int = 0
+
+
+def compile_steps(program: SPUProgram, config: CrossbarConfig,
+                  num_states: int) -> dict[int, tuple]:
+    """The static schedule of *program*, for steps taken without checks.
+
+    Maps a state index to ``(cntr, reload, next0, next1, slot-0 gather,
+    slot-1 gather, routed)``: ``reload`` is the selected counter's initial
+    value, a gather is the :class:`~repro.core.interconnect.WordPlan`
+    function of the slot's route (``None`` when the slot passes straight
+    through) and ``routed`` is 1 when the state routes anything.  A state
+    whose ``next0`` or ``next1`` lies outside the K states, or with a route
+    that is illegal under *config*, has no entry: it takes the checked
+    :meth:`SPUController.step`, which faults on it as it always has.
+    """
+    table = {}
+    for index, state in program.states.items():
+        if not (0 <= state.next0 < num_states and 0 <= state.next1 < num_states):
+            continue
+        try:
+            gathers = {slot: route_plan(config, route).gather
+                       for slot, route in state.routes.items()}
+        except RouteError:
+            continue
+        table[index] = (
+            state.cntr, program.counter_init[state.cntr], state.next0, state.next1,
+            gathers.get(0), gathers.get(1), 1 if state.routes else 0,
+        )
+    return table
 
 
 class SPUController:
@@ -71,6 +100,9 @@ class SPUController:
         # loop, run another context, and resume where it left off (§4).
         self._current_by_ctx: list[int] = [num_states - 1] * contexts
         self._counters_by_ctx: list[list[int]] = [[0, 0] for _ in range(contexts)]
+        # Per-context compile_steps() table of the installed program; None
+        # until first use for a program installed by inject_program().
+        self._tables: list[dict[int, tuple] | None] = [None] * contexts
         self.stats = ControllerStats()
         #: Telemetry: set by attach_spu to the machine's EventBus; each
         #: step() then emits a ``controller_step`` event when observed.
@@ -132,6 +164,21 @@ class SPUController:
             )
         program.validate(self.config)
         self._programs[context] = program
+        self._tables[context] = compile_steps(program, self.config, self.num_states)
+
+    def step_table(self, context: int) -> dict[int, tuple]:
+        """The :func:`compile_steps` table of the program in *context*.
+
+        Built when the program is installed (lazily for injected ones).
+        Programs are not edited once installed: install a new one instead.
+        """
+        table = self._tables[context]
+        if table is None:
+            program = self._programs[context]
+            table = {} if program is None else compile_steps(
+                program, self.config, self.num_states)
+            self._tables[context] = table
+        return table
 
     def switch_context(self, context: int) -> None:
         """Select another control-register bank (fast context switch, §3)."""
@@ -218,8 +265,9 @@ class SPUController:
         """
         if not self._active:
             return None
-        program = self._programs[self.context]
-        emitted_index = self._current
+        context = self.context
+        program = self._programs[context]
+        emitted_index = self._current_by_ctx[context]
         state = program.states.get(emitted_index)
         if state is None:
             # A corrupted next pointer (or control word) landed on an
@@ -229,19 +277,23 @@ class SPUController:
                 kind="invalid_state",
                 detail=(
                     f"controller reached undefined state {emitted_index} "
-                    f"in {program.name!r} (context {self.context})"
+                    f"in {program.name!r} (context {context})"
                 ),
             )
-        self.stats.steps += 1
+        stats = self.stats
+        stats.steps += 1
         if state.routes:
-            self.stats.routed_steps += 1
+            stats.routed_steps += 1
 
-        self._counters[state.cntr] -= 1
-        if self._counters[state.cntr] <= 0:
+        counters = self._counters_by_ctx[context]
+        cntr = state.cntr
+        left = counters[cntr] - 1
+        if left <= 0:
             # Zero-overhead loop exit: auto-restore the counter (§4).
-            self._counters[state.cntr] = program.counter_init[state.cntr]
+            counters[cntr] = program.counter_init[cntr]
             next_index = state.next0
         else:
+            counters[cntr] = left
             next_index = state.next1
 
         if not 0 <= next_index < self.num_states:
@@ -249,30 +301,42 @@ class SPUController:
                 kind="invalid_next",
                 detail=(
                     f"state {emitted_index} selected next state {next_index}, "
-                    f"outside K={self.num_states} (context {self.context})"
+                    f"outside K={self.num_states} (context {context})"
                 ),
             )
-        if next_index == self.idle_state:
-            self._active = False
-            self._current = self.idle_state
-            self._counters = list(program.counter_init)
-            self.stats.idle_entries += 1
+        went_idle = next_index == self.num_states - 1
+        if went_idle:
+            self.enter_idle()
         else:
-            self._current = next_index
+            self._current_by_ctx[context] = next_index
         bus = self.bus
         if bus is not None and bus.controller_step:
+            counters = self._counters_by_ctx[context]
             bus.dispatch(
                 "controller_step",
                 ControllerStepEvent(
-                    context=self.context,
+                    context=context,
                     state_index=emitted_index,
                     next_index=next_index,
-                    counters=(self._counters[0], self._counters[1]),
+                    counters=(counters[0], counters[1]),
                     routed=bool(state.routes),
-                    went_idle=next_index == self.idle_state,
+                    went_idle=went_idle,
                 ),
             )
         return state
+
+    def enter_idle(self) -> bool:
+        """Follow an edge into the idle state: disable, reload the counters.
+
+        Part of :meth:`step`, shared with the inlined step of translated
+        blocks (:mod:`repro.cpu.blocks`); returns the new (false) activity.
+        """
+        context = self.context
+        self._active = False
+        self._current_by_ctx[context] = self.num_states - 1
+        self._counters_by_ctx[context] = list(self._programs[context].counter_init)
+        self.stats.idle_entries += 1
+        return False
 
     # ---- failure posture -------------------------------------------------------
 
@@ -316,7 +380,9 @@ class SPUController:
         the :mod:`repro.faults` path for modeling that.  Normal code must use
         :meth:`load_program`, which validates.
         """
-        self._programs[self.context if context is None else context] = program
+        context = self.context if context is None else context
+        self._programs[context] = program
+        self._tables[context] = None
 
     def skew_counter(self, counter: int, delta: int) -> None:
         """Perturb a live loop counter of the selected context by *delta*.

@@ -25,6 +25,14 @@ pipes × two operands, Figure 4).
 A *route* for one operand is a per-granule selector: entry ``i`` gives the
 absolute granule address in the SPU register feeding output granule ``i``, or
 ``None`` for the architectural (straight-through) value.
+
+The controller is statically scheduled (§4), so every route is known when its
+program is loaded.  :func:`route_plan` compiles a route once into a
+:class:`WordPlan` -- shift/mask terms over the MMX words, the structured
+gather Titopoulos et al. build permutations from -- and the simulator routes
+with plans.  :meth:`CrossbarConfig.apply`, the byte-granular gather through
+the unified register, is the reference oracle the plans are tested against,
+and the path an armed register upset takes.
 """
 
 from __future__ import annotations
@@ -68,6 +76,14 @@ def _mode_zxb(raw: bytes) -> bytes:
 
 #: Registry of operand-mode transforms, keyed by their route-entry name.
 MODES = {"neg": _mode_neg, "sxb": _mode_sxb, "zxb": _mode_zxb}
+
+#: The same transforms as integer expressions over a granule value ``v``
+#: masked to ``g`` (all granule bits set), for :class:`WordPlan`.
+WORD_MODES = {
+    "neg": "(-{v}) & {g}",
+    "sxb": "({v} & 255 | ({g} ^ 255 if {v} & 128 else 0))",
+    "zxb": "{v} & 255",
+}
 
 
 def split_entry(entry) -> tuple[int | None, str | None]:
@@ -245,6 +261,103 @@ class CrossbarConfig:
                     raw = MODES[mode](bytes(raw))
                 out[dst : dst + granule] = raw
         return lanes.from_bytes(bytes(out))
+
+
+class WordPlan:
+    """One legal route compiled to word operations on the MMX file.
+
+    ``keep`` masks the straight-through bits of the architectural operand.
+    Each term ``(src mmx reg, shift, mask, dst shift)`` contributes
+    ``((mmx[src] >> shift) & mask) << dst``: output granules fed from one
+    register at the same offset merge into a single term.  ``moded`` holds
+    one ``(src, shift, mask, dst, mode)`` term per granule with an operand
+    mode.  ``gather(mmx, straight)`` evaluates the plan on the MMX file
+    (``MachineState.mmx``) and is what the simulator calls.
+    """
+
+    __slots__ = ("keep", "terms", "moded", "gather")
+
+    def __init__(self, keep: int, terms: tuple, moded: tuple) -> None:
+        self.keep = keep
+        self.terms = terms
+        self.moded = moded
+        parts = [f"x & {keep:#x}"] if keep else []
+        for src, shift, mask, dst in terms:
+            parts.append(_term(src, shift, mask, dst))
+        for src, shift, mask, dst, mode in moded:
+            value = _term(src, shift, mask, 0)
+            expr = f"({WORD_MODES[mode].format(v=value, g=mask)})"
+            parts.append(f"({expr} << {dst})" if dst else expr)
+        source = f"lambda m, x: {' | '.join(parts)}"
+        self.gather = eval(compile(source, "<word plan>", "eval"))
+
+    def __repr__(self) -> str:
+        return f"WordPlan(keep={self.keep:#x}, terms={self.terms}, moded={self.moded})"
+
+
+def _term(src: int, shift: int, mask: int, dst: int) -> str:
+    """Source text of ``((m[src] >> shift) & mask) << dst``."""
+    expr = f"m[{src}] >> {shift}" if shift else f"m[{src}]"
+    expr = f"({expr} & {mask:#x})"
+    return f"({expr} << {dst})" if dst else expr
+
+
+def compile_route(config: CrossbarConfig, route: OperandRoute) -> WordPlan:
+    """Compile *route* into a :class:`WordPlan`; raises as ``apply`` would."""
+    config.check_route(route)
+    bits = config.port_bits
+    granule = (1 << bits) - 1
+    keep = 0
+    groups: dict[tuple[int, int], int] = {}  # (src reg, src bit - dst bit) -> dst mask
+    moded = []
+    for index, entry in enumerate(route):
+        sel, mode = split_entry(entry)
+        dst = index * bits
+        if sel is None:
+            keep |= granule << dst
+            continue
+        src, offset = divmod(sel * bits, 64)
+        if mode is None:
+            key = (src, offset - dst)
+            groups[key] = groups.get(key, 0) | granule << dst
+        else:
+            moded.append((src, offset, granule, dst, mode))
+    terms = []
+    for (src, delta), mask in groups.items():
+        low = (mask & -mask).bit_length() - 1
+        terms.append((src, low + delta, mask >> low, low))
+    return WordPlan(keep, tuple(terms), tuple(moded))
+
+
+#: ``id(config) -> (config, {route: WordPlan or RouteError message})``.
+_PLANS: dict[int, tuple[CrossbarConfig, dict]] = {}
+
+
+def route_plan(config: CrossbarConfig, route: OperandRoute) -> WordPlan:
+    """The plan of *route* under *config*, compiled once and cached.
+
+    Routes are immutable tuples, so the cache is keyed by ``(config,
+    route)`` and shared by every run and every program load.  An illegal
+    route is cached as its :class:`RouteError` message and raises on each
+    use, with the message :meth:`CrossbarConfig.apply` raises.
+    """
+    held = _PLANS.get(id(config))
+    if held is None:
+        held = _PLANS[id(config)] = (config, {})
+    plans = held[1]
+    try:
+        plan = plans.get(route)
+    except TypeError:  # an unhashable, malformed route: compile uncached
+        return compile_route(config, route)
+    if plan is None:
+        try:
+            plan = compile_route(config, route)
+        except RouteError as error:
+            plan = str(error)
+        plans[route] = plan
+    if plan.__class__ is str:
+        raise RouteError(plan)
+    return plan
 
 
 #: The four published configurations (paper Table 1).

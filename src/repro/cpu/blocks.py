@@ -21,9 +21,19 @@ instruction, so every cycle is still charged as the uop loop charges it:
   inline (flags are kept in a local and stored on every way out, including
   exceptions); packed ops call the very simd handler the decoded op is
   bound to, so the backend choice and ``full_validation()`` behave as in
-  the uop loop; SPU-routed issues run the decoded op itself;
-* an attached SPU is stepped only while its ``active`` flag is set, which
-  is re-read after each step and after each access that may reach MMIO;
+  the uop loop;
+* an attached SPU's controller is stepped inline from its static schedule
+  (:meth:`~repro.core.integration.AttachedSPU.block_view`): the counter
+  decrement and reload, the ``next0``/``next1`` select, the idle entry and
+  the routed operands, gathered by the routes' word plans and passed to
+  the inline semantics in place of the register reads (ops without inline
+  semantics run the decoded op with them).  The step's stats are kept in
+  locals and folded in on every way out.  A step with no schedule entry
+  (an undefined state, a next field out of range, an illegal route) or
+  taken while a register upset is armed or while ``controller_step`` or
+  ``spu_route`` has subscribers calls ``routes_for`` instead.  The
+  controller's locals are re-read on entry, after such a call and after
+  each access that may reach MMIO;
 * per-class, pairing and issue counts are static per way out of the block
   ("exit"), so the run tallies exits and folds them into
   :class:`~repro.cpu.stats.RunStats` at run end, in first-issue order.
@@ -113,7 +123,13 @@ _CODECS = {
 #: Names the generated function unpacks from the per-run environment tuple
 #: built by :func:`run_env`.
 _ENV = ("state, m, s, fl, I, size, memory, data, l1, l2, l4, l8, "
-        "rr, stats, bc, spu, rf")
+        "rr, stats, bc, cb, view, idle, slow, gather, put")
+
+
+#: The SPU controller's locals in a block, and their re-read
+#: (``AttachedSPU.block_view``).
+_VIEW_NAMES = "act, cx, cn, T, ID"
+_VIEW = f"{_VIEW_NAMES} = view()"
 
 
 class Exit:
@@ -186,8 +202,7 @@ def run_env(machine, reg_ready: list[int], stats) -> tuple:
         machine.program.instructions, len(machine.program.instructions),
         memory, memory.data, limit - 1, limit - 2, limit - 4, limit - 8,
         reg_ready, stats, machine._branch_cost,
-        spu, spu.routes_for if spu is not None else None,
-    )
+    ) + (spu.block_env() if spu is not None else (None,) * 6)
 
 
 def first_issue(exit: Exit, issue_counts: dict[int, int], reasons) -> None:
@@ -259,11 +274,11 @@ class _Emitter:
         """Statement *fast* if the access is plain RAM, else *slow*.
 
         The slow path goes through :class:`~repro.cpu.memory.Memory`, which
-        may reach an MMIO device, so an attached SPU's flag is re-read.
+        may reach an MMIO device, so an attached SPU's locals are re-read.
         """
         self.line(f"a = {_address(mem)}")
         self.line(f"if 0 <= a <= l{size}: {fast}")
-        self.line(f"else: {slow}; act = spu.active" if self.spu else f"else: {slow}")
+        self.line(f"else: {slow}; {_VIEW}" if self.spu else f"else: {slow}")
 
     def load(self, target: str, mem: Mem, size: int, fast: str,
              slow: str = "memory.load") -> None:
@@ -307,31 +322,9 @@ class _Emitter:
 
     def issue(self, uop: DecodedOp, pc: int, memory_latency: int) -> None:
         """One issue: SPU step, architectural effect, scoreboard write."""
-        instr = uop.instr
         self.pc = pc
         if self.spu:
-            self.const(f"i{pc}", instr)
-            if uop.is_mmx:
-                self.line("ov = None")
-            self.line("if act:")
-            self.line(f"    state.pc = {pc}")
-            if uop.is_mmx:
-                self.line(f"    ov = rf(i{pc}, state)")
-                self.line("    act = spu.active")
-                self.line("if ov is not None:")
-                self.line("    rt += 1")
-                self.line(f"    {self.const(f'R{pc}', uop.run)}(state, memory, ov)")
-                self.line("else:")
-                self.depth += 1
-                self.semantics(uop, pc)
-                self.depth -= 1
-            else:
-                # Only MMX ops consume routed operands, but a non-None
-                # answer still counts as a routed issue.
-                self.line(f"    if rf(i{pc}, state) is not None:")
-                self.line("        rt += 1")
-                self.line("    act = spu.active")
-                self.semantics(uop, pc)
+            self.spu_issue(uop, pc)
         else:
             self.semantics(uop, pc)
         latency = _latency(uop, memory_latency)
@@ -343,19 +336,78 @@ class _Emitter:
             for key in keys:
                 self.line(f"rr[{key}] = t")
 
-    def semantics(self, uop: DecodedOp, pc: int) -> None:
-        """Inline architectural effect of *uop*."""
+    def spu_issue(self, uop: DecodedOp, pc: int) -> None:
+        """Controller step and architectural effect of an issue with an SPU.
+
+        While the SPU is active, the step is taken inline from the current
+        state's schedule entry ``e`` (see ``compile_steps``); a state that
+        routes anything hands the routable slots to ``gather``.  Without an
+        entry the step is ``slow`` (``routes_for``), which re-reads the
+        controller locals.  Routable slots the op reads are loaded into
+        ``x<slot>`` first, as ``routes_for`` reads the straight value, and
+        the semantics read them.  An op without inline semantics runs its
+        decoded op with them when the issue is routed (``rd``).
+        """
+        slots = _routable(uop)
+        reads = _inline_reads(uop) if slots else ()
+        generic = reads is None
+        loaded = [slot for slot in slots if generic or slot in reads]
+        for slot in loaded:
+            self.line(f"x{slot} = m[{slots[slot]}]")
+        # Slot values for the helpers: None where no route can feed the
+        # slot, 0 where one can but the op ignores the value.
+        args = ", ".join(f"x{slot}" if slot in loaded else "0" if slot in slots else "None"
+                         for slot in (0, 1))
+        targets = ", ".join(f"x{slot}" if slot in loaded else "_" for slot in (0, 1))
+        flag = "rd" if generic else "n"
+        if generic:
+            self.line("rd = 0")
+        self.line("if act:")
+        self.depth += 1
+        self.line("e = T.get(cb[cx])")
+        self.line("if e is None:")
+        instr = self.const(f"i{pc}", uop.instr)
+        self.line(f"    {targets}, {flag}, {_VIEW_NAMES} = slow({instr}, {pc}, state, {args})")
+        if slots:
+            self.line(f"    rt += {flag}")
+        self.line("else:")
+        for text in ("sp += 1", "c = e[0]", "k = cn[c] - 1",
+                     "if k > 0: cn[c] = k; k = e[3]", "else: cn[c] = e[1]; k = e[2]",
+                     "if k == ID: act = idle()", "else: cb[cx] = k", "if e[6]:"):
+            self.line(f"    {text}")
+        self.line(f"        {targets}, {flag} = gather(e, m, {args})")
+        if slots:
+            self.line(f"        rt += {flag}")
+        self.depth -= 1
+        if generic:
+            routed = ", ".join(f"{slot}: x{slot}" for slot in slots)
+            self.line("if rd:")
+            self.line(f"    {self.const(f'R{pc}', uop.run)}(state, memory, {{{routed}}})")
+            self.line("else:")
+            self.depth += 1
+            self.semantics(uop, pc)
+            self.depth -= 1
+        else:
+            self.semantics(uop, pc, {slot: f"x{slot}" for slot in loaded})
+
+    def semantics(self, uop: DecodedOp, pc: int, x: dict[int, str] | None = None) -> None:
+        """Inline architectural effect of *uop*.
+
+        *x* names the locals that hold routable MMX source slots (see
+        :meth:`spu_issue` and :func:`_inline_reads`).
+        """
         instr = uop.instr
         sem = instr.opcode.sem
         ops = instr.operands
         dest = ops[0] if ops else None
         mask = SCALAR_MASK
+        x = x or {}
         if uop.is_branch or sem == "halt":
             self.control(uop, pc)
         elif sem in _PACKED_BINARY or sem in _SHIFTS or sem in _PACKED_BINARY_NOWIDTH \
                 or sem in _MINMAX:
             # The argument shapes of executor._packed2_w/_packed2/_packed2_minmax.
-            args = f"m[{dest.index}], {self.source(ops[1])}"
+            args = f"{x.get(0) or f'm[{dest.index}]'}, {x.get(1) or self.source(ops[1])}"
             if sem in _MINMAX:
                 args += f", {instr.opcode.width}, signed={_MINMAX[sem][1]}"
             elif sem not in _PACKED_BINARY_NOWIDTH:
@@ -364,9 +416,9 @@ class _Emitter:
         elif sem == "pshufw" and isinstance(ops[2], Imm):
             order = ops[2].value & 0xFF
             selector = self.const(f"SEL{pc}", [(order >> (2 * i)) & 3 for i in range(4)])
-            self.packed(uop, pc, dest, f"{self.source(ops[1])}, {selector}, 16")
+            self.packed(uop, pc, dest, f"{x.get(1) or self.source(ops[1])}, {selector}, 16")
         elif sem == "movq":
-            value = self.source(ops[1])
+            value = x.get(1) or self.source(ops[1])
             if isinstance(dest, Mem):
                 self.store(dest, 8, value)
             elif isinstance(ops[1], Mem):
@@ -374,7 +426,7 @@ class _Emitter:
             else:
                 self.line(f"m[{dest.index}] = {value} & {WORD_MASK}")
         elif sem == "movd":
-            value = self.source(ops[1], size=4)
+            value = x.get(1) or self.source(ops[1], size=4)
             if isinstance(dest, Mem):
                 self.store(dest, 4, f"({value} & 4294967295)")
             else:
@@ -549,6 +601,34 @@ def _write_ready(ready: list[int], uop: DecodedOp, cycle: int, memory_latency: i
         ready[key] = cycle + latency
 
 
+def _routable(uop: DecodedOp) -> dict[int, int]:
+    """Operand slot -> MMX register index, for the slots a route can feed.
+
+    As ``routes_for``: only an MMX instruction's slots 0 and 1, and only
+    where the operand is an MMX register.
+    """
+    if not uop.is_mmx:
+        return {}
+    operands = uop.instr.operands
+    return {slot: operands[slot].index for slot in range(min(2, len(operands)))
+            if isinstance(operands[slot], Register) and operands[slot].is_mmx}
+
+
+def _inline_reads(uop: DecodedOp) -> tuple[int, ...] | None:
+    """The operand slots :meth:`_Emitter.semantics` reads for an MMX op.
+
+    ``None`` for an op without inline semantics, which runs its decoded op.
+    """
+    instr = uop.instr
+    sem = instr.opcode.sem
+    if sem in _PACKED_BINARY or sem in _SHIFTS or sem in _PACKED_BINARY_NOWIDTH \
+            or sem in _MINMAX:
+        return (0, 1)
+    if sem in ("movq", "movd") or (sem == "pshufw" and isinstance(instr.operands[2], Imm)):
+        return (1,)
+    return None
+
+
 def translate(heads: dict[int, Head], program: Program, pc: int,
               reg_ready: list[int], cycle: int, spu: bool, dual_issue: bool,
               memory_latency: int):
@@ -592,6 +672,8 @@ def translate(heads: dict[int, Head], program: Program, pc: int,
         if spu:
             em.line("if rt:")
             em.line("    stats.spu_routed += rt")
+            em.line("if sp:")
+            em.line("    put(sp)")
         em.line(f"return cyc, {len(exits)}")
         exits.append(Exit(tuple(counts.pcs), counts.pair, counts.solo, counts.busy,
                           tuple(counts.reasons), next_pc))
@@ -720,7 +802,7 @@ def translate(heads: dict[int, Head], program: Program, pc: int,
         "    fv = -1",
     ]
     if spu:
-        prologue += ["    rt = 0", "    act = spu.active"]
+        prologue += ["    rt = sp = 0", f"    {_VIEW}"]
     prologue.append("    try:")
     # On an exception the uop loop leaves state.pc at the faulting issue:
     # the handler maps the line that raised back to its instruction.
@@ -730,8 +812,10 @@ def translate(heads: dict[int, Head], program: Program, pc: int,
         "        if fv >= 0:",
         "            fl.zero = fv == 0",
         "            fl.sign = fv > 2147483647",
-        "        raise",
     ]
+    if spu:
+        epilogue += ["        if sp:", "            put(sp)"]
+    epilogue.append("        raise")
     em.const("LINE_OFFSETS", bytes(len(prologue) + 1) + bytes(at - pc for at in em.line_pcs))
     source = "\n".join(prologue + em.lines + epilogue) + "\n"
     namespace = em.names

@@ -74,6 +74,15 @@ class SPUAttachment(Protocol):
         """
         ...
 
+    def block_env(self) -> tuple:
+        """The callables and live state translated blocks step the SPU with.
+
+        See :meth:`repro.core.integration.AttachedSPU.block_env`: blocks
+        take the controller step inline and call :meth:`routes_for` only
+        where the inline step does not apply.
+        """
+        ...
+
 
 @dataclass
 class PipelineConfig:

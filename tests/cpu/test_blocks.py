@@ -3,10 +3,13 @@
 ``repro.cpu.blocks`` claims to keep every cycle: a run that enters
 translated blocks must end with the same ``RunStats`` (as exported JSON
 text, so ``by_class`` insertion order counts), the same
-``pair_fail_reasons`` (with order), the same architectural state and the
-same memory bytes as a run that never does.  The per-uop side is forced
-through the machine's private ``_translate`` attribute; nothing public
-switches translation off.
+``pair_fail_reasons`` (with order), the same architectural state, the same
+memory bytes and the same SPU controller state as a run that never does.
+The per-uop side is forced through the machine's private ``_translate``
+attribute; nothing public switches translation off.  SPU runs compare three
+paths: the per-uop loop on the byte-granular crossbar oracle (forced
+through ``AttachedSPU._byte_path``), the per-uop loop on word plans, and
+translated blocks, which step the controller inline.
 """
 
 import json
@@ -15,17 +18,24 @@ import pytest
 
 from repro import simd
 from repro.core import (
+    CONFIG_D,
+    CONFIG_D_MODED,
     DEFAULT_MMIO_BASE,
     SPUController,
     SPUProgramBuilder,
+    SPUState,
     attach_spu,
     halfword_route,
 )
+from repro.core import CONFIGS as CROSSBARS
+from repro.core.mmio import emit_upload
 from repro.cpu import Machine, Memory, PipelineConfig, blocks
-from repro.errors import MemoryFault, SimulationError
-from repro.isa import MM, assemble
+from repro.errors import MemoryFault, RouteError, SimulationError, SPUProgramError
+from repro.faults.injector import clone_spu_program, corrupt_route
+from repro.isa import MM, ProgramBuilder, assemble
 from repro.kernels.fft import FFTKernel
 from repro.kernels.registry import ALL_KERNELS, make_kernel
+from repro.resilience import ResilienceMode
 
 CONFIGS = {
     "default": {},
@@ -34,12 +44,12 @@ CONFIGS = {
 }
 
 
-def build_kernel(name):
+def build_kernel(name, **kwargs):
     if name == "FFT1024":  # the --fast size, as ExperimentSuite(fast=True)
-        kernel = FFTKernel(n=256)
+        kernel = FFTKernel(n=256, **kwargs)
         kernel.name = name
         return kernel
-    return make_kernel(name)
+    return make_kernel(name, **kwargs)
 
 
 def snapshot(machine, stats):
@@ -56,8 +66,20 @@ def snapshot(machine, stats):
         "predictor": vars(machine.predictor),
     }
     if machine.spu is not None:
-        shot["spu"] = (repr(machine.spu.stats), repr(machine.spu.controller.stats))
+        shot["spu"] = spu_snapshot(machine)
     return shot
+
+
+def spu_snapshot(machine):
+    controller = machine.spu.controller
+    return {
+        "stats": (repr(machine.spu.stats), repr(controller.stats)),
+        "current": list(controller._current_by_ctx),
+        "counters": [list(counters) for counters in controller._counters_by_ctx],
+        "active": controller.active,
+        "context": controller.context,
+        "fault_parked": controller.fault_parked,
+    }
 
 
 def per_uop(machine):
@@ -65,10 +87,25 @@ def per_uop(machine):
     return machine
 
 
+def byte_path(machine):
+    """The per-uop loop on the byte-granular crossbar oracle."""
+    machine._translate = False
+    if machine.spu is not None:
+        machine.spu._byte_path = True
+    return machine
+
+
 def assert_same(make_machine, runs=2):
-    """Per-uop run, then *runs* translated runs on fresh machines."""
-    machine = per_uop(make_machine())
+    """Per-uop run(s), then *runs* translated runs on fresh machines.
+
+    An SPU machine runs per-uop twice: on the byte path, the reference,
+    and on word plans.
+    """
+    machine = byte_path(make_machine())
     expected = snapshot(machine, machine.run())
+    if machine.spu is not None:
+        machine = per_uop(make_machine())
+        assert snapshot(machine, machine.run()) == expected
     for _ in range(runs):
         machine = make_machine()
         assert snapshot(machine, machine.run()) == expected
@@ -110,6 +147,265 @@ class TestKernels:
         kernel.run_mmx()
         heads = kernel.mmx_program()._block_cache[(False, 2, 1)]
         assert any(head.fn is not None for head in heads.values())
+
+
+class TestSPUPaths:
+    """The SPU variant on the byte path, on word plans and translated."""
+
+    # D, the kernels' default, runs in TestKernels.
+    @pytest.mark.parametrize("config", ["A", "B", "C"])
+    @pytest.mark.parametrize("name", list(ALL_KERNELS))
+    def test_every_config(self, name, config):
+        kernel = build_kernel(name, config=CROSSBARS[config])
+        assert_same(lambda: kernel.machine("spu"))
+
+    def test_operand_modes(self, hot):
+        # D+ routes with negation and byte sign/zero extension; each loop
+        # iteration accumulates mm0 += -mm2, mm3 += sxb(mm2), mm4 += zxb(mm2).
+        hot(2)
+        program = assemble(f"""
+                mov r3, {DEFAULT_MMIO_BASE}
+                mov r4, 1
+                mov r0, 50
+        top:    stw [r3], r4
+                paddw mm0, mm1
+                paddw mm3, mm1
+                paddw mm4, mm1
+                paddw mm1, mm5
+                loop r0, top
+                halt
+        """)
+        neg = tuple((8 + i, "neg") for i in range(4))
+        sxb = tuple((8 + i, "sxb") for i in range(4))
+        zxb = ((8, "zxb"), 9, None, (11, "zxb"))
+        builder = SPUProgramBuilder(config=CONFIG_D_MODED)
+        builder.loop([{1: neg}, {1: sxb}, {1: zxb}, None], 1)
+        spu_program = builder.build()
+
+        def make():
+            machine = Machine(program, config=PipelineConfig(extra_stage=True))
+            machine.state.write(MM[2], 0x80FF_7F01_0203_FF80)
+            machine.state.write(MM[5], 0x0101_0101_0101_0101)
+            controller = SPUController(config=CONFIG_D_MODED)
+            controller.load_program(spu_program)
+            attach_spu(machine, controller)
+            return machine
+
+        assert_same(make, runs=3)
+        assert make().run().spu_routed == 150
+
+    def test_op_without_inline_semantics(self, hot):
+        # vperm runs its decoded op in a block, with the routed operands.
+        hot(2)
+        program = assemble(f"""
+                mov r3, {DEFAULT_MMIO_BASE}
+                mov r4, 1
+                mov r0, 40
+        top:    stw [r3], r4
+                vperm mm0, mm1, 0x89abcdef
+                paddw mm3, mm0
+                vperm mm4, mm3, 0x01234567
+                loop r0, top
+                halt
+        """)
+        builder = SPUProgramBuilder()
+        builder.loop([{0: halfword_route([(2, 3), (2, 2), (2, 1), (2, 0)]),
+                       1: halfword_route([(3, 0), None, (3, 1), None])},
+                      None, {1: halfword_route([(2, 1), (2, 1), (2, 1), (2, 1)])}, None], 1)
+        spu_program = builder.build()
+
+        def make():
+            machine = Machine(program, config=PipelineConfig(extra_stage=True))
+            machine.state.write(MM[1], 0x1111_2222_3333_4444)
+            machine.state.write(MM[2], 0x0004_0003_0002_0001)
+            machine.state.write(MM[3], 0x0F0E_0D0C_0B0A_0908)
+            controller = SPUController()
+            controller.load_program(spu_program)
+            attach_spu(machine, controller)
+            return machine
+
+        assert_same(make, runs=3)
+        assert make().run().spu_routed == 80
+
+    def test_nested_loops_reload_the_inner_counter(self, hot):
+        # CNTR0 auto-reloads on each inner-loop exit; CNTR1 counts rows.
+        hot(2)
+        program = assemble(f"""
+                mov r10, {DEFAULT_MMIO_BASE}
+                mov r0, 20
+                mov r3, 3
+                mov r11, 1
+                stw [r10], r11
+        cols:   paddw mm0, mm1
+                psubw mm2, mm0
+                loop r3, cols
+                add r4, 1
+                mov r3, 3
+                loop r0, cols
+                halt
+        """)
+        builder = SPUProgramBuilder()
+        swap = halfword_route([(1, 2), (1, 3), (1, 0), (1, 1)])
+        builder.two_level_loop([{1: swap}, None, None], 3, [None, None, None], 20)
+        spu_program = builder.build()
+
+        def make():
+            machine = Machine(program, config=PipelineConfig(extra_stage=True))
+            machine.state.write(MM[1], 0x0004_0003_0002_0001)
+            controller = SPUController()
+            controller.load_program(spu_program)
+            attach_spu(machine, controller)
+            return machine
+
+        assert_same(make, runs=3)
+        assert make().run().spu_routed == 60
+
+    @pytest.mark.parametrize("next1", [128, 500])
+    @pytest.mark.parametrize("resilience", ["strict", "degrade"])
+    def test_next_state_out_of_range(self, next1, resilience, hot):
+        # The schedule leaves such a state out: its step faults in routes_for.
+        hot(1)
+        kernel = build_kernel("FIR12")
+
+        def make():
+            machine = kernel.machine("spu")
+            controller = machine.spu.controller
+            controller.resilience = ResilienceMode.parse(resilience)
+            clone = clone_spu_program(controller.program(0))
+            state = clone.states[clone.entry]
+            clone.states[clone.entry] = SPUState(
+                cntr=state.cntr, routes=state.routes, next0=state.next0, next1=next1)
+            controller.inject_program(clone)
+            return machine
+
+        def outcome(machine):
+            try:
+                return snapshot(machine, machine.run())
+            except SPUProgramError as error:
+                return str(error), machine.state.pc, spu_snapshot(machine)
+
+        expected = outcome(byte_path(make()))
+        assert outcome(per_uop(make())) == expected
+        for _ in range(2):
+            assert outcome(make()) == expected
+        machine = make()
+        if resilience == "strict":
+            with pytest.raises(SPUProgramError, match="outside K"):
+                machine.run()
+        else:
+            machine.run()
+            assert machine.spu.controller.stats.fault_parks > 0
+
+    @pytest.mark.parametrize("topics", [("controller_step",), ("spu_route",),
+                                        ("controller_step", "spu_route")])
+    def test_observed_event_streams(self, topics):
+        kernel = build_kernel("FIR12")
+
+        def observed(machine):
+            events = []
+            for topic in topics:
+                machine.bus.subscribe(topic, lambda event, t=topic: events.append((t, event)))
+            return machine, events
+
+        machine, expected_events = observed(byte_path(kernel.machine("spu")))
+        expected = snapshot(machine, machine.run())
+        assert expected_events
+        counter_init = {context: program.counter_init
+                        for context, program in kernel.spu_programs()[1]}
+        for topic, event in expected_events:
+            if topic == "controller_step" and event.went_idle:
+                assert event.counters == counter_init[event.context]
+        for make in (lambda: per_uop(kernel.machine("spu")), lambda: kernel.machine("spu")):
+            for _ in range(2):
+                machine, events = observed(make())
+                assert snapshot(machine, machine.run()) == expected
+                assert events == expected_events
+
+    @staticmethod
+    def corrupted(kernel, resilience=None, controller_resilience=None):
+        """A machine whose first routed state has an out-of-window route."""
+        machine = kernel.machine("spu", resilience=resilience)
+        controller = machine.spu.controller
+        if controller_resilience is not None:
+            controller.resilience = controller_resilience
+        program = controller.program(0)
+        index = next(i for i in sorted(program.states) if program.states[i].routes)
+        slot = sorted(program.states[index].routes)[0]
+        controller.inject_program(corrupt_route(program, index, slot, 0, 99))
+        return machine
+
+    @pytest.mark.parametrize("where", ["machine", "controller"])
+    def test_degrade_serializes_illegal_route(self, where):
+        # A DEGRADE machine keeps the per-uop loop; a STRICT machine whose
+        # controller degrades runs translated, stepping such states through
+        # routes_for.
+        kernel = build_kernel("FIR12")
+        if where == "machine":
+            assert_same(lambda: self.corrupted(kernel, resilience="degrade"))
+        else:
+            assert_same(lambda: self.corrupted(kernel, controller_resilience=ResilienceMode.DEGRADE))
+        machine = self.corrupted(kernel, controller_resilience=ResilienceMode.DEGRADE)
+        machine.run()
+        assert machine.spu.stats.serialized_operands > 0
+
+    def test_strict_illegal_route_raises(self, hot):
+        hot(1)
+        kernel = build_kernel("FIR12")
+
+        def outcome(machine):
+            with pytest.raises(RouteError) as excinfo:
+                machine.run()
+            return str(excinfo.value), machine.state.pc, spu_snapshot(machine)
+
+        expected = outcome(byte_path(self.corrupted(kernel)))
+        assert outcome(per_uop(self.corrupted(kernel))) == expected
+        for _ in range(2):
+            assert outcome(self.corrupted(kernel)) == expected
+
+    @pytest.mark.parametrize("byte", [0, 9, 18, 27])
+    def test_armed_register_flip(self, byte, hot):
+        # Translated on first entry, so a block consumes the upset.
+        hot(1)
+        kernel = build_kernel("FIR12")
+
+        def make():
+            machine = kernel.machine("spu")
+            machine.spu.register.inject_bit_flip(byte, 3)
+            return machine
+
+        assert_same(make)
+        machine = make()
+        machine.run()
+        assert not machine.spu.register._pending_flips  # the upset landed
+
+    def test_mmio_go_loads_fresh_program_mid_block(self, hot):
+        # Every iteration stages a microprogram through MMIO stores and GOs:
+        # each GO installs a new program while a block runs.
+        hot(2)
+        builder = SPUProgramBuilder()
+        builder.loop([{1: halfword_route([(2, 3), (2, 2), (2, 1), (2, 0)])},
+                      None, {0: halfword_route([(2, 0), (2, 0), (2, 1), (2, 1)])}], 1)
+        b = ProgramBuilder("mmio-reload")
+        b.mov("r14", DEFAULT_MMIO_BASE)
+        b.mov("r0", 30)
+        b.label("top")
+        emit_upload(b, builder.build(), CONFIG_D, context=0, go=True)
+        b.paddw("mm0", "mm1")
+        b.add("r5", 1)
+        b.paddw("mm3", "mm1")
+        b.loop("r0", "top")
+        b.halt()
+        program = b.build()
+
+        def make():
+            machine = Machine(program, config=PipelineConfig(extra_stage=True))
+            machine.state.write(MM[1], 0x0001_0001_0001_0001)
+            machine.state.write(MM[2], 0x0004_0003_0002_0001)
+            attach_spu(machine, SPUController())
+            return machine
+
+        assert_same(make, runs=3)
+        assert make().run().spu_routed == 60
 
 
 #: The follower ``add r5, r2`` pairs only when the preceding imul's result
