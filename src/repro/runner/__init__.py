@@ -6,7 +6,7 @@ same decoupling at orchestration scale.  Fault-campaign injections
 (``repro check --jobs N``), experiment-suite cells
 (:meth:`repro.experiments.ExperimentSuite.prefetch`) and kernel sweeps
 (``repro run --all --jobs N``) become independent tasks on a worker pool
-with:
+(the same pool runs ``repro serve`` jobs) with:
 
 * per-task **wall-clock timeouts** (complementing the in-simulation cycle
   watchdog),

@@ -26,16 +26,24 @@ Instrumented points (each site costs one dict lookup when unarmed):
     written and fsync'd but *before* the atomic rename — the old journal is
     still the live one.
 ``compact-commit``
-    Journal compaction, after the rename but *before* the directory fsync
-    and journal reopen — the snapshot is the live journal, the directory
-    entry may or may not be durable yet.
+    Journal compaction, after the rename and the directory fsync but
+    *before* the journal reopen — the snapshot is the live journal.
+``task:<id>``
+    :func:`repro.runner.pool.worker_main`, when a pool worker picks up task
+    ``<id>`` and *before* its ``start`` message — the worker dies holding
+    the task (a campaign task such as ``task:inject:3``, or a serve job
+    such as ``task:job-000001``).  One point per task id, so it is not
+    listed in :data:`KILL_POINTS`.
 
-Environment protocol (mirrors the pool's ``REPRO_RUNNER_CRASH_TASK`` hook):
+Environment protocol:
 
 ``REPRO_CHAOS_KILL_POINT``
     Name of the armed point.  Unset (the normal case) disables everything.
 ``REPRO_CHAOS_KILL_AFTER``
     Die on the Nth hit of the armed point (default 1 — the first hit).
+    Hits count per process, and a pool worker restarts the count at each
+    task it picks up: in a ``repro serve`` job, N counts within that one
+    job attempt, however many jobs the worker ran before.
 ``REPRO_CHAOS_KILL_MARKER``
     Optional once-marker path: the kill creates this file first, and a
     pre-existing marker disarms the point — so a restarted process with the
@@ -54,12 +62,18 @@ KILL_MARKER_ENV = "REPRO_CHAOS_KILL_MARKER"
 #: crash (53) from a real one.
 KILL_EXIT = 53
 
-#: All instrumented point names (validation + docs).
+#: All fixed instrumented point names (validation + docs); pool workers
+#: add one ``task:<id>`` point per task they pick up.
 KILL_POINTS = ("journal-append", "pre-fsync", "mid-response", "mid-drain",
                "compact-snapshot", "compact-commit")
 
 #: Per-point hit counters of this process (reset on restart by definition).
 _hits: dict[str, int] = {}
+
+
+def reset_hits() -> None:
+    """Start every point's hit count afresh (a pool worker, per task)."""
+    _hits.clear()
 
 
 def kill_point(name: str) -> None:

@@ -433,66 +433,31 @@ class Runner:
                 ))
                 self._begin_task_span(task, attempts[task.id])
 
-            for message in pool.poll(self.config.poll_s):
-                kind, worker_id, task_id, attempt = message[:4]
-                handle = pool.worker_for(worker_id)
-                if handle is None or handle.busy != (task_id, attempt):
-                    continue  # stale message from a replaced worker
-                if kind in ("start", "beat"):
-                    handle.last_beat = time.monotonic()
+            for task, attempt, status, payload, detail, duration in (
+                    pool.poll(self.config.poll_s)):
+                if task.id not in pending:
                     continue
-                if kind != "done":
-                    continue
-                _, _, _, _, status, payload, detail, duration = message
-                handle.busy = None
-                if task_id not in pending:
-                    continue
-                task = specs[task_id]
                 if status == "ok":
                     self.breaker.record_success(task.slice)
                     self._terminal(results, TaskResult(
-                        task=task_id, status="ok", result=payload,
+                        task=task.id, status="ok", result=payload,
                         attempts=attempt, duration_s=duration,
                     ))
-                    pending.discard(task_id)
+                    pending.discard(task.id)
                 else:
                     fail_attempt(task, attempt, "error", detail, duration)
 
             now = time.monotonic()
-            for handle in list(pool.workers):
-                if handle.idle:
-                    if not handle.alive:
-                        pool.replace(handle, "crash")
-                    continue
-                task_id, attempt = handle.busy
-                task = specs.get(task_id)
-                if task is None:  # pragma: no cover - defensive
-                    handle.busy = None
-                    continue
-                budget = (task.timeout_s if task.timeout_s is not None
-                          else self.config.timeout_s)
+            for handle, reason, detail in pool.sweep(
+                    now, self.config.hang_timeout_s, self.config.timeout_s):
+                task, attempt = handle.task, handle.attempt
                 since_dispatch = now - handle.dispatched_at
-                since_beat = now - handle.last_beat
-                if not handle.alive:
-                    pool.replace(handle, "crash")
-                    fail_attempt(task, attempt, "crash",
-                                 f"worker {handle.worker_id} died "
-                                 f"(exitcode {handle.process.exitcode})",
-                                 since_dispatch)
-                elif budget is not None and since_dispatch > budget:
-                    self._emit_timeout(task_id, attempt, "timeout",
-                                             since_dispatch, handle.worker_id)
-                    pool.replace(handle, "timeout")
-                    fail_attempt(task, attempt, "timeout",
-                                 f"exceeded {budget:.1f}s wall clock",
-                                 since_dispatch)
-                elif since_beat > self.config.hang_timeout_s:
-                    self._emit_timeout(task_id, attempt, "hang",
-                                             since_beat, handle.worker_id)
-                    pool.replace(handle, "hang")
-                    fail_attempt(task, attempt, "hang",
-                                 f"no heartbeat for {since_beat:.1f}s",
-                                 since_dispatch)
+                if reason != "crash":
+                    seconds = (since_dispatch if reason == "timeout"
+                               else now - handle.last_beat)
+                    self._emit_timeout(task.id, attempt, reason, seconds,
+                                       handle.worker_id)
+                fail_attempt(task, attempt, reason, detail, since_dispatch)
 
     def _emit_timeout(self, task: str, attempt: int, kind: str,
                       seconds: float, worker: int) -> None:

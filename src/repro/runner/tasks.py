@@ -12,7 +12,9 @@ Executors are pure-ish functions ``payload dict -> result dict``.  Results
 must be JSON-serializable: the journal (:mod:`repro.runner.journal`) persists
 them verbatim, and ``--resume`` replays them without re-running the task —
 so the merged output of a resumed run can be byte-identical to an
-uninterrupted one.
+uninterrupted one.  On a pool worker the payload also carries the worker
+slot's drain event as ``"cancel"`` (see :mod:`repro.runner.pool`); only
+executors that can stop early read it.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ EXECUTORS: dict[str, str | Callable[[dict], dict]] = {
     "clean_check": "repro.faults.parallel:run_clean_task",
     "campaign_injection": "repro.faults.parallel:run_injection_task",
     "suite_cell": "repro.experiments.suite:run_suite_cell",
+    "serve_job": "repro.serve.jobs:run_serve_job",
 }
 
 

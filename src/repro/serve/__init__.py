@@ -2,13 +2,13 @@
 
 A long-lived, stdlib-only (asyncio) service that accepts kernel-profile,
 fault-campaign and probe jobs over schema-versioned JSON endpoints
-(``repro.serve/1``), executes them in supervised child processes on the
-hardened :mod:`repro.runner` stack, and holds four promises the CLI alone
-cannot:
+(``repro.serve/1``), executes them on the persistent, supervised workers
+of the hardened :mod:`repro.runner` pool, and holds four promises the CLI
+alone cannot:
 
 **Durability.**  Admissions, completions and supervision strikes live in a
 CRC-checksummed, fsync-per-record journal; campaign progress lives in
-per-job runner journals.  ``kill -9`` the server (or any job child) at any
+per-job runner journals.  ``kill -9`` the server (or any job worker) at any
 instant — restarting it with the same ``--journal-dir`` resumes every
 unfinished job and produces final reports byte-identical to uninterrupted
 serial runs.  Idle-time compaction folds the journal into an equivalent
@@ -22,11 +22,13 @@ load-proportional ``Retry-After`` hint instead of unbounded memory growth.
 The event ring, header sizes and body sizes are bounded the same way (ring
 losses are surfaced, not silent).
 
-**Supervision.**  ``--workers M`` jobs run concurrently, each campaign on
-its own ``--jobs N`` worker pool.  Heartbeats and calibrated wall-clock
-budgets detect hung children; suspects are SIGKILLed and requeued under a
-journalled, bounded attempt budget.  A campaign whose pool breaks degrades
-to a serial re-run — recorded in the job's report and events, never silent.
+**Supervision.**  ``--workers M`` jobs run concurrently on a
+:class:`repro.runner.pool.WorkerPool`, each campaign on its own
+``--jobs N`` worker pool.  Heartbeats and calibrated wall-clock budgets
+detect hung workers; suspects are SIGKILLed and replaced, and their jobs
+requeued under a journalled, bounded attempt budget.  A campaign whose
+pool breaks degrades to a serial re-run — recorded in the job's report and
+events, never silent.
 
 **Graceful drain.**  SIGTERM (or ``POST /v1/drain``) stops admissions,
 cancels every running campaign at a task boundary with its journal
@@ -35,8 +37,8 @@ contract as an interrupted ``repro check``.
 
 The chaos kill points (:mod:`repro.runner.chaos`) — ``journal-append``,
 ``pre-fsync``, ``mid-response``, ``mid-drain``, ``compact-snapshot``,
-``compact-commit`` — let the crash-recovery matrix in ``tests/serve``
-prove those claims rather than assert them.  See docs/robustness.md
+``compact-commit`` and ``task:<id>`` — let the crash-recovery matrix in
+``tests/serve`` prove those claims rather than assert them.  See docs/robustness.md
 ("Simulation as a service") for the endpoint and journal reference.
 """
 
@@ -45,7 +47,6 @@ from repro.serve.client import ServeClient, SubmitRetry, read_endpoint
 from repro.serve.jobs import VERBS, JobOutcome, JobSpec, execute_job
 from repro.serve.queues import TenantQueues
 from repro.serve.store import JobPaths, ServeStore
-from repro.serve.workers import JobHandle, JobWorkers
 
 __all__ = [
     "ServeApp",
@@ -59,6 +60,4 @@ __all__ = [
     "TenantQueues",
     "JobPaths",
     "ServeStore",
-    "JobHandle",
-    "JobWorkers",
 ]

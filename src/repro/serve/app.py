@@ -5,17 +5,21 @@ Architecture, smallest thing that holds the durability story together:
 - the **asyncio loop** owns all mutable service state (queues, counters,
   the serve journal).  HTTP handlers and the supervisor coroutine run on
   it, so no lock guards any of that state;
-- **jobs run in supervised child processes**
-  (:mod:`repro.serve.workers`): up to ``--workers M`` at once, each
-  campaign on its own ``--jobs N`` runner pool.  The supervisor dispatches
-  by weighted per-tenant round-robin (:mod:`repro.serve.queues`), watches
-  heartbeats and per-job wall-clock budgets
+- **jobs run on the runner's worker pool**
+  (:class:`repro.runner.pool.WorkerPool`): ``--workers M`` persistent
+  processes, each job attempt one ``serve_job`` task
+  (:func:`repro.serve.jobs.run_serve_job`), each campaign on its own
+  ``--jobs N`` runner pool inside its worker.  The supervisor dispatches
+  by weighted per-tenant round-robin (:mod:`repro.serve.queues`) to idle
+  workers; the pool's heartbeats and :func:`repro.runner.pool.worker_verdict`
+  judge crashes, per-job wall-clock budgets
   (:func:`repro.runner.policy.calibrated_timeout_s` when the submission
-  carries an ``expected_s`` hint), SIGKILLs hung or crashed children and
-  requeues the job under a bounded attempt budget — strikes are journalled,
-  so they survive restarts too;
+  carries an ``expected_s`` hint, riding on ``TaskSpec.timeout_s``) and
+  hangs; suspect workers are SIGKILLed and replaced, and the job is
+  requeued under a bounded attempt budget — strikes are journalled, so
+  they survive restarts too;
 - **degradation is recorded, never silent**: a campaign whose worker pool
-  breaks re-runs serially inside the job child (resume journal preserves
+  breaks re-runs serially inside the job's worker (resume journal preserves
   completed injections); the outcome carries ``degraded`` + reason into the
   terminal journal record, the ``job_done``/``job_degraded`` events and the
   job's ``repro.runner/1`` report;
@@ -33,7 +37,7 @@ Architecture, smallest thing that holds the durability story together:
   write/fsync/rename with chaos kill points inside, announced on the
   ``serve_compact`` topic;
 - **drain is cancellation**: SIGTERM/SIGINT (or ``POST /v1/drain``) stops
-  admissions (429 ``draining``), sets every running job's cancel event,
+  admissions (429 ``draining``), sets every worker slot's cancel event,
   lets the runners journal, exports open spans as aborted and exits 3 —
   the same resumable contract as an interrupted ``repro check``.
 """
@@ -61,6 +65,8 @@ from repro.obs.events import (
 )
 from repro.obs.export import SERVE_SCHEMA_VERSION, envelope
 from repro.runner.policy import calibrated_timeout_s
+from repro.runner.pool import WorkerHandle, WorkerPool
+from repro.runner.tasks import TaskSpec
 from repro.serve.http import (
     BadRequest,
     Request,
@@ -69,10 +75,9 @@ from repro.serve.http import (
     response_bytes,
     send_response,
 )
-from repro.serve.jobs import VERBS, JobSpec
+from repro.serve.jobs import VERBS, JobOutcome, JobSpec
 from repro.serve.queues import TenantQueues
 from repro.serve.store import ServeStore
-from repro.serve.workers import JobWorkers
 
 __all__ = ["ServeApp"]
 
@@ -94,9 +99,10 @@ ATTEMPT_SPAN_STRIDE = 100_000
 #: Supervisor poll period (result-queue drain + health checks).
 POLL_S = 0.05
 
-#: A dead child gets this long for its final ``done`` message to surface
-#: through the result queue before the supervisor declares a crash.
-CRASH_GRACE_S = 0.3
+
+def _job_spec(task: TaskSpec) -> JobSpec:
+    """The job a ``serve_job`` task runs."""
+    return JobSpec.from_record(task.payload["record"])
 
 
 class ServeApp:
@@ -141,8 +147,7 @@ class ServeApp:
         for topic in EVENT_TOPICS:
             self.bus.subscribe(topic, self._make_recorder(topic))
         self._kick: asyncio.Event | None = None
-        self._stopping: asyncio.Event | None = None
-        self._workers = JobWorkers()
+        self._pool = WorkerPool(self.workers_n)
         self._last_compact_count = -1
         # Jobs lost by a previous epoch re-enter the queue unchecked: they
         # were admitted under the bound once already.
@@ -169,32 +174,37 @@ class ServeApp:
 
     async def run(self) -> int:
         """Serve until drained; returns the process exit code (3)."""
-        loop = asyncio.get_running_loop()
-        self._kick = asyncio.Event()
-        self._stopping = asyncio.Event()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(
-                    signum, self.drain, signal.Signals(signum).name.lower()
-                )
-            except (NotImplementedError, RuntimeError):  # pragma: no cover
-                pass  # non-main thread / platform without loop signals
+        # Workers fork before the loop installs its signal handlers.
+        self._pool.start()
+        try:
+            loop = asyncio.get_running_loop()
+            self._kick = asyncio.Event()
+            for signum in (signal.SIGTERM, signal.SIGINT):
+                try:
+                    loop.add_signal_handler(
+                        signum, self.drain, signal.Signals(signum).name.lower()
+                    )
+                except (NotImplementedError, RuntimeError):  # pragma: no cover
+                    pass  # non-main thread / platform without loop signals
 
-        server = await asyncio.start_server(self._handle, self.host, self.port)
-        self.port = server.sockets[0].getsockname()[1]
-        endpoint = Path(self.store.root) / "endpoint.json"
-        endpoint.write_text(json.dumps(
-            {"host": self.host, "port": self.port, "epoch": self.store.epoch}
-        ) + "\n")
+            server = await asyncio.start_server(self._handle, self.host,
+                                                self.port)
+            self.port = server.sockets[0].getsockname()[1]
+            endpoint = Path(self.store.root) / "endpoint.json"
+            endpoint.write_text(json.dumps(
+                {"host": self.host, "port": self.port,
+                 "epoch": self.store.epoch}
+            ) + "\n")
 
-        if self.queues.total():
-            self._kick.set()
-        supervisor = asyncio.create_task(self._supervisor())
-        await self._stopping.wait()
-        await supervisor
-        server.close()
-        await server.wait_closed()
-        self._workers.shutdown()
+            if self.queues.total():
+                self._kick.set()
+            await self._supervisor()
+            server.close()
+            await server.wait_closed()
+        finally:
+            # On every exit path: the workers are not daemonic, so live
+            # ones would keep the interpreter from exiting.
+            self._pool.stop()
         # Durability barrier last: every record of this epoch (including
         # terminal records of jobs that finished during the drain) is on
         # stable storage before the process exits.
@@ -208,32 +218,31 @@ class ServeApp:
             return
         self.draining = True
         self.drain_reason = reason
-        pending = self.queues.total() + len(self._workers.running)
+        pending = self.queues.total() + len(self._running)
         self.bus.emit("serve_drain", ServeDrainEvent(
             pending=pending, reason=reason,
         ))
-        self._workers.cancel_all()
+        self._pool.cancel_all()
         if self._kick is not None:
             self._kick.set()
-        if self._stopping is not None:
-            self._stopping.set()
 
     # ---- the supervisor ------------------------------------------------------
 
     async def _supervisor(self) -> None:
         """Dispatch, watch, reap — the service's one scheduling loop.
 
-        Runs until a drain has been requested *and* every child has exited
-        (each cancelled job journals its own aborted state first).
+        Runs until a drain has been requested *and* every running job has
+        finished (each cancelled job journals its own aborted state first).
+        Polls the pool without blocking: the event loop never waits on it.
         """
         while True:
-            for message in self._workers.poll():
-                self._on_message(message)
-            self._check_children(time.monotonic())
+            for task, _, status, result, detail, _ in self._pool.poll(0):
+                self._on_done(task, status, result, detail)
+            self._check_workers(time.monotonic())
             if not self.draining:
                 self._dispatch()
                 self._maybe_compact()
-            if self.draining and not self._workers.running:
+            if self.draining and not self._running:
                 break
             try:
                 await asyncio.wait_for(self._kick.wait(), POLL_S)
@@ -243,7 +252,8 @@ class ServeApp:
                 self._kick.clear()
 
     def _dispatch(self) -> None:
-        while len(self._workers.running) < self.workers_n:
+        idle = self._pool.idle_workers()
+        while idle:
             spec = self.queues.next_job()
             if spec is None:
                 return
@@ -262,9 +272,10 @@ class ServeApp:
                     duration_s=0.0,
                 ))
                 continue
-            self._launch(spec, attempt)
+            self._launch(idle.pop(), spec, attempt)
 
-    def _launch(self, spec: JobSpec, attempt: int) -> None:
+    def _launch(self, handle: WorkerHandle, spec: JobSpec,
+                attempt: int) -> None:
         resumed = spec.job in self.store.span_roots or (
             spec.verb == "check" and self.store.job_journal(spec.job).exists()
         )
@@ -273,8 +284,8 @@ class ServeApp:
         if spec.verb == "check":
             # Root span chain survives restarts *and* SIGKILLed attempts:
             # span ids are deterministic (sequential from id_base), so the
-            # parent can journal the child's root ids before the fork — the
-            # chain exists even if the child never writes a span.  Each
+            # parent can journal the worker's root ids before dispatch — the
+            # chain exists even if the worker never writes a span.  Each
             # attempt gets its own id sub-block; epoch N+1 parents onto
             # whatever root was journalled last.
             span_prev = self.store.span_roots.get(spec.job)
@@ -295,117 +306,79 @@ class ServeApp:
         self.bus.emit("job_started", JobStartedEvent(
             job=spec.job, tenant=spec.tenant, verb=spec.verb, resumed=resumed,
         ))
-        try:
-            self._workers.launch(
-                spec, root=str(self.store.root), epoch=self.store.epoch,
-                attempt=attempt, jobs=self.jobs_n, span_base=span_base,
-                span_prev=span_prev, resumed=resumed, budget_s=budget,
-                serve_counters=self.counters_snapshot(),
-            )
-        except Exception as exc:  # pragma: no cover - fork failure
-            self.queues.release(spec.tenant)
-            self._record_strike(spec, attempt, "crash",
-                                f"launch failed: {exc}")
-            self.queues.requeue(spec)
+        self._pool.dispatch(handle, TaskSpec(
+            id=spec.job, kind="serve_job", timeout_s=budget, payload={
+                "record": spec.as_record(), "root": str(self.store.root),
+                "epoch": self.store.epoch, "jobs": self.jobs_n,
+                "span_base": span_base, "span_prev": span_prev,
+                "resumed": resumed,
+                "serve_counters": self.counters_snapshot(),
+            },
+        ), attempt)
 
     # ---- supervision ---------------------------------------------------------
 
-    def _check_children(self, now: float) -> None:
-        for job, handle in list(self._workers.running.items()):
-            reason = None
-            if not handle.process.is_alive():
-                # Grace first: the child's final message may still be in
-                # flight through the result queue's feeder thread.
-                if handle.dead_at is None:
-                    handle.dead_at = now
-                    continue
-                if now - handle.dead_at < CRASH_GRACE_S:
-                    continue
-                reason = "crash"
-            elif (handle.budget_s is not None
-                    and now - handle.started_at > handle.budget_s):
-                reason = "timeout"
-            elif now - handle.last_beat > self.hang_timeout_s:
-                reason = "hang"
-            if reason is not None:
-                self._supervise_kill(job, reason, now)
+    @property
+    def _running(self) -> dict[str, WorkerHandle]:
+        """Jobs on a pool worker right now: job id -> worker."""
+        return {h.task.id: h for h in self._pool.workers if not h.idle}
 
-    def _supervise_kill(self, job: str, reason: str, now: float) -> None:
-        handle = self._workers.kill(job)
-        if handle is None:
-            return
-        spec = handle.spec
-        self.queues.release(spec.tenant)
-        if reason in ("hang", "timeout"):
-            self.counters["hung_kills"] += 1
-        if handle.attempt >= self.max_job_attempts and not self.draining:
-            detail = (f"gave up after {handle.attempt} supervision attempts "
-                      f"(last: {reason})")
-            self.store.record_done(spec.job, "failed", detail)
-            self.counters["failed"] += 1
-            self.bus.emit("job_done", JobDoneEvent(
-                job=spec.job, tenant=spec.tenant, status="failed",
-                duration_s=now - handle.started_at,
+    def _check_workers(self, now: float) -> None:
+        """Account for every worker the pool's sweep killed and replaced."""
+        for handle, reason, _ in self._pool.sweep(now, self.hang_timeout_s):
+            spec, attempt = _job_spec(handle.task), handle.attempt
+            self.queues.release(spec.tenant)
+            if reason in ("hang", "timeout"):
+                self.counters["hung_kills"] += 1
+            if attempt >= self.max_job_attempts and not self.draining:
+                detail = (f"gave up after {attempt} supervision attempts "
+                          f"(last: {reason})")
+                self.store.record_done(spec.job, "failed", detail)
+                self.counters["failed"] += 1
+                self.bus.emit("job_done", JobDoneEvent(
+                    job=spec.job, tenant=spec.tenant, status="failed",
+                    duration_s=now - handle.dispatched_at,
+                ))
+                continue
+            self.store.record_attempt(spec.job, attempt, reason)
+            self.counters["requeued"] += 1
+            self.bus.emit("job_requeued", JobRequeuedEvent(
+                job=spec.job, tenant=spec.tenant, reason=reason,
+                attempt=attempt, max_attempts=self.max_job_attempts,
             ))
-            return
-        self._record_strike(spec, handle.attempt, reason)
-        if not self.draining:
-            # Front of its tenant's queue: it is that tenant's oldest
-            # admitted work, matching the order a restart would recover.
-            self.queues.requeue_front(spec)
-            self._kick.set()
+            if not self.draining:
+                # Front of its tenant's queue: it is that tenant's oldest
+                # admitted work, matching the order a restart would recover.
+                self.queues.requeue_front(spec)
+                self._kick.set()
 
-    def _record_strike(self, spec: JobSpec, attempt: int, reason: str,
-                       detail: str = "") -> None:
-        self.store.record_attempt(spec.job, attempt, reason)
-        self.counters["requeued"] += 1
-        self.bus.emit("job_requeued", JobRequeuedEvent(
-            job=spec.job, tenant=spec.tenant, reason=reason,
-            attempt=attempt, max_attempts=self.max_job_attempts,
-        ))
+    # ---- finished attempts ---------------------------------------------------
 
-    # ---- child messages ------------------------------------------------------
-
-    def _on_message(self, message: tuple) -> None:
-        kind, job = message[0], message[1]
-        handle = self._workers.running.get(job)
-        if kind == "start" and len(message) >= 4:
-            if handle is not None and handle.attempt == message[2]:
-                handle.pid = message[3]
-                handle.last_beat = time.monotonic()
-        elif kind == "beat" and len(message) >= 3:
-            if handle is not None and handle.attempt == message[2]:
-                handle.last_beat = time.monotonic()
-        elif kind == "done" and len(message) >= 8:
-            (_, _, attempt, status, detail,
-             duration_s, degraded, degrade_reason) = message[:8]
-            if handle is None or handle.attempt != attempt:
-                return  # stale message from a killed attempt
-            self._workers.finish(job)
-            self._on_done(handle.spec, status, detail, duration_s,
-                          degraded, degrade_reason)
-
-    def _on_done(self, spec: JobSpec, status: str, detail: str,
-                 duration_s: float, degraded: bool,
-                 degrade_reason: str) -> None:
+    def _on_done(self, task: TaskSpec, status: str, result: dict | None,
+                 detail: str) -> None:
+        spec = _job_spec(task)
+        # An "error" status means the executor itself raised, outside
+        # execute_job's isolation.
+        outcome = (JobOutcome(**result) if status == "ok"
+                   else JobOutcome("failed", f"job worker died: {detail}"))
         self.queues.release(spec.tenant)
-        if status == "aborted":
+        if outcome.status == "aborted":
             # Cancelled by drain: no terminal record — the job stays
             # pending in the journal and the next epoch resumes it.
             self.counters["aborted"] += 1
         else:
-            self.store.record_done(spec.job, status, detail,
-                                   degraded=degraded)
-            self.counters[status] += 1
-            if degraded:
+            self.store.record_done(spec.job, outcome.status, outcome.detail,
+                                   degraded=outcome.degraded)
+            self.counters[outcome.status] += 1
+            if outcome.degraded:
                 self.counters["degraded"] += 1
                 self.bus.emit("job_degraded", JobDegradedEvent(
                     job=spec.job, tenant=spec.tenant,
-                    reason=degrade_reason, detail=detail,
+                    reason=outcome.degrade_reason, detail=outcome.detail,
                 ))
         self.bus.emit("job_done", JobDoneEvent(
-            job=spec.job, tenant=spec.tenant, status=status,
-            duration_s=duration_s, degraded=degraded,
+            job=spec.job, tenant=spec.tenant, status=outcome.status,
+            duration_s=outcome.duration_s, degraded=outcome.degraded,
         ))
         self._kick.set()
 
@@ -413,7 +386,7 @@ class ServeApp:
 
     def _maybe_compact(self) -> None:
         if (not self.compact_every
-                or self._workers.running
+                or self._running
                 or self.queues.total()
                 or self.store.record_count < self.compact_every
                 or self.store.record_count == self._last_compact_count):
@@ -445,13 +418,13 @@ class ServeApp:
             "epoch": self.store.epoch,
             "queue_high_water": self.queues.high_water,
             "queued": self.queues.total(),
-            "inflight": len(self._workers.running),
+            "inflight": len(self._running),
         }
 
     def job_state(self, job: str) -> str | None:
         if job in self.store.terminal:
             return self.store.terminal[job]
-        if job in self._workers.running:
+        if job in self._running:
             return "running"
         if job in self.store.admitted:
             return "queued"
@@ -464,7 +437,7 @@ class ServeApp:
     def retry_after_s(self, tenant: str | None = None) -> float:
         """Load-proportional back-off: global pressure normalized by worker
         count, plus the rejected tenant's own queued + in-flight share."""
-        total = self.queues.total() + len(self._workers.running)
+        total = self.queues.total() + len(self._running)
         load = total / self.workers_n
         if tenant:
             load += self.queues.depth(tenant) + self.queues.inflight(tenant)
@@ -530,7 +503,7 @@ class ServeApp:
         if path == "/v1/events" and method == "GET":
             return self._events_body(request)
         if path == "/v1/drain" and method == "POST":
-            pending = self.queues.total() + len(self._workers.running)
+            pending = self.queues.total() + len(self._running)
             self.drain(reason="request")
             return self._envelope_bytes(202, "serve-drain", {
                 "draining": True, "pending": pending,
@@ -546,19 +519,20 @@ class ServeApp:
         running = [
             {
                 "job": job,
-                "tenant": handle.spec.tenant,
-                "verb": handle.spec.verb,
+                "tenant": handle.task.payload["record"]["tenant"],
+                "verb": handle.task.payload["record"]["verb"],
                 "attempt": handle.attempt,
-                "pid": handle.pid,
+                # Known once execution began (the worker's start message).
+                "pid": handle.process.pid if handle.started else None,
             }
-            for job, handle in sorted(self._workers.running.items())
+            for job, handle in sorted(self._running.items())
         ]
         return {
             "epoch": self.store.epoch,
             "draining": self.draining,
             "workers": {
                 "configured": self.workers_n,
-                "busy": len(self._workers.running),
+                "busy": len(self._running),
                 "jobs_per_campaign": self.jobs_n,
                 "max_inflight": self.queues.max_inflight,
             },

@@ -28,23 +28,26 @@ A job is a persisted request to run one repro workload.  Three verbs:
     measured speedup isolates *orchestration* concurrency from hardware
     parallelism.
 
-Executors run in supervised child processes (:mod:`repro.serve.workers`),
-so cancellation rides a multiprocessing event rather than signals: the
-drain path sets the event from the service loop and the runner stops at
-its next task boundary with the journal flushed.  Executors receive a
-:class:`~repro.serve.store.JobPaths` (not the full store): children write
-artifacts but never touch the parent's serve journal.
+A job attempt is one ``serve_job`` task (:func:`run_serve_job`) on the
+service's :class:`~repro.runner.pool.WorkerPool`, whose persistent workers
+run job after job.  Cancellation rides the worker slot's multiprocessing
+event rather than signals: the drain path sets it from the service loop
+and the runner stops at its next task boundary with the journal flushed.
+Executors receive a :class:`~repro.serve.store.JobPaths` (not the full
+store): workers write artifacts but never touch the parent's serve
+journal.
 """
 
 from __future__ import annotations
 
+import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from repro.errors import ServeError
 from repro.resilience import ResilienceMode
 
-__all__ = ["JobSpec", "JobOutcome", "VERBS", "execute_job"]
+__all__ = ["JobSpec", "JobOutcome", "VERBS", "execute_job", "run_serve_job"]
 
 VERBS = ("check", "profile", "probe")
 
@@ -144,6 +147,45 @@ def execute_job(spec: JobSpec, paths, cancel,
         outcome = JobOutcome("failed", f"{type(exc).__name__}: {exc}")
     outcome.duration_s = time.perf_counter() - started
     return outcome
+
+
+def run_serve_job(payload: dict) -> dict:
+    """Executor of ``serve_job`` tasks: one job attempt on a pool worker.
+
+    Payload: the job's journal ``record``, the journal dir ``root``, the
+    service ``epoch``, the campaign pool size ``jobs``, ``span_base`` /
+    ``span_prev`` (the tracer the parent predicted: span ids are
+    sequential and deterministic, so the parent journals the root span's
+    ids *before* dispatch and this tracer's first ``begin()`` produces the
+    same ids — the root survives even a worker SIGKILLed before it writes
+    a single span), ``resumed``, ``serve_counters`` and the drain event
+    ``cancel``.  Returns the :class:`JobOutcome` fields.
+    """
+    from repro.obs.spans import SpanTracer
+    from repro.serve.store import JobPaths
+
+    spec = JobSpec.from_record(payload["record"])
+    paths = JobPaths(payload["root"])
+    tracer = root_span = None
+    if spec.verb == "check":
+        tracer = SpanTracer(id_base=payload["span_base"],
+                            remote_parent=payload["span_prev"])
+        root_span = tracer.begin(
+            f"serve:job:{spec.job}", epoch=payload["epoch"],
+            tenant=spec.tenant, verb=spec.verb, resumed=payload["resumed"],
+        )
+        tracer.remote_parent = (root_span.trace_id, root_span.span_id)
+    outcome = execute_job(
+        spec, paths, payload.get("cancel") or threading.Event(),
+        tracer=tracer, serve_counters=payload["serve_counters"],
+        jobs=payload["jobs"],
+    )
+    if tracer is not None:
+        if outcome.status == "done":
+            tracer.end(root_span)
+        # aborted/failed: the open root exports with an aborted status.
+        tracer.write(paths.spans_path(spec.job, payload["epoch"]))
+    return asdict(outcome)
 
 
 def _pool_damage(runner) -> str:

@@ -7,7 +7,8 @@ Everything the service must not lose lives in one directory::
                                   attempts, epochs, span roots) — fsync per
                                   record
         jobs/<id>.journal.jsonl   per-job campaign runner journal
-        jobs/<id>.report.json     final report (atomic: tmp+fsync+replace)
+        jobs/<id>.report.json     final report (durable: tmp, fsync,
+                                  replace, directory fsync)
         jobs/<id>.runner.json     runner execution report
         jobs/<id>.spans.<N>.jsonl span export of epoch N's execution
 
@@ -18,13 +19,15 @@ storage, so an admission the client saw acknowledged survives any crash.
 
 Restart recovery is a pure fold over the journal: admissions minus
 terminals, in admission order, are the pending jobs of the new epoch.
-Reports are written atomically to a separate file per job, so a reader can
-never observe a half-written report and a crash mid-write leaves the
-previous state intact.
+Reports are written to a separate file per job through one durable writer
+(:func:`_durable_write`: tmp, fsync, atomic replace, directory fsync), so a
+reader can never observe a half-written report, a crash mid-write leaves
+the previous state intact, and a report is on stable storage before the
+parent journals the job's ``done`` record.
 
 Path mechanics live in :class:`JobPaths`, a journal-less base the job
-worker *children* construct: a child writes reports and runner journals
-under the same layout without ever opening ``serve.jsonl`` — the parent's
+*workers* construct: a worker writes reports and runner journals under the
+same layout without ever opening ``serve.jsonl`` — the parent's
 ``fsync_every=1`` append stream stays single-writer.
 
 **Compaction** (:meth:`ServeStore.compact`) bounds the journal: an
@@ -35,12 +38,13 @@ even for pruned admissions) and the cumulative archive count, the current
 epoch, the most recent terminal records (self-contained: tenant/verb/seq
 ride on ``job_done`` so status endpoints answer without the pruned
 admission), and every pending job's admission + attempt + span-root
-records.  The swap is crash-safe by construction: write ``serve.jsonl.compact``,
-fsync it, atomically rename over ``serve.jsonl``, fsync the directory.  A
-crash before the rename leaves the old journal; a crash after leaves the
-new one; both fold to the same pending set.  The chaos kill points
-``compact-snapshot`` and ``compact-commit`` sit at exactly those two
-instants so the recovery-equivalence tests can die there on purpose.
+records.  The swap is the same durable writer, so it is crash-safe by
+construction: write ``serve.jsonl.compact``, fsync it, atomically rename
+over ``serve.jsonl``, fsync the directory.  A crash before the rename
+leaves the old journal; a crash after leaves the new one; both fold to the
+same pending set.  The chaos kill points ``compact-snapshot`` and
+``compact-commit`` sit at exactly those two instants so the
+recovery-equivalence tests can die there on purpose.
 """
 
 from __future__ import annotations
@@ -71,11 +75,38 @@ SPAN_ID_STRIDE = 1_000_000
 DEFAULT_KEEP_TERMINAL = 64
 
 
+def _durable_write(target: Path, data: bytes, tmp: Path | None = None,
+                   kill_at: str | None = None) -> None:
+    """Replace *target* with *data* so readers see the old file or the new
+    one, and the new one survives power loss once this returns.
+
+    Write ``tmp`` (default ``<target>.tmp``), fsync it, rename it over
+    *target*, fsync the directory: until the directory is fsynced the
+    rename itself is not durable.  *kill_at* names the chaos kill point
+    between the file fsync and the rename.
+    """
+    tmp = tmp or target.with_suffix(target.suffix + ".tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
+    try:
+        os.write(fd, data)
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+    if kill_at is not None:
+        kill_point(kill_at)
+    os.replace(tmp, target)
+    dir_fd = os.open(target.parent, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
+
+
 class JobPaths:
     """The artifact layout of a journal dir, without the journal itself.
 
-    Job worker children construct this (cheap, no fd, no recovery fold) to
-    read specs and write reports; only the parent's :class:`ServeStore`
+    Job workers construct this (cheap, no fd, no recovery fold) to read
+    specs and write reports; only the parent's :class:`ServeStore`
     owns the ``serve.jsonl`` append stream.
     """
 
@@ -98,18 +129,7 @@ class JobPaths:
     def spans_path(self, job: str, epoch: int) -> Path:
         return self.jobs_dir / f"{job}.spans.{epoch}.jsonl"
 
-    # ---- atomic artifact writes ----------------------------------------------
-
-    def _atomic_write(self, target: Path, text: str) -> None:
-        """tmp + fsync + rename: readers see the old file or the new one."""
-        tmp = target.with_suffix(target.suffix + ".tmp")
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
-        try:
-            os.write(fd, text.encode())
-            os.fsync(fd)
-        finally:
-            os.close(fd)
-        os.replace(tmp, target)
+    # ---- durable artifact writes ---------------------------------------------
 
     def _render_json(self, payload: dict) -> str:
         # Byte-for-byte the repro.obs.export.write_json format, so a serve
@@ -117,10 +137,12 @@ class JobPaths:
         return json.dumps(payload, indent=2, sort_keys=False, default=str) + "\n"
 
     def write_report(self, job: str, payload: dict) -> None:
-        self._atomic_write(self.report_path(job), self._render_json(payload))
+        _durable_write(self.report_path(job),
+                       self._render_json(payload).encode())
 
     def write_runner(self, job: str, payload: dict) -> None:
-        self._atomic_write(self.runner_path(job), self._render_json(payload))
+        _durable_write(self.runner_path(job),
+                       self._render_json(payload).encode())
 
     def read_report(self, job: str) -> bytes | None:
         path = self.report_path(job)
@@ -345,22 +367,14 @@ class ServeStore(JobPaths):
                     "trace": trace_id, "span": span_id,
                 })
 
-        tmp = self._compact_tmp
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
-        try:
-            os.write(fd, b"".join(_encode_record(record) for record in records))
-            os.fsync(fd)
-        finally:
-            os.close(fd)
-        # Snapshot durable, old journal still live: a crash here recovers
-        # from the uncompacted journal, identically.
-        kill_point("compact-snapshot")
-        os.replace(tmp, self.root / "serve.jsonl")
-        dir_fd = os.open(self.root, os.O_RDONLY)
-        try:
-            os.fsync(dir_fd)
-        finally:
-            os.close(dir_fd)
+        # At compact-snapshot the snapshot is durable and the old journal
+        # still live: a crash there recovers from the uncompacted journal,
+        # identically.
+        _durable_write(
+            self.root / "serve.jsonl",
+            b"".join(_encode_record(record) for record in records),
+            tmp=self._compact_tmp, kill_at="compact-snapshot",
+        )
         # Rename durable: a crash here recovers from the compacted journal —
         # same pending set, same terminals, same next_seq.
         kill_point("compact-commit")

@@ -15,7 +15,7 @@ from repro.runner import (
     probe_task,
     runner_report,
 )
-from repro.runner.pool import PoolStartError, WorkerPool
+from repro.runner.pool import PoolStartError, WorkerPool, worker_verdict
 
 
 def collect(bus: EventBus) -> dict[str, list]:
@@ -70,12 +70,12 @@ class TestPooledExecution:
 
     def test_worker_crash_is_retried_on_a_fresh_worker(self, tmp_path,
                                                        monkeypatch):
-        from repro.runner.pool import CRASH_MARKER_ENV, CRASH_TASK_ENV
+        from repro.runner.chaos import KILL_MARKER_ENV, KILL_POINT_ENV
 
         # The first worker to pick up "victim" dies before executing it;
         # the marker file arms the retry to proceed normally.
-        monkeypatch.setenv(CRASH_TASK_ENV, "victim")
-        monkeypatch.setenv(CRASH_MARKER_ENV, str(tmp_path / "crashed"))
+        monkeypatch.setenv(KILL_POINT_ENV, "task:victim")
+        monkeypatch.setenv(KILL_MARKER_ENV, str(tmp_path / "crashed"))
         runner = Runner(RunnerConfig(jobs=2, retry=fast_retry(),
                                      poll_s=0.02, heartbeat_s=0.05))
         results = runner.run([probe_task("victim"), probe_task("bystander")])
@@ -209,10 +209,80 @@ class TestRunnerReport:
         assert body["breaker"]["open_slices"] == ["k/D"]
 
 
+class FakeHandle:
+    """Just what :func:`worker_verdict` reads off a worker handle."""
+
+    def __init__(self, alive=True, dispatched_at=0.0, last_beat=0.0):
+        self.alive = alive
+        self.dispatched_at = dispatched_at
+        self.last_beat = last_beat
+
+
+class TestWorkerVerdict:
+    """The one crash/timeout/hang judgement shared by the runner and serve,
+    on a fake handle and clock."""
+
+    def test_healthy_worker_has_no_verdict(self):
+        handle = FakeHandle(dispatched_at=0.0, last_beat=9.0)
+        assert worker_verdict(handle, 10.0, 30.0, 5.0) is None
+
+    def test_dead_worker_is_a_crash_ahead_of_timeout_and_hang(self):
+        handle = FakeHandle(alive=False, dispatched_at=0.0, last_beat=0.0)
+        assert worker_verdict(handle, 100.0, 1.0, 1.0) == "crash"
+
+    def test_timeout_comes_ahead_of_hang(self):
+        handle = FakeHandle(dispatched_at=0.0, last_beat=0.0)
+        assert worker_verdict(handle, 100.0, 1.0, 1.0) == "timeout"
+        assert worker_verdict(handle, 100.0, 200.0, 1.0) == "hang"
+
+    def test_no_budget_means_heartbeat_only_supervision(self):
+        beating = FakeHandle(dispatched_at=0.0, last_beat=999.0)
+        assert worker_verdict(beating, 1000.0, None, 5.0) is None
+        silent = FakeHandle(dispatched_at=0.0, last_beat=990.0)
+        assert worker_verdict(silent, 1000.0, None, 5.0) == "hang"
+
+
+class TestForkFailure:
+    def test_failed_respawn_parks_the_slot_and_the_next_sweep_retries(self):
+        import time
+
+        pool = WorkerPool(1, heartbeat_s=0.05)
+        pool.start()
+        try:
+            [handle] = pool.workers
+            task = probe_task("victim", sleep_s=30.0)
+            pool.dispatch(handle, task, 1)
+            handle.process.kill()
+            handle.process.join(5.0)
+
+            def no_fork(slot):
+                raise OSError(11, "Resource temporarily unavailable")
+
+            pool._spawn, real_spawn = no_fork, pool._spawn
+            [(suspect, reason, detail)] = pool.sweep(time.monotonic(), 30.0)
+            # The suspect still carries its attempt for the caller...
+            assert (suspect.task, suspect.attempt, reason) == (task, 1,
+                                                                 "crash")
+            assert detail.startswith(f"worker {handle.worker_id} died")
+            # ...while the slot holds the dead process, idle, undispatchable.
+            [parked] = pool.workers
+            assert parked.idle and not parked.alive
+            assert pool.idle_workers() == []
+            assert pool.sweep(time.monotonic(), 30.0) == []
+
+            pool._spawn = real_spawn
+            assert pool.sweep(time.monotonic(), 30.0) == []
+            [fresh] = pool.workers
+            assert fresh.alive and fresh.worker_id != handle.worker_id
+            assert pool.idle_workers() == [fresh]
+        finally:
+            pool.stop()
+
+
 class TestPoolGuards:
-    def test_pool_requires_two_jobs(self):
+    def test_pool_requires_one_job(self):
         with pytest.raises(PoolStartError):
-            WorkerPool(1)
+            WorkerPool(0)
 
     def test_duplicate_task_ids_rejected(self):
         from repro.errors import RunnerError

@@ -14,7 +14,7 @@ from repro.errors import RunnerInterrupted
 from repro.faults import run_check, run_check_parallel
 from repro.faults.report import check_report
 from repro.runner import RunnerConfig
-from repro.runner.pool import CRASH_MARKER_ENV, CRASH_TASK_ENV
+from repro.runner.chaos import KILL_MARKER_ENV, KILL_POINT_ENV
 
 KERNELS = ("DotProduct", "MatrixTranspose")
 FAULTS = 10
@@ -45,8 +45,8 @@ class TestResumeDeterminism:
         journal = tmp_path / "campaign.jsonl"
         # A worker dies the moment it picks up injection 3 (once), and the
         # run is interrupted after 6 terminal tasks — both on the same run.
-        monkeypatch.setenv(CRASH_TASK_ENV, "inject:3")
-        monkeypatch.setenv(CRASH_MARKER_ENV, str(tmp_path / "crashed"))
+        monkeypatch.setenv(KILL_POINT_ENV, "task:inject:3")
+        monkeypatch.setenv(KILL_MARKER_ENV, str(tmp_path / "crashed"))
         config = RunnerConfig(jobs=2, interrupt_after=6, poll_s=0.02,
                               heartbeat_s=0.05)
         with pytest.raises(RunnerInterrupted):
@@ -57,7 +57,7 @@ class TestResumeDeterminism:
         assert journal.exists()
 
         # Resume: no crash injection this time, no interruption budget.
-        monkeypatch.delenv(CRASH_TASK_ENV)
+        monkeypatch.delenv(KILL_POINT_ENV)
         result, runner = run_check_parallel(
             kernels=KERNELS, faults=FAULTS, seed=SEED, fast=True, jobs=2,
             journal_path=journal,

@@ -6,7 +6,7 @@ import os
 import pytest
 
 from repro.errors import ServeError
-from repro.serve import JobSpec, ServeStore
+from repro.serve import JobPaths, JobSpec, ServeStore
 
 
 def spec(n: int, verb: str = "check") -> JobSpec:
@@ -215,6 +215,31 @@ class TestArtifacts:
             name.endswith(".tmp") for name in os.listdir(store.jobs_dir)
         )
         store.close()
+
+    def test_report_write_is_durable_before_it_returns(self, tmp_path,
+                                                        monkeypatch):
+        # The parent journals a job's done record right after the worker's
+        # report write returns, so the rename itself must be durable: file
+        # fsync, then replace, then an fsync of the containing directory.
+        import stat
+
+        store = JobPaths(tmp_path)
+        calls = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            kind = "dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file"
+            calls.append(f"fsync {kind}")
+            real_fsync(fd)
+
+        def replace(src, dst):
+            calls.append("replace")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        store.write_report("job-000001", {"data": {"a": 1}})
+        assert calls == ["fsync file", "replace", "fsync dir"]
 
     def test_missing_artifacts_read_as_none(self, tmp_path):
         store = ServeStore(tmp_path)
