@@ -10,8 +10,11 @@ it on the same per-uop path (block translation forced off, as in
 ``tests/cpu/test_blocks.py``).
 
 Unobserved runs normally enter translated blocks (``repro.cpu.blocks``),
-which observed runs never do, so the price of subscribing is also recorded
-against the translated path: that is what a user pays to look at a run.
+which runs with a callback subscriber never do, so the price of subscribing
+is also recorded against the translated path: that is what a user pays to
+look at a run.  A columnar recorder (``repro.obs.recorder``) keeps an
+observed run in blocks: the "recorder vs translated" row prices a run with
+the hot-trace profiler reading the recorder, and is gated at +100%.
 
 Measurement shape, each part earned by a failure mode it removes:
 
@@ -236,6 +239,10 @@ def _cases(program):
         ("translated", lambda: Machine(program), None),
         ("observed", lambda: Machine(program),
          lambda machine: machine.bus.subscribe("issue", counter.append)),
+        # The hot-trace profiler reads the recorder, which translated blocks
+        # append to (the warm-up run has translated the recorded variant).
+        ("recorded", lambda: Machine(program),
+         lambda machine: TraceProfiler().attach(machine)),
     ]
 
 
@@ -282,9 +289,11 @@ def test_zero_subscriber_overhead(benchmark):
     assert instrumented_stats.as_dict() == prebus_stats.as_dict()
 
     samples = benchmark.pedantic(_sample_processes, rounds=1, iterations=1)
-    prebus_time, idle_time, tracer_off_time, translated_time, observed_time = (
+    (prebus_time, idle_time, tracer_off_time, translated_time, observed_time,
+     recorded_time) = (
         statistics.median(s[name] for s in samples)
-        for name in ("prebus", "idle", "tracer_off", "translated", "observed")
+        for name in ("prebus", "idle", "tracer_off", "translated", "observed",
+                     "recorded")
     )
     idle_overhead = statistics.median(
         s["idle"] / s["prebus"] - 1 for s in samples
@@ -301,6 +310,9 @@ def test_zero_subscriber_overhead(benchmark):
     observed_vs_translated = statistics.median(
         s["observed"] / s["translated"] - 1 for s in samples
     )
+    recorded_vs_translated = statistics.median(
+        s["recorded"] / s["translated"] - 1 for s in samples
+    )
     rows = [
         ["pre-bus baseline", f"{prebus_time * 1e3:.1f}", "-"],
         ["event bus, no subscribers", f"{idle_time * 1e3:.1f}",
@@ -313,6 +325,10 @@ def test_zero_subscriber_overhead(benchmark):
          ratio(observed_overhead * 100, 2) + "%"],
         ["issue subscriber vs translated", "-",
          ratio(observed_vs_translated * 100, 2) + "%"],
+        ["recorder + trace profiler", f"{recorded_time * 1e3:.1f}",
+         ratio((recorded_time / prebus_time - 1) * 100, 2) + "%"],
+        ["recorder vs translated", "-",
+         ratio(recorded_vs_translated * 100, 2) + "%"],
     ]
     headers = ["pipeline", "median ms/run", "overhead"]
     text = format_table(
@@ -326,11 +342,13 @@ def test_zero_subscriber_overhead(benchmark):
          data={"prebus_s": prebus_time, "idle_s": idle_time,
                "tracer_off_s": tracer_off_time,
                "translated_s": translated_time,
-               "observed_s": observed_time, "idle_overhead": idle_overhead,
+               "observed_s": observed_time, "recorded_s": recorded_time,
+               "idle_overhead": idle_overhead,
                "tracer_off_overhead": tracer_off_overhead,
                "translated_overhead": translated_overhead,
                "observed_overhead": observed_overhead,
                "observed_vs_translated_overhead": observed_vs_translated,
+               "recorded_vs_translated_overhead": recorded_vs_translated,
                "processes": PROCESSES, "rounds": ROUNDS})
 
     # The guard: an unobserved instrumented run is within 5% of pre-bus.
@@ -342,6 +360,12 @@ def test_zero_subscriber_overhead(benchmark):
     assert tracer_off_overhead < 0.05, (
         f"detached-tracer overhead {tracer_off_overhead:.1%} exceeds the"
         " 5% budget"
+    )
+    # Looking at a run through the recorder keeps it in translated blocks:
+    # at most twice the unobserved translated run.
+    assert recorded_vs_translated <= 1.0, (
+        f"recorder overhead {recorded_vs_translated:.1%} over translated"
+        " exceeds the +100% budget"
     )
 
 

@@ -12,8 +12,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Any
+
+import numpy as np
 
 from repro.cpu import Machine, RunStats
+from repro.obs.recorder import Recorder
 
 
 @dataclass
@@ -74,21 +78,42 @@ class InstructionProfile:
         }
 
 
+class _PcCounts:
+    """Recorder reader: dynamic issues per pc, in first-issue order."""
+
+    def __init__(self) -> None:
+        self.counts: dict[int, int] = {}
+
+    def on_start(self, recorder: Any) -> None:
+        self.counts.clear()
+
+    def on_chunk(self, chunk: Any) -> None:
+        pcs, first, counts = np.unique(chunk.pc, return_index=True, return_counts=True)
+        order = np.argsort(first)
+        totals = self.counts
+        for pc, count in zip(pcs[order].tolist(), counts[order].tolist()):
+            totals[pc] = totals.get(pc, 0) + count
+
+    def on_end(self, recorder: Any) -> None:
+        """The counts are complete with the last chunk."""
+
+
 def profile(machine: Machine, max_cycles: int | None = None) -> InstructionProfile:
     """Run *machine* to completion while collecting the instruction mix.
 
-    A plain event-bus subscription — it composes with any other observer
-    on the same run (tracer, timeline, more profilers) and detaches itself
-    without disturbing them.
+    Reads the machine's columnar recorder: ``by_opcode`` comes from the
+    per-pc issue counts, so the run still enters translated blocks, and it
+    composes with any other observer on the same run (tracer, timeline,
+    more profilers).
     """
-    by_opcode: Counter = Counter()
-
-    def on_issue(event) -> None:
-        by_opcode[event.instr.name] += 1
-
-    unsubscribe = machine.bus.subscribe("issue", on_issue)
+    reader = _PcCounts()
+    recorder = Recorder.add(machine, reader)
     try:
         stats = machine.run(max_cycles=max_cycles)
     finally:
-        unsubscribe()
+        recorder.remove(reader)
+    instructions = machine.program.instructions
+    by_opcode: Counter = Counter()
+    for pc, count in reader.counts.items():
+        by_opcode[instructions[pc].name] += count
     return InstructionProfile(stats=stats, by_opcode=by_opcode)

@@ -36,18 +36,27 @@ instruction, so every cycle is still charged as the uop loop charges it:
   each access that may reach MMIO;
 * per-class, pairing and issue counts are static per way out of the block
   ("exit"), so the run tallies exits and folds them into
-  :class:`~repro.cpu.stats.RunStats` at run end, in first-issue order.
+  :class:`~repro.cpu.stats.RunStats` at run end, in first-issue order;
+* a recorded block (the run has a :class:`~repro.obs.recorder.Recorder`)
+  appends only what is dynamic to its columns: each issue's cycle and
+  routed flag (the pipe and MMX bits are constants), each stall's start
+  and length at an issue-group head, and on the way out the exit's
+  static pcs.  Branches are recorded by ``Machine._branch_cost``, which
+  the block calls as the uop loop does.  A full chunk is flushed on
+  entry, an issue-group head.
 
 Translations are keyed by what changes the generated code: whether an SPU
-is attached, ``issue_width`` and ``memory_latency``.  Everything else that
-varies per machine (memory, predictor, mispredict penalty, the SPU
-itself) is passed in per run.  The block checks the identity of each of
+is attached, ``issue_width``, ``memory_latency`` and whether the run is
+recorded (the unrecorded source has no recorder code at all).  Everything
+else that varies per machine (memory, predictor, mispredict penalty, the
+SPU itself) is passed in per run.  The block checks the identity of each of
 its instructions on entry, so a program edited in place is retranslated.
 """
 
 from __future__ import annotations
 
 import struct
+from array import array
 
 from repro import simd
 from repro.cpu.executor import (
@@ -67,6 +76,7 @@ from repro.isa.instructions import Program
 from repro.isa.opcodes import all_opcodes
 from repro.isa.operands import Imm, Mem
 from repro.isa.registers import SCALAR_MASK, Register
+from repro.obs.recorder import FLAG_BITS, ROUTED, issue_flags
 from repro.simd.lanes import WORD_MASK
 
 #: Entries of a leader before its block is translated.  Translating costs
@@ -124,6 +134,10 @@ _CODECS = {
 #: built by :func:`run_env`.
 _ENV = ("state, m, s, fl, I, size, memory, data, l1, l2, l4, l8, "
         "rr, stats, bc, cb, view, idle, slow, gather, put")
+#: What a recorded block unpacks after ``_ENV``: the recorder's stamp
+#: column, its append, the pc column's extend, its stall record, the chunk
+#: size and the flush.
+_REC_ENV = "QS, QA, PX, RS, CH, FL"
 
 
 #: The SPU controller's locals in a block, and their re-read
@@ -166,7 +180,7 @@ class Head:
 
 
 def block_heads(program: Program, spu: bool, issue_width: int,
-                memory_latency: int) -> dict[int, Head]:
+                memory_latency: int, recorded: bool = False) -> dict[int, Head]:
     """The leader table for one translation key, created on first use.
 
     Lives on *program* next to its micro-op cache.  Leaders are the
@@ -177,7 +191,7 @@ def block_heads(program: Program, spu: bool, issue_width: int,
     if cache is None:
         cache = {}
         program._block_cache = cache
-    key = (spu, issue_width, memory_latency)
+    key = (spu, issue_width, memory_latency, recorded)
     heads = cache.get(key)
     if heads is None:
         heads = {}
@@ -191,18 +205,25 @@ def block_heads(program: Program, spu: bool, issue_width: int,
     return heads
 
 
-def run_env(machine, reg_ready: list[int], stats) -> tuple:
-    """The per-run values a translated block unpacks (see ``_ENV``)."""
+def run_env(machine, reg_ready: list[int], stats, recorder=None) -> tuple:
+    """The per-run values a translated block unpacks (see ``_ENV``).
+
+    A recorded run's blocks also unpack *recorder*'s columns (``_REC_ENV``).
+    """
     state = machine.state
     memory = machine.memory
     limit = memory.direct_limit()
     spu = machine.spu
-    return (
+    env = (
         state, state.mmx, state.scalar, state.flags,
         machine.program.instructions, len(machine.program.instructions),
         memory, memory.data, limit - 1, limit - 2, limit - 4, limit - 8,
         reg_ready, stats, machine._branch_cost,
     ) + (spu.block_env() if spu is not None else (None,) * 6)
+    if recorder is not None:
+        env += (recorder.stamp, recorder.stamp.append, recorder.pc.extend,
+                recorder.stall, recorder.chunk_size, recorder.flush)
+    return env
 
 
 def first_issue(exit: Exit, issue_counts: dict[int, int], reasons) -> None:
@@ -249,13 +270,15 @@ def _address(mem: Mem) -> str:
 class _Emitter:
     """Source text of one block function plus the globals it refers to."""
 
-    def __init__(self, spu: bool, pc: int) -> None:
+    def __init__(self, spu: bool, pc: int, recorded: bool = False) -> None:
         self.lines: list[str] = []
         #: The instruction each line belongs to (see ``translate``'s handler).
         self.line_pcs: list[int] = []
         self.pc = pc
         self.depth = 2
         self.spu = spu
+        #: Append each issue's stamp to the recorder (see ``_REC_ENV``).
+        self.recorded = recorded
         self.names: dict[str, object] = dict(_CODECS)
         #: Whether ``fv`` holds flags not yet stored in ``state.flags``.
         self.pending_flags = False
@@ -320,13 +343,24 @@ class _Emitter:
 
     # ---- instructions ----------------------------------------------------
 
-    def issue(self, uop: DecodedOp, pc: int, memory_latency: int) -> None:
-        """One issue: SPU step, architectural effect, scoreboard write."""
+    def issue(self, uop: DecodedOp, pc: int, memory_latency: int,
+              follower: bool = False) -> None:
+        """One issue: SPU step, architectural effect, scoreboard write.
+
+        A recorded block appends the issue's stamp after its effect, as
+        the uop loop records an issue only once it has executed.  The
+        routed bit is the step's flag for an op with routable slots.
+        """
         self.pc = pc
+        routed = None
         if self.spu:
-            self.spu_issue(uop, pc)
+            routed = self.spu_issue(uop, pc)
         else:
             self.semantics(uop, pc)
+        if self.recorded:
+            flags = issue_flags(follower, False, uop.is_mmx)
+            routed = f" + {ROUTED} * {routed}" if routed else ""
+            self.line(f"QA(cyc * {1 << FLAG_BITS} + {flags}{routed})")
         latency = _latency(uop, memory_latency)
         keys = uop.written_keys
         if len(keys) == 1:
@@ -336,7 +370,7 @@ class _Emitter:
             for key in keys:
                 self.line(f"rr[{key}] = t")
 
-    def spu_issue(self, uop: DecodedOp, pc: int) -> None:
+    def spu_issue(self, uop: DecodedOp, pc: int) -> str | None:
         """Controller step and architectural effect of an issue with an SPU.
 
         While the SPU is active, the step is taken inline from the current
@@ -346,7 +380,8 @@ class _Emitter:
         controller locals.  Routable slots the op reads are loaded into
         ``x<slot>`` first, as ``routes_for`` reads the straight value, and
         the semantics read them.  An op without inline semantics runs its
-        decoded op with them when the issue is routed (``rd``).
+        decoded op with them when the issue is routed (``rd``).  Returns
+        the local holding the routed flag, or None for an op no route feeds.
         """
         slots = _routable(uop)
         reads = _inline_reads(uop) if slots else ()
@@ -362,6 +397,8 @@ class _Emitter:
         flag = "rd" if generic else "n"
         if generic:
             self.line("rd = 0")
+        elif slots and self.recorded:
+            self.line("n = 0")
         self.line("if act:")
         self.depth += 1
         self.line("e = T.get(cb[cx])")
@@ -389,6 +426,7 @@ class _Emitter:
             self.depth -= 1
         else:
             self.semantics(uop, pc, {slot: f"x{slot}" for slot in loaded})
+        return flag if slots else None
 
     def semantics(self, uop: DecodedOp, pc: int, x: dict[int, str] | None = None) -> None:
         """Inline architectural effect of *uop*.
@@ -631,7 +669,7 @@ def _inline_reads(uop: DecodedOp) -> tuple[int, ...] | None:
 
 def translate(heads: dict[int, Head], program: Program, pc: int,
               reg_ready: list[int], cycle: int, spu: bool, dual_issue: bool,
-              memory_latency: int):
+              memory_latency: int, recorded: bool = False):
     """Translate the block at leader *pc*; its function, or None.
 
     *reg_ready* and *cycle* are the running machine's scoreboard and clock
@@ -640,7 +678,8 @@ def translate(heads: dict[int, Head], program: Program, pc: int,
     as the uop loop decodes them on first sight.  A block with no control
     op before the end of the program is never translated: its head is
     dropped.  A block cut at :data:`MAX_BLOCK` instructions continues at a
-    new head, translated on its first entry.
+    new head, translated on its first entry.  A *recorded* block also
+    appends its issues, stalls and exit pcs to the run's recorder.
     """
     head = heads[pc]
     instructions = program.instructions
@@ -661,10 +700,12 @@ def translate(heads: dict[int, Head], program: Program, pc: int,
         at += 1
 
     groups, resume = _record(uops, pc, reg_ready, cycle, dual_issue, memory_latency)
-    em = _Emitter(spu, pc)
+    em = _Emitter(spu, pc, recorded)
     exits: list[Exit] = []
 
     def leave(counts: _Counts, last_pc: int, next_pc: int) -> None:
+        if recorded:
+            em.line(f"PX({em.const(f'EP{len(exits)}', array('q', counts.pcs))})")
         em.line(f"state.pc = {last_pc}")
         em.store_flags()
         em.line("if st:")
@@ -678,8 +719,8 @@ def translate(heads: dict[int, Head], program: Program, pc: int,
         exits.append(Exit(tuple(counts.pcs), counts.pair, counts.solo, counts.busy,
                           tuple(counts.reasons), next_pc))
 
-    def issue(at: int, counts: _Counts) -> None:
-        em.issue(uops[at - pc], at, memory_latency)
+    def issue(at: int, counts: _Counts, follower: bool = False) -> None:
+        em.issue(uops[at - pc], at, memory_latency, follower)
         counts.pcs.append(at)
 
     def finish(at: int, counts: _Counts, partner: DecodedOp | None) -> None:
@@ -736,6 +777,8 @@ def translate(heads: dict[int, Head], program: Program, pc: int,
                 em.line("    r = t")
             em.line("if r > cyc:")
             em.line("    st += r - cyc")
+            if recorded:
+                em.line(f"    RS({u_pc}, cyc, r - cyc)")
             em.line("    cyc = r")
         issue(u_pc, counts)
         if _ends(u):
@@ -761,7 +804,7 @@ def translate(heads: dict[int, Head], program: Program, pc: int,
                 alt.group(False, u.is_mmx, "operands not ready")
                 leave(alt, u_pc, f_pc)
                 em.depth -= 1
-            issue(f_pc, counts)
+            issue(f_pc, counts, True)
             if _ends(f):
                 finish(f_pc, counts, u)
                 break
@@ -773,7 +816,7 @@ def translate(heads: dict[int, Head], program: Program, pc: int,
             em.depth += 1
             flags_pending = em.pending_flags
             alt = counts.copy()
-            issue(f_pc, alt)
+            issue(f_pc, alt, True)
             if _ends(f):
                 finish(f_pc, alt, u)
             else:
@@ -795,12 +838,14 @@ def translate(heads: dict[int, Head], program: Program, pc: int,
     )
     prologue = [
         "def block(env, cyc):",
-        f"    {_ENV} = env",
+        f"    {_ENV}, {_REC_ENV} = env" if recorded else f"    {_ENV} = env",
         f"    if size <= {last} or {checks}:",
         "        return cyc, -1",
-        "    st = 0",
-        "    fv = -1",
     ]
+    if recorded:
+        # An entry is an issue-group head: the columns may be flushed here.
+        prologue += ["    if len(QS) >= CH:", "        FL()"]
+    prologue += ["    st = 0", "    fv = -1"]
     if spu:
         prologue += ["    rt = sp = 0", f"    {_VIEW}"]
     prologue.append("    try:")

@@ -16,7 +16,9 @@ the routed values, keeping this module independent of the SPU internals.
 Telemetry flows through :attr:`Machine.bus` (:mod:`repro.obs.events`): the
 run loop publishes ``run_start``, ``issue``, ``stall``, ``branch`` and
 ``run_end`` events, each guarded by a subscriber-list emptiness test so an
-unobserved run pays no event-construction cost.  (The legacy single-slot
+unobserved run pays no event-construction cost.  The same facts go to an
+attached :attr:`Machine.recorder` (:mod:`repro.obs.recorder`) as columns,
+which translated blocks append to as well.  (The legacy single-slot
 ``Machine.on_issue`` hook shim has been removed after its deprecation
 window; subscribe to the bus instead.)
 """
@@ -52,6 +54,7 @@ from repro.obs.events import (
     RunStartEvent,
     StallEvent,
 )
+from repro.obs.recorder import issue_flags
 
 
 class SPUAttachment(Protocol):
@@ -130,6 +133,9 @@ class Machine:
         #: Telemetry: every observer attaches here (see repro.obs.events).
         #: With no subscribers the per-issue cost is one emptiness test.
         self.bus = EventBus()
+        #: The columnar sink observers read (:class:`repro.obs.recorder.Recorder`);
+        #: attached by ``Recorder.add`` and cleared when its last reader leaves.
+        self.recorder = None
         # Pairing decisions depend only on the two static instructions; the
         # program never changes under a machine, so memoize per pc pair.
         self._pair_cache: dict[tuple[int, int], tuple[bool, str]] = {}
@@ -202,6 +208,10 @@ class Machine:
                     routed=routes is not None,
                 ),
             )
+        rec = self.recorder
+        if rec is not None:
+            rec.issue(self.state.pc, cycle,
+                      issue_flags(pipe == "V", routes is not None, uop.is_mmx))
         latency = uop.latency
         if uop.reads_memory and latency < self.config.memory_latency:
             latency = self.config.memory_latency
@@ -281,6 +291,9 @@ class Machine:
         """
         stats.cycles = cycle
         stats.finished = False
+        rec = self.recorder
+        if rec is not None:
+            rec.end(cycle, stats.instructions, False)
         bus = self.bus
         if bus.fault:
             bus.dispatch("fault", FaultEvent(component="machine", kind=kind, detail=message))
@@ -313,6 +326,9 @@ class Machine:
             stats.mispredicts += 1
             penalty = self.config.mispredict_penalty + (1 if self.config.extra_stage else 0)
             stats.mispredict_cycles += penalty
+        rec = self.recorder
+        if rec is not None:
+            rec.branch(outcome.taken, predicted != outcome.taken, penalty)
         bus = self.bus
         if bus.branch:
             bus.dispatch(
@@ -336,10 +352,12 @@ class Machine:
         Raises :class:`SimulationError` on runaway execution (cycle budget
         exhausted) or on falling off the end of the program.
 
-        Unobserved STRICT runs (no ``issue``/``stall``/``branch``
-        subscribers) enter translated blocks at hot block heads; see
-        :mod:`repro.cpu.blocks`.  Every count and cycle is the same either
-        way.
+        STRICT runs without ``issue``/``stall``/``branch`` subscribers enter
+        translated blocks at hot block heads; see :mod:`repro.cpu.blocks`.
+        Every count and cycle is the same either way.  An attached
+        :attr:`recorder` does not keep a run out of blocks: the per-uop path
+        and the recorded variants of the blocks both append to its columns
+        (translations are keyed on whether the run is recorded).
         """
         limit = max_cycles if max_cycles is not None else self.config.max_cycles
         stats = RunStats()
@@ -368,16 +386,20 @@ class Machine:
         pc = state.pc
         if bus.run_start:
             bus.dispatch("run_start", RunStartEvent(program=program.name, fill_cycles=fill))
+        rec = self.recorder
+        if rec is not None:
+            rec.start(program.name, fill)
 
         heads = None
         if (self._translate and self.resilience is ResilienceMode.STRICT
                 and not (bus.issue or bus.stall or bus.branch)):
             with_spu = self.spu is not None
+            recorded = rec is not None
             heads = blocks.block_heads(program, with_spu, config.issue_width,
-                                       config.memory_latency)
+                                       config.memory_latency, recorded)
             heads.setdefault(pc, blocks.Head())  # the run's entry is a leader
             heads_get = heads.get
-            env = blocks.run_env(self, reg_ready, stats)
+            env = blocks.run_env(self, reg_ready, stats, rec)
             hot = blocks.HOT_ENTRIES
             fail_reasons = stats.pair_fail_reasons
 
@@ -403,7 +425,7 @@ class Machine:
                         if head.count >= hot:
                             block = blocks.translate(
                                 heads, program, pc, reg_ready, cycle, with_spu,
-                                dual_issue, config.memory_latency,
+                                dual_issue, config.memory_latency, recorded,
                             )
                     # Enter only if the watchdog cannot fire inside the block,
                     # so it fires here, at the same cycle and pc as unblocked.
@@ -431,6 +453,8 @@ class Machine:
             if ready > cycle:
                 if bus.stall:
                     bus.dispatch("stall", StallEvent(cycle=cycle, pc=pc, cycles=ready - cycle))
+                if rec is not None:
+                    rec.stall(pc, cycle, ready - cycle)
                 stats.stall_cycles += ready - cycle
                 cycle = ready
 
@@ -528,6 +552,8 @@ class Machine:
         self._fold_issue_counts(stats, uops, issue_counts, tally)
         stats.cycles = cycle
         stats.finished = state.halted
+        if rec is not None:
+            rec.end(cycle, stats.instructions, stats.finished)
         if bus.run_end:
             bus.dispatch(
                 "run_end",

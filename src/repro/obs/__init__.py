@@ -9,7 +9,9 @@ state machine's transitions, loop counters and GO/idle occupancy; a metrics
 registry plus JSON/JSONL exporters (:mod:`repro.obs.metrics`,
 :mod:`repro.obs.export`) turn all of it into machine-readable reports; a
 back-edge hot-trace profiler (:mod:`repro.obs.traceprof`) aggregates runs
-into the per-trace cycle attribution behind ``repro top``; and host-side
+into the per-trace cycle attribution behind ``repro top``; a columnar run
+recorder (:mod:`repro.obs.recorder`) feeds it, the timeline and the
+tracer without taking a run out of translated blocks; and host-side
 span tracing (:mod:`repro.obs.spans`) times campaigns as OTLP-flavored
 hierarchical spans.
 
@@ -65,6 +67,7 @@ from repro.obs.export import (
     write_jsonl,
 )
 from repro.obs.spans import Span, SpanTracer, maybe_span
+from repro.obs.recorder import Chunk, Reader, Recorder
 from repro.obs.traceprof import TraceProfiler, TraceStats
 
 __all__ = [
@@ -114,5 +117,8 @@ __all__ = [
     "SpanTracer",
     "maybe_span",
     "TraceProfiler",
+    "Recorder",
+    "Reader",
+    "Chunk",
     "TraceStats",
 ]

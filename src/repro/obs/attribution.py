@@ -1,4 +1,4 @@
-"""Per-stage cycle attribution: a timeline built from bus events.
+"""Per-stage cycle attribution: a timeline built from recorded columns.
 
 Every simulated cycle belongs to exactly one category:
 
@@ -20,15 +20,17 @@ The per-category sums live in :class:`repro.cpu.stats.RunStats`
 ``drain_cycles``; see :meth:`RunStats.attribution`) and always satisfy the
 invariant ``sum(categories) == RunStats.cycles`` for a completed run.  This
 module adds the *timeline* view: an ordered, run-length-encoded list of
-:class:`CycleSegment` reconstructed by subscribing to the ``run_start``,
-``issue``, ``stall`` and ``branch`` topics.
+:class:`CycleSegment` reconstructed from the run's
+:class:`~repro.obs.recorder.Recorder` columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.obs.events import BranchEvent, IssueEvent, RunStartEvent, StallEvent
+import numpy as np
+
+from repro.obs.recorder import V_PIPE, Reader, Recorder
 
 #: Attribution categories, in timeline-priority order.
 CATEGORIES = (
@@ -38,6 +40,7 @@ CATEGORIES = (
     "mispredict_bubble",
     "drain",
 )
+_PAIR, _SOLO, _STALL, _BUBBLE = range(4)
 
 
 @dataclass(slots=True)
@@ -57,8 +60,8 @@ class CycleSegment:
         return {"start": self.start, "length": self.length, "category": self.category}
 
 
-class CycleAttribution:
-    """Event-bus subscriber reconstructing the cycle timeline of one run.
+class CycleAttribution(Reader):
+    """Recorder reader reconstructing the cycle timeline of one run.
 
     Usage::
 
@@ -67,10 +70,11 @@ class CycleAttribution:
         assert timeline.total_cycles() == stats.cycles
         timeline.detach()
 
-    Issue cycles are recorded as ``solo_issue`` when the first (U-pipe) issue
-    of a cycle arrives and upgraded in place to ``pair_issue`` if a V-pipe
-    issue follows at the same cycle.  Adjacent same-category segments merge,
-    so tight loops compress to a handful of segments.
+    Each recorded chunk becomes cycle runs in event order: a stall's wait,
+    one cycle per issue group (``pair_issue`` when a V-pipe issue shares
+    it, else ``solo_issue``) and a mispredicted branch's bubble after its
+    issue cycle.  Adjacent same-category runs merge, so tight loops
+    compress to a handful of segments.
     """
 
     def __init__(self, max_segments: int = 1_000_000) -> None:
@@ -80,52 +84,57 @@ class CycleAttribution:
         #: cycles are still counted in :attr:`overflow_totals`).
         self.truncated = False
         self.overflow_totals: dict[str, int] = {}
-        self._last_issue_cycle = -1
-        self._unsubscribes: list = []
+        self._recorder = None
 
     # -- wiring ---------------------------------------------------------------
 
     def attach(self, machine) -> "CycleAttribution":
-        """Subscribe to *machine*'s bus; returns ``self`` for chaining."""
-        bus = machine.bus
-        self._unsubscribes = [
-            bus.subscribe("run_start", self._on_run_start),
-            bus.subscribe("issue", self._on_issue),
-            bus.subscribe("stall", self._on_stall),
-            bus.subscribe("branch", self._on_branch),
-        ]
+        """Read *machine*'s recorder; returns ``self`` for chaining."""
+        self._recorder = Recorder.add(machine, self)
         return self
 
     def detach(self) -> None:
-        for unsubscribe in self._unsubscribes:
-            unsubscribe()
-        self._unsubscribes = []
+        if self._recorder is not None:
+            self._recorder.remove(self)
+            self._recorder = None
 
-    # -- event handlers -------------------------------------------------------
+    # -- recorder callbacks ---------------------------------------------------
 
-    def _on_run_start(self, event: RunStartEvent) -> None:
+    def on_start(self, recorder) -> None:
         self.segments.clear()
         self.overflow_totals.clear()
         self.truncated = False
-        self._last_issue_cycle = -1
-        if event.fill_cycles:
-            self._append(0, event.fill_cycles, "drain")
+        if recorder.fill_cycles:
+            self._append(0, recorder.fill_cycles, "drain")
 
-    def _on_issue(self, event: IssueEvent) -> None:
-        if event.cycle == self._last_issue_cycle:
-            # V-pipe partner: upgrade the cycle recorded for the U issue.
-            self._upgrade_to_pair(event.cycle)
+    def on_chunk(self, chunk) -> None:
+        cycle = chunk.cycle
+        follower = (chunk.flags & V_PIPE) != 0
+        # Issue-group heads, ordered 3i+1 between the stalls before issue i
+        # (3i) and the branch resolved by it (3i+2).  A chunk never splits
+        # an issue group, so a head's follower is in the same chunk.
+        heads = np.flatnonzero(~follower)
+        paired = np.append(follower[1:], False)[heads]
+        stalls = chunk.stalls
+        branches = chunk.branches[chunk.branches[:, 2] > 0]
+        order = np.concatenate((3 * heads + 1, 3 * stalls[:, 0], 3 * branches[:, 0] + 2))
+        start = np.concatenate((cycle[heads], stalls[:, 2],
+                                cycle[branches[:, 0]] + 1))
+        length = np.concatenate((np.ones(len(heads), np.int64), stalls[:, 3], branches[:, 2]))
+        category = np.concatenate((np.where(paired, _PAIR, _SOLO),
+                                   np.full(len(stalls), _STALL),
+                                   np.full(len(branches), _BUBBLE)))
+        if not len(order):
             return
-        self._last_issue_cycle = event.cycle
-        self._append(event.cycle, 1, "solo_issue")
-
-    def _on_stall(self, event: StallEvent) -> None:
-        self._append(event.cycle, event.cycles, "data_stall")
-
-    def _on_branch(self, event: BranchEvent) -> None:
-        if event.penalty:
-            # The bubble follows the branch's own issue cycle.
-            self._append(event.cycle + 1, event.penalty, "mispredict_bubble")
+        rank = np.argsort(order, kind="stable")
+        start, length, category = start[rank], length[rank], category[rank]
+        runs = np.flatnonzero((category[1:] != category[:-1])
+                              | (start[1:] != start[:-1] + length[:-1])) + 1
+        runs = np.concatenate(([0], runs))
+        for at, cycles, kind in zip(start[runs].tolist(),
+                                    np.add.reduceat(length, runs).tolist(),
+                                    category[runs].tolist()):
+            self._append(at, cycles, CATEGORIES[kind])
 
     # -- segment bookkeeping --------------------------------------------------
 
@@ -142,27 +151,6 @@ class CycleAttribution:
             totals[category] = totals.get(category, 0) + length
             return
         segments.append(CycleSegment(start, length, category))
-
-    def _upgrade_to_pair(self, cycle: int) -> None:
-        last = self.segments[-1] if self.segments else None
-        if last is None or last.end != cycle + 1:
-            # The solo cycle overflowed into overflow_totals; recategorize.
-            totals = self.overflow_totals
-            if totals.get("solo_issue", 0) > 0:
-                totals["solo_issue"] -= 1
-                totals["pair_issue"] = totals.get("pair_issue", 0) + 1
-            return
-        if last.length == 1:
-            last.category = "pair_issue"
-            # Merge backwards if the previous segment is also pair_issue.
-            if len(self.segments) >= 2:
-                prev = self.segments[-2]
-                if prev.category == "pair_issue" and prev.end == last.start:
-                    prev.length += last.length
-                    self.segments.pop()
-        else:
-            last.length -= 1
-            self.segments.append(CycleSegment(cycle, 1, "pair_issue"))
 
     # -- views ----------------------------------------------------------------
 

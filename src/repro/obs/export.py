@@ -144,8 +144,9 @@ def variant_report(kernel, variant: str) -> dict:
     """Profile one kernel variant (``"mmx"`` or ``"spu"``) end to end.
 
     Runs the variant once with an instruction profiler, the cycle-attribution
-    timeline and (for the SPU variant) the controller tracer all subscribed
-    to the same bus — the multi-subscriber path the event bus exists for.
+    timeline and (for the SPU variant) the controller tracer all reading the
+    same recorder (:mod:`repro.obs.recorder`), so the run still enters
+    translated blocks.
     """
     from repro.analysis.profiler import profile
     from repro.cpu.executor import uop_cache_stats

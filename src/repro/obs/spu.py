@@ -1,7 +1,8 @@
 """SPU controller tracing: microprogram activity from bus events.
 
-Subscribes to the ``controller_step``, ``spu_route`` and ``issue`` topics and
-accumulates, per run:
+Subscribes to the ``controller_step`` and ``spu_route`` topics, reads the
+issue count from the machine's columnar recorder
+(:mod:`repro.obs.recorder`), and accumulates, per run:
 
 - **state occupancy** — dynamic steps spent in each of the K microprogram
   states (the hardware-counter view the paper's methodology leans on);
@@ -18,10 +19,11 @@ from __future__ import annotations
 
 from collections import Counter
 
-from repro.obs.events import ControllerStepEvent, IssueEvent, SPURouteEvent
+from repro.obs.events import ControllerStepEvent, SPURouteEvent
+from repro.obs.recorder import Reader, Recorder
 
 
-class ControllerTrace:
+class ControllerTrace(Reader):
     """Event-bus subscriber recording SPU controller activity.
 
     Usage::
@@ -51,6 +53,7 @@ class ControllerTrace:
         #: All dynamic instructions issued by the machine (GO set or not).
         self.issues = 0
         self._unsubscribes: list = []
+        self._recorder = None
         self._controller = None
 
     # -- wiring ---------------------------------------------------------------
@@ -66,8 +69,8 @@ class ControllerTrace:
         self._unsubscribes = [
             bus.subscribe("controller_step", self._on_step),
             bus.subscribe("spu_route", self._on_route),
-            bus.subscribe("issue", self._on_issue),
         ]
+        self._recorder = Recorder.add(machine, self)
         spu = getattr(machine, "spu", None)
         self._controller = getattr(spu, "controller", None)
         return self
@@ -76,6 +79,9 @@ class ControllerTrace:
         for unsubscribe in self._unsubscribes:
             unsubscribe()
         self._unsubscribes = []
+        if self._recorder is not None:
+            self._recorder.remove(self)
+            self._recorder = None
 
     # -- event handlers -------------------------------------------------------
 
@@ -96,8 +102,8 @@ class ControllerTrace:
         for slot in event.slots:
             self.routed_slots[slot] += 1
 
-    def _on_issue(self, event: IssueEvent) -> None:
-        self.issues += 1
+    def on_chunk(self, chunk) -> None:
+        self.issues += len(chunk)
 
     # -- views ----------------------------------------------------------------
 

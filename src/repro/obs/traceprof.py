@@ -2,11 +2,10 @@
 
 A *trace* is the dynamic instruction path between two backward control
 transfers — the unit trace-level superop compilation would fuse (ROADMAP
-item 1).  The profiler rides the event bus exactly like
-:class:`repro.obs.attribution.CycleAttribution`: it subscribes to
-``run_start``/``issue``/``stall``/``branch``/``run_end``, so an unattached
-machine pays nothing (the pipeline's zero-subscriber guard) and attaching it
-adds no emission sites.
+item 1).  The profiler reads a run's :class:`~repro.obs.recorder.Recorder`
+columns, like :class:`repro.obs.attribution.CycleAttribution`, so an
+observed run still enters translated blocks, and a machine whose profiler
+detached runs exactly as one that never had it.
 
 Detection: the pipeline issues in dynamic program order, so any issue whose
 pc is not past the previous one means control moved backward — the taken
@@ -22,9 +21,9 @@ delta between the cycle at which it started and the cycle at which the next
 trace started (``run_end`` closes the final trace at the run's total), so
 the per-trace cycles of one run always sum to ``RunStats.cycles`` —
 including stalls, mispredict bubbles and pipeline fill, each of which is
-also broken out per trace.  A stall event precedes the issue it delays, so
-pending stall cycles are attributed to the trace of the *next* issue, which
-is the trace whose cycle window contains them.
+also broken out per trace.  A stall precedes the issue it delays and is
+attributed to that issue's trace; a mispredict bubble follows its branch
+and is attributed to the branch's trace, the one open during the bubble.
 
 This module must stay import-light (no ``repro.cpu``/``repro.kernels``
 imports): the trace-profile *export* with loop labels and fusibility
@@ -33,7 +32,11 @@ verdicts lives in :mod:`repro.obs.export` / :mod:`repro.analysis.fusion`.
 
 from __future__ import annotations
 
-from repro.obs.events import BranchEvent, IssueEvent, RunEndEvent, RunStartEvent, StallEvent
+from array import array
+
+import numpy as np
+
+from repro.obs.recorder import MMX, ROUTED, V_PIPE, Reader, Recorder
 
 
 class TraceStats:
@@ -97,8 +100,8 @@ class TraceStats:
         }
 
 
-class TraceProfiler:
-    """Event-bus subscriber aggregating one run into dynamic traces.
+class TraceProfiler(Reader):
+    """Recorder reader aggregating one run into dynamic traces.
 
     Usage::
 
@@ -106,6 +109,12 @@ class TraceProfiler:
         stats = machine.run()
         profiler.detach()
         assert sum(t.cycles for t in profiler.traces.values()) == stats.cycles
+
+    Each recorded chunk is cut at its back edges with numpy: a trace starts
+    wherever ``pc[i] <= pc[i - 1]``, its counters are ``np.add.reduceat``
+    sums over the slice, and its key is the slice's pc bytes.  Only the
+    trace still open at the end of a chunk is carried to the next one, as
+    its first *max_body* pcs and running counters.
     """
 
     def __init__(self, max_body: int = 4096) -> None:
@@ -118,130 +127,174 @@ class TraceProfiler:
         self.total_cycles = 0
         self.total_instructions = 0
         self.finished = False
-        self._pcs: list[int] = []
-        self._open = False
-        self._truncated = False
-        self._start_cycle = 0
-        self._prev_pc = -1
-        self._pending_stall = 0
-        self._counters = [0] * 6  # instr, pairs, stalls, mispredicts, mmx, routed
-        self._cold = 0
-        self._seen_pcs: set[int] = set()
-        self._unsubscribes: list = []
+        self._recorder = None
+        self.on_start(None)
 
     # -- wiring ---------------------------------------------------------------
 
     def attach(self, machine) -> "TraceProfiler":
-        """Subscribe to *machine*'s bus; returns ``self`` for chaining."""
-        bus = machine.bus
-        self._unsubscribes = [
-            bus.subscribe("run_start", self._on_run_start),
-            bus.subscribe("issue", self._on_issue),
-            bus.subscribe("stall", self._on_stall),
-            bus.subscribe("branch", self._on_branch),
-            bus.subscribe("run_end", self._on_run_end),
-        ]
+        """Read *machine*'s recorder; returns ``self`` for chaining."""
+        self._recorder = Recorder.add(machine, self)
         return self
 
     def detach(self) -> None:
-        for unsubscribe in self._unsubscribes:
-            unsubscribe()
-        self._unsubscribes = []
+        if self._recorder is not None:
+            self._recorder.remove(self)
+            self._recorder = None
 
-    # -- event handlers -------------------------------------------------------
+    # -- recorder callbacks ---------------------------------------------------
 
-    def _on_run_start(self, event: RunStartEvent) -> None:
+    def on_start(self, recorder) -> None:
         self.traces.clear()
         self.total_cycles = 0
         self.total_instructions = 0
         self.finished = False
-        self._pcs = []
+        #: Body bytes (int64 pcs) -> trace, the same objects as ``traces``.
+        self._by_body: dict[bytes, TraceStats] = {}
+        self._seen = np.zeros(0, dtype=bool)
+        # The open trace: recorded pcs, truncation, counters (instructions,
+        # pairs, stalls, mispredicts, mmx, routed, cold decodes) and the
+        # cycle its window opened.  Pipeline-fill cycles belong to the
+        # entry trace, so the first window opens at cycle 0 and the
+        # per-trace cycles sum to the run's total exactly.
         self._open = False
-        self._truncated = False
-        # Pipeline-fill cycles belong to the entry trace, so the first
-        # trace's window opens at cycle 0 and the per-trace cycles sum to
-        # the run's total exactly.
-        self._start_cycle = 0
         self._prev_pc = -1
-        self._pending_stall = 0
-        self._counters = [0] * 6
-        self._cold = 0
-        self._seen_pcs = set()
+        self._body = b""
+        self._truncated = False
+        self._counters = [0] * 7
+        self._start_cycle = 0
 
-    def _on_issue(self, event: IssueEvent) -> None:
-        pc = event.pc
-        if self._open and pc <= self._prev_pc:
-            # Backward control transfer: the back edge closed a trace and
-            # this issue's pc is the (loop-head) start of the next one.
-            self._close(event.cycle)
+    def on_chunk(self, chunk) -> None:
+        pc = chunk.pc
+        count = len(pc)
+        if not count:
+            return
+        self.total_instructions += count
+        flags = chunk.flags
+        columns = np.zeros((7, count), dtype=np.int64)
+        columns[0] = 1
+        columns[1] = flags & V_PIPE
+        stalls = chunk.stalls
+        stalls = stalls[stalls[:, 0] < count]
+        np.add.at(columns[2], stalls[:, 0], stalls[:, 3])
+        np.add.at(columns[3], chunk.branches[:, 0], chunk.branches[:, 2])
+        columns[4] = (flags & MMX) != 0
+        columns[5] = (flags & ROUTED) != 0
+        columns[6] = self._cold(pc)
+        starts = np.concatenate(([0], np.flatnonzero(pc[1:] <= pc[:-1]) + 1))
+        opens = chunk.cycle[starts]
+        runs = self._runs(pc, starts)
+        # Counters of the first slice, of each run of repeats, of the last.
+        points = np.concatenate(([0], starts[runs], starts[1:][-1:]))
+        sums = np.add.reduceat(columns, points, axis=1).T.tolist()
+
+        # The first slice continues the open trace unless control moved back.
+        if self._open and int(pc[0]) <= self._prev_pc:
+            self._close(int(opens[0]))
+        self._extend(pc, 0, int(starts[1]) if len(starts) > 1 else count, sums[0])
+        if len(starts) > 1:
+            self._close(int(opens[1]))
+            if len(runs):
+                self._close_runs(pc, starts, opens, runs, sums[1:-1])
+            self._start_cycle = int(opens[-1])
+            self._extend(pc, int(starts[-1]), count, sums[-1])
         self._open = True
-        self._prev_pc = pc
-        counters = self._counters
-        counters[0] += 1
-        self.total_instructions += 1
-        if self._pending_stall:
-            counters[2] += self._pending_stall
-            self._pending_stall = 0
-        if event.pipe == "V":
-            counters[1] += 1
-        if event.instr.is_mmx:
-            counters[4] += 1
-        if event.routed:
-            counters[5] += 1
-        seen = self._seen_pcs
-        if pc not in seen:
-            seen.add(pc)
-            self._cold += 1
-        pcs = self._pcs
-        if len(pcs) < self.max_body:
-            pcs.append(pc)
-        else:
-            self._truncated = True
+        self._prev_pc = int(pc[-1])
 
-    def _on_stall(self, event: StallEvent) -> None:
-        # Fires before the issue it delays; buffered so the cycles land in
-        # the trace whose window contains them (the next issue's trace).
-        self._pending_stall += event.cycles
-
-    def _on_branch(self, event: BranchEvent) -> None:
-        # Fires after the branch's own issue, so the bubble cycles belong
-        # to the currently open trace (its window extends to the next
-        # issue, past the bubble).
-        if event.penalty:
-            self._counters[3] += event.penalty
-
-    def _on_run_end(self, event: RunEndEvent) -> None:
+    def on_end(self, recorder) -> None:
         if self._open:
-            self._close(event.cycles)
-        self.total_cycles = event.cycles
-        self.finished = event.finished
+            self._close(recorder.cycles)
+        self.total_cycles = recorder.cycles
+        self.finished = recorder.finished
 
     # -- trace bookkeeping ----------------------------------------------------
 
-    def _close(self, at_cycle: int) -> None:
-        body = tuple(self._pcs)
-        key = (body[0], body)
-        trace = self.traces.get(key)
+    def _cold(self, pc: np.ndarray) -> np.ndarray:
+        """1 at each issue whose pc had not issued before in this run."""
+        cold = np.zeros(len(pc), dtype=np.int64)
+        top = int(pc.max()) + 1
+        if top > len(self._seen):
+            self._seen = np.concatenate((self._seen, np.zeros(top - len(self._seen), bool)))
+        elif self._seen[pc].all():
+            return cold
+        pcs, first = np.unique(pc, return_index=True)
+        cold[first[~self._seen[pcs]]] = 1
+        self._seen[pcs] = True
+        return cold
+
+    def _extend(self, pc: np.ndarray, start: int, end: int, counters: list[int]) -> None:
+        """Add the slice ``pc[start:end]`` to the open trace."""
+        room = self.max_body - len(self._body) // 8
+        if end - start > room:
+            self._truncated = True
+        if room > 0:
+            self._body += pc[start:min(end, start + room)].tobytes()
+        self._counters = [a + b for a, b in zip(self._counters, counters)]
+
+    def _trace(self, body: bytes, truncated: bool) -> TraceStats:
+        trace = self._by_body.get(body)
         if trace is None:
-            trace = TraceStats(body[0], body, self._truncated)
-            self.traces[key] = trace
-        counters = self._counters
-        trace.executions += 1
+            pcs = tuple(array("q", body))
+            trace = TraceStats(pcs[0], pcs, truncated)
+            self._by_body[body] = trace
+            self.traces[(pcs[0], pcs)] = trace
+        elif truncated:
+            trace.truncated = True
+        return trace
+
+    def _add(self, trace: TraceStats, executions: int, cycles: int,
+             counters: list[int]) -> None:
+        trace.executions += executions
+        trace.cycles += cycles
         trace.instructions += counters[0]
-        trace.cycles += at_cycle - self._start_cycle
         trace.pair_issues += counters[1]
         trace.stall_cycles += counters[2]
         trace.mispredict_cycles += counters[3]
         trace.mmx_instructions += counters[4]
         trace.routed += counters[5]
-        trace.cold_decodes += self._cold
-        trace.truncated = trace.truncated or self._truncated
-        self._pcs = []
+        trace.cold_decodes += counters[6]
+
+    def _close(self, at_cycle: int) -> None:
+        """Close the open trace at *at_cycle*; the next one opens there."""
+        trace = self._trace(self._body, self._truncated)
+        self._add(trace, 1, at_cycle - self._start_cycle, self._counters)
         self._open = False
+        self._body = b""
         self._truncated = False
+        self._counters = [0] * 7
         self._start_cycle = at_cycle
-        self._counters = [0] * 6
-        self._cold = 0
+
+    @staticmethod
+    def _runs(pc: np.ndarray, starts: np.ndarray) -> np.ndarray:
+        """First slice of each run of repeats among a chunk's inner slices.
+
+        The inner slices are all but the first and the last, which belong
+        to traces open across the chunk's ends.  A loop's iterations repeat
+        the slice before them pc for pc: each slice is compared with its
+        predecessor, shifted by that one's length.
+        """
+        if len(starts) < 3:
+            return starts[:0]
+        lengths = np.diff(np.append(starts, len(pc)))
+        lo, hi = starts[1], starts[-1]
+        shifted = np.arange(lo, hi) - np.repeat(lengths[:-2], lengths[1:-1])
+        differs = np.logical_or.reduceat(pc[lo:hi] != pc[shifted], starts[1:-1] - lo)
+        repeat = (lengths[1:-1] == lengths[:-2]) & ~differs
+        repeat[0] = False
+        return np.flatnonzero(~repeat) + 1
+
+    def _close_runs(self, pc: np.ndarray, starts: np.ndarray, opens: np.ndarray,
+                    runs: np.ndarray, sums: list[list[int]]) -> None:
+        """Close the inner slices, one body lookup per run of repeats."""
+        ends = np.append(runs[1:], len(starts) - 1)
+        windows = (opens[ends] - opens[runs]).tolist()
+        heads = starts[runs].tolist()
+        lengths = (starts[runs + 1] - starts[runs]).tolist()
+        max_body = self.max_body
+        for first, end, window, start, length, counters in zip(
+                runs.tolist(), ends.tolist(), windows, heads, lengths, sums):
+            body = pc[start:start + min(length, max_body)].tobytes()
+            self._add(self._trace(body, length > max_body), end - first, window, counters)
 
     # -- views ----------------------------------------------------------------
 

@@ -33,8 +33,10 @@ token and drops stale ones.
 Workers are persistent: one process runs task after task until
 :meth:`WorkerPool.stop`, so a live worker never exits on its own and a dead
 one is always a crash.  They are not daemonic, so a task may start a pool
-of its own (a serve job running a ``--jobs N`` campaign), and an idle
-worker whose parent died exits instead of waiting for work forever.  Each
+of its own (a serve job running a ``--jobs N`` campaign), and a worker
+whose parent died exits instead of waiting for work forever (checked
+while idle) or finishing a task no one will collect (checked by the
+heartbeat thread while busy).  Each
 slot carries one cancellation event, created at spawn and handed to every
 executor as ``payload["cancel"]``; only the parent touches it — cleared at
 :meth:`WorkerPool.dispatch`, set by :meth:`WorkerPool.cancel_all` on a
@@ -70,8 +72,15 @@ ORPHAN_CHECK_S = 1.0
 
 
 def _heartbeat_loop(result_queue, worker_id: int, task_id: str, attempt: int,
-                    interval: float, stop: threading.Event) -> None:
+                    interval: float, stop: threading.Event, parent: int) -> None:
+    """Beat every *interval* while a task runs; exit the worker once orphaned.
+
+    A busy worker whose parent died would otherwise finish its task for no
+    one, beside the attempt a restarted parent dispatches anew.
+    """
     while not stop.wait(interval):
+        if os.getppid() != parent:
+            os._exit(1)
         try:
             result_queue.put(("beat", worker_id, task_id, attempt))
         except Exception:
@@ -98,7 +107,8 @@ def worker_main(worker_id: int, task_queue, result_queue,
         stop = threading.Event()
         beat = threading.Thread(
             target=_heartbeat_loop,
-            args=(result_queue, worker_id, task_id, attempt, heartbeat_s, stop),
+            args=(result_queue, worker_id, task_id, attempt, heartbeat_s, stop,
+                  parent),
             daemon=True,
         )
         beat.start()
@@ -213,13 +223,22 @@ class WorkerPool:
                             cancel=cancel, worker_id=worker_id)
 
     def stop(self) -> None:
-        """Tear the pool down (graceful stop, then SIGKILL stragglers)."""
+        """Tear the pool down: SIGKILL busy workers, stop idle ones.
+
+        A busy worker never exits on its own, so it is killed at once; an
+        idle one gets ``None`` and a shared one-second deadline to exit
+        before it is killed too.
+        """
         for handle in self.workers:
-            if handle.process.is_alive() and handle.idle:
+            if not handle.process.is_alive():
+                continue
+            if handle.idle:
                 try:
                     handle.queue.put(None)
                 except Exception:
                     pass
+            else:
+                handle.process.kill()
         deadline = time.monotonic() + 1.0
         for handle in self.workers:
             handle.process.join(max(0.0, deadline - time.monotonic()))

@@ -145,7 +145,7 @@ class TestKernels:
         kernel = build_kernel("FIR12")
         kernel.run_mmx()
         kernel.run_mmx()
-        heads = kernel.mmx_program()._block_cache[(False, 2, 1)]
+        heads = kernel.mmx_program()._block_cache[(False, 2, 1, False)]
         assert any(head.fn is not None for head in heads.values())
 
 

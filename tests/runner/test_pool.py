@@ -279,6 +279,90 @@ class TestForkFailure:
             pool.stop()
 
 
+def _running(pid: int) -> bool:
+    """True while *pid* is a live process (a zombie has exited)."""
+    import os
+
+    try:
+        with open(f"/proc/{pid}/stat") as fp:
+            return fp.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        if os.path.isdir("/proc/self"):
+            return False
+    try:  # no procfs: fall back to a signal-0 probe
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+class TestTeardown:
+    def test_stop_kills_busy_workers_at_once(self):
+        import time
+
+        pool = WorkerPool(2, heartbeat_s=0.05)
+        pool.start()
+        handles = list(pool.workers)
+        try:
+            for i, handle in enumerate(handles):
+                pool.dispatch(handle, probe_task(f"slow{i}", sleep_s=30.0), 1)
+            deadline = time.monotonic() + 10.0
+            while not all(h.started for h in handles) and time.monotonic() < deadline:
+                pool.poll(0.05)
+            assert all(h.started for h in handles)
+        finally:
+            started = time.perf_counter()
+            pool.stop()
+            elapsed = time.perf_counter() - started
+        assert elapsed < 0.2, elapsed
+        assert not any(h.process.is_alive() for h in handles)
+
+    def test_busy_worker_exits_when_its_parent_dies(self):
+        import os
+        import signal
+        import subprocess
+        import sys
+        import textwrap
+        import time
+
+        from repro.runner.pool import ORPHAN_CHECK_S
+
+        heartbeat_s = 0.05
+        script = textwrap.dedent(f"""
+            import time
+            from repro.runner import probe_task
+            from repro.runner.pool import WorkerPool
+
+            pool = WorkerPool(1, heartbeat_s={heartbeat_s})
+            pool.start()
+            [handle] = pool.workers
+            pool.dispatch(handle, probe_task("slow", sleep_s=60.0), 1)
+            while not handle.started:
+                pool.poll(0.05)
+            print(handle.process.pid, flush=True)
+            time.sleep(60)
+        """)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+        parent = subprocess.Popen([sys.executable, "-c", script], env=env,
+                                  stdout=subprocess.PIPE, text=True)
+        worker = None
+        try:
+            worker = int(parent.stdout.readline())
+            assert _running(worker)
+            parent.send_signal(signal.SIGKILL)
+            parent.wait(10)
+            deadline = time.monotonic() + heartbeat_s + ORPHAN_CHECK_S + 1
+            while _running(worker) and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert not _running(worker)
+        finally:
+            parent.kill()
+            parent.wait(10)
+            parent.stdout.close()
+            if worker is not None and _running(worker):
+                os.kill(worker, signal.SIGKILL)
+
+
 class TestPoolGuards:
     def test_pool_requires_one_job(self):
         with pytest.raises(PoolStartError):
