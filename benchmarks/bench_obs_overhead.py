@@ -18,13 +18,18 @@ the hot-trace profiler reading the recorder, and is gated at +100%.
 
 Measurement shape, each part earned by a failure mode it removes:
 
-* within a process, rounds are *interleaved* across the measured pipelines
-  and the per-pipeline **minimum** is compared — scheduling and frequency
-  drift only ever inflate a round, so minima isolate code cost;
+* within a process, each measured pipeline is timed in an *adjacent pair*
+  with its baseline (``PAIRS``), alternating which of the two runs first,
+  and the statistic is the **ratio** of the pair — load and frequency
+  drift on a shared host move both halves of a pair together, where
+  comparing per-pipeline minima taken seconds apart let one noisy stretch
+  land on one side only (the 5% gate once read 13% on identical code);
+* the process reports the **median** of its ``PAIR_ROUNDS`` pair ratios,
+  so a pair split by a scheduler hiccup is outvoted rather than averaged;
 * every pipeline gets one untimed warm-up run first, so CPython's adaptive
   specialization has settled before the clock starts;
 * the whole measurement is repeated in ``PROCESSES`` fresh interpreters and
-  the **median** per-process overhead is asserted — a single process can be
+  the **median** per-process ratio is asserted — a single process can be
   ±5-9% off purely from code-layout luck (how the allocator and JIT-less
   specializer happen to land), and that bias is fixed for the process's
   lifetime, so no amount of in-process repetition averages it away.
@@ -53,7 +58,7 @@ from repro.errors import SimulationError
 from repro.isa import assemble
 from repro.obs import TraceProfiler
 
-#: ~0.4s per run at typical CPython speed: long enough to time stably.
+#: ~70 ms per pre-bus run on a shared 2-vCPU VM: long enough to time stably.
 ITERATIONS = 8_000
 SOURCE = (
     f"mov r0, {ITERATIONS}\n"
@@ -63,8 +68,16 @@ SOURCE = (
     "loop r0, top\n"
     "halt"
 )
-ROUNDS = 3
-PROCESSES = 5
+#: ``(measured, baseline)`` pipelines timed back to back.
+PAIRS = (
+    ("idle", "prebus"),
+    ("tracer_off", "prebus"),
+    ("translated", "prebus"),
+    ("observed", "translated"),
+    ("recorded", "translated"),
+)
+PAIR_ROUNDS = 7
+PROCESSES = 9
 
 
 class PreBusMachine(Machine):
@@ -247,24 +260,34 @@ def _cases(program):
 
 
 def _measure():
-    """One process's estimate: warm-up, then best-of-ROUNDS, interleaved."""
+    """One process's estimate: warm-up, then median ratios of adjacent pairs."""
     program = assemble(SOURCE)
-    cases = _cases(program)
-    for _, factory, subscribe in cases:  # settle adaptive specialization
+    cases = {name: (factory, subscribe) for name, factory, subscribe in _cases(program)}
+
+    def timed(name):
+        factory, subscribe = cases[name]
         machine = factory()
         if subscribe is not None:
             subscribe(machine)
+        start = time.perf_counter()
         machine.run()
-    times = {name: [] for name, _, _ in cases}
-    for _ in range(ROUNDS):
-        for name, factory, subscribe in cases:
-            machine = factory()
-            if subscribe is not None:
-                subscribe(machine)
-            start = time.perf_counter()
-            machine.run()
-            times[name].append(time.perf_counter() - start)
-    return {name: min(rounds) for name, rounds in times.items()}
+        return time.perf_counter() - start
+
+    for name in cases:  # settle adaptive specialization
+        timed(name)
+    times = {name: [] for name in cases}
+    ratios = {f"{measured}/{baseline}": [] for measured, baseline in PAIRS}
+    for round_ in range(PAIR_ROUNDS):
+        for measured, baseline in PAIRS:
+            order = (measured, baseline) if round_ % 2 == 0 else (baseline, measured)
+            pair = {name: timed(name) for name in order}
+            times[measured].append(pair[measured])
+            times[baseline].append(pair[baseline])
+            ratios[f"{measured}/{baseline}"].append(pair[measured] / pair[baseline])
+    return {
+        "times": {name: statistics.median(values) for name, values in times.items()},
+        "ratios": {key: statistics.median(values) for key, values in ratios.items()},
+    }
 
 
 def _sample_processes():
@@ -288,31 +311,25 @@ def test_zero_subscriber_overhead(benchmark):
     prebus_stats = PreBusMachine(program).run()
     assert instrumented_stats.as_dict() == prebus_stats.as_dict()
 
+    started = time.perf_counter()
     samples = benchmark.pedantic(_sample_processes, rounds=1, iterations=1)
+    elapsed = time.perf_counter() - started
     (prebus_time, idle_time, tracer_off_time, translated_time, observed_time,
      recorded_time) = (
-        statistics.median(s[name] for s in samples)
+        statistics.median(s["times"][name] for s in samples)
         for name in ("prebus", "idle", "tracer_off", "translated", "observed",
                      "recorded")
     )
-    idle_overhead = statistics.median(
-        s["idle"] / s["prebus"] - 1 for s in samples
-    )
-    tracer_off_overhead = statistics.median(
-        s["tracer_off"] / s["prebus"] - 1 for s in samples
-    )
-    observed_overhead = statistics.median(
-        s["observed"] / s["prebus"] - 1 for s in samples
-    )
-    translated_overhead = statistics.median(
-        s["translated"] / s["prebus"] - 1 for s in samples
-    )
-    observed_vs_translated = statistics.median(
-        s["observed"] / s["translated"] - 1 for s in samples
-    )
-    recorded_vs_translated = statistics.median(
-        s["recorded"] / s["translated"] - 1 for s in samples
-    )
+
+    def overhead(pair):
+        return statistics.median(s["ratios"][pair] for s in samples) - 1
+
+    idle_overhead = overhead("idle/prebus")
+    tracer_off_overhead = overhead("tracer_off/prebus")
+    observed_overhead = observed_time / prebus_time - 1  # for the record
+    translated_overhead = overhead("translated/prebus")
+    observed_vs_translated = overhead("observed/translated")
+    recorded_vs_translated = overhead("recorded/translated")
     rows = [
         ["pre-bus baseline", f"{prebus_time * 1e3:.1f}", "-"],
         ["event bus, no subscribers", f"{idle_time * 1e3:.1f}",
@@ -335,7 +352,8 @@ def test_zero_subscriber_overhead(benchmark):
         headers, rows,
         title=(
             f"Observability overhead ({instrumented_stats.instructions} dynamic"
-            f" instructions, median of {PROCESSES} processes)"
+            f" instructions, median pair ratio of {PROCESSES} processes,"
+            f" {elapsed:.0f} s)"
         ),
     )
     emit("obs_overhead", text, headers=headers, rows=rows,
@@ -349,7 +367,8 @@ def test_zero_subscriber_overhead(benchmark):
                "observed_overhead": observed_overhead,
                "observed_vs_translated_overhead": observed_vs_translated,
                "recorded_vs_translated_overhead": recorded_vs_translated,
-               "processes": PROCESSES, "rounds": ROUNDS})
+               "processes": PROCESSES, "pair_rounds": PAIR_ROUNDS,
+               "elapsed_s": elapsed})
 
     # The guard: an unobserved instrumented run is within 5% of pre-bus.
     assert idle_overhead < 0.05, (

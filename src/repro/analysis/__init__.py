@@ -59,7 +59,6 @@ from repro.analysis.absint import (
     check_fusion_certificate,
     fusion_audit,
     fusion_audit_report,
-    fusion_certificate_findings,
 )
 
 __all__ += [
@@ -96,5 +95,4 @@ __all__ += [
     "check_fusion_certificate",
     "fusion_audit",
     "fusion_audit_report",
-    "fusion_certificate_findings",
 ]

@@ -6,7 +6,7 @@ is legal to fuse into a bulk superop — straight-line, counted, with a
 statically bounded byte footprint, affine induction strides, and every
 packed op inside the certified SWAR mask algebra.  Proofs are shipped as
 schema-versioned :class:`FusionCertificate` records with an *independent*
-replay checker (:mod:`repro.analysis.absint.replay`); diagnoses are ``fx-*``
+replay checker (:mod:`repro.core.replay`); diagnoses are ``fx-*``
 findings in the shared rule catalog.
 
 See ``docs/static-analysis.md`` for the rule-by-rule catalog and the
@@ -34,12 +34,7 @@ from repro.analysis.absint.interp import (
     certify_program,
     loop_entry_state,
 )
-from repro.analysis.absint.replay import (
-    FusionCertIssue,
-    REPLAY_TRIP_LIMIT,
-    check_fusion_certificate,
-    fusion_certificate_findings,
-)
+from repro.core.replay import REPLAY_TRIP_LIMIT, check_fusion_certificate
 
 __all__ = [
     "Affine",
@@ -48,7 +43,6 @@ __all__ = [
     "EXACT_SEMS",
     "FUSION_AUDIT_SCHEMA",
     "FUSION_CERT_SCHEMA",
-    "FusionCertIssue",
     "FusionCertificate",
     "MODULAR_SEMS",
     "ProgramCertification",
@@ -59,7 +53,6 @@ __all__ = [
     "check_fusion_certificate",
     "fusion_audit",
     "fusion_audit_report",
-    "fusion_certificate_findings",
     "loop_entry_state",
     "swar_status",
 ]

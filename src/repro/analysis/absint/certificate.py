@@ -3,8 +3,8 @@
 A certificate is *pure data* — body text, concrete entry constants, closed
 forms and classifications — never live IR objects, so it survives a JSON
 round trip (committed audit baselines replay-check against the current
-program) and so the replay checker (:mod:`repro.analysis.absint.replay`)
-can only ever trust the program it is handed, not analyzer intermediates.
+program) and so the replay checker (:mod:`repro.core.replay`) can only ever
+trust the program it is handed, not analyzer intermediates.
 
 Every recorded fact is independently re-derivable from the instruction
 stream plus the entry constants by concrete replay:
@@ -28,9 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-#: Schema tag embedded in every certificate; the replay checker rejects
-#: anything else (``fx-cert-schema``).
-FUSION_CERT_SCHEMA = "repro.fusion-cert/1"
+from repro.core.replay import FUSION_CERT_SCHEMA
 
 
 @dataclass(frozen=True)

@@ -7,11 +7,12 @@ Two passes per candidate loop region:
    an earlier loop region kills everything that region writes (its final
    values iterated away), except a closing ``loop`` counter, which provably
    exhausts to zero.  The walk also tracks which MMX registers are zeroed
-   (``pxor r, r``) and still zero at the label.
+   (a zero idiom such as ``pxor r, r``) and still zero at the label.
 
 2. **Body walk** — one symbolic pass over the body with every scalar
    register an :class:`~repro.analysis.absint.domain.Affine` value over its
-   *loop-entry symbol*, and every MMX register a byte-interval word.  The
+   *loop-entry symbol*, and every MMX register a byte-interval word (the
+   interval client of :class:`~repro.core.mmxbytes.ByteWalk`).  The
    exit state classifies loop-carried dependences, every memory operand
    yields a ``first + k * stride`` closed form, and every packed op gets a
    SWAR status from the width/mask algebra.
@@ -30,7 +31,6 @@ from repro.analysis.absint.domain import (
     Affine,
     ByteWord,
     Scalar,
-    TOP_BYTE,
     TOP_WORD,
     ZERO_WORD,
     lane_view,
@@ -41,10 +41,19 @@ from repro.analysis.absint.domain import (
 from repro.analysis.findings import Finding, FindingCollector, sort_findings
 from repro.analysis.loops import LoopRegion, find_loop_regions
 from repro.core.mmio import DEFAULT_MMIO_BASE, MMIO_WINDOW_BYTES
+from repro.core.mmxbytes import (
+    ByteFacts,
+    ByteWalk,
+    byte_facts,
+    byte_sources,
+    is_zero_idiom,
+    relocate,
+)
+from repro.core.replay import add_findings, check_fusion_certificate
 from repro.isa.instructions import Instruction, Program
 from repro.isa.opcodes import InstrClass
 from repro.isa.operands import Imm, Label, Mem
-from repro.isa.registers import Register
+from repro.isa.registers import MM, Register
 from repro.simd.swar import MASKS
 
 SCALAR_MASK = 0xFFFFFFFF
@@ -66,12 +75,6 @@ REDUCTION_SEMS = frozenset({
     "pmins", "pmaxs", "pminu", "pmaxu", "pavg",
     "pand", "por", "pxor",
 })
-
-def access_size(instr: Instruction) -> int:
-    """Bytes moved by *instr*'s memory operand."""
-    if instr.opcode.width is not None and instr.opcode.sem != "movq":
-        return instr.opcode.width // 8
-    return 8  # movq and width-free packed ops move the full 64-bit word
 
 
 # ---- pass 1: concrete prefix walk ---------------------------------------------
@@ -97,13 +100,7 @@ def _concrete_step(
     sem = instr.opcode.sem
     dest = instr.dest
     if dest is not None and dest.is_mmx:
-        ops = instr.operands
-        if (
-            sem == "pxor"
-            and len(ops) == 2
-            and isinstance(ops[1], Register)
-            and ops[1].name == dest.name
-        ):
+        if is_zero_idiom(instr):
             zeroed.add(dest.name)
         else:
             zeroed.discard(dest.name)
@@ -354,168 +351,109 @@ def _or_hi(h1: int, h2: int) -> int:
     return (1 << bits) - 1
 
 
-class _MmxWalk:
-    """Byte-interval abstract state over one loop-body pass."""
+class _Intervals(ByteWalk):
+    """Byte intervals: the certifier's client of the MMX byte walk."""
 
-    def __init__(self, entry_zero: frozenset[str]) -> None:
-        self.state: dict[str, ByteWord] = {
-            name: ZERO_WORD for name in entry_zero
-        }
-        self.written: set[str] = set()
-        self.live_in: set[str] = set()
-        #: position -> write sem, for carried-class/reduction decisions.
-        self.write_sems: dict[str, list[str]] = {}
+    zero = (0, 0)
 
-    def value(self, operand: object) -> ByteWord:
+    def __init__(self, entry_zero: set[int]) -> None:
+        super().__init__([
+            list(ZERO_WORD if reg in entry_zero else TOP_WORD) for reg in range(8)
+        ])
+
+    def word(self, operand: object) -> ByteWord:
         if isinstance(operand, Register) and operand.is_mmx:
-            if operand.name not in self.written:
-                self.live_in.add(operand.name)
-            return self.state.get(operand.name, TOP_WORD)
-        return TOP_WORD  # memory or routed source
+            return tuple(self.regs[operand.index])
+        return TOP_WORD  # memory, a scalar register or an immediate
 
-    def is_carried(self, name: str) -> bool:
-        return name in self.live_in and name in self.written
-
-    def _write(self, name: str, word: ByteWord, sem: str) -> None:
-        self.written.add(name)
-        self.write_sems.setdefault(name, []).append(sem)
-        self.state[name] = word
-
-    def step(self, instr: Instruction) -> None:
-        dest = instr.dest
-        sem = instr.opcode.sem
-        if sem == "movq" or sem == "movd":
-            if dest is None or not dest.is_mmx:
-                if len(instr.operands) > 1:
-                    # Store or movd-to-scalar: the MMX source is live-in.
-                    self.value(instr.operands[1])
-                return
-            if sem == "movd":
-                src = self.value(instr.operands[1])[:4]
-                word = (TOP_BYTE,) * 4 + ((0, 0),) * 4
-                if isinstance(instr.operands[1], Register) and instr.operands[1].is_mmx:
-                    word = src + ((0, 0),) * 4
-                self._write(dest.name, word, sem)
-            else:
-                self._write(dest.name, self.value(instr.operands[1]), sem)
-            return
-        if dest is None or not dest.is_mmx:
-            return
-        width = instr.opcode.width
+    def compute(self, instr: Instruction, facts: ByteFacts) -> list:
         ops = instr.operands
-        if sem == "pxor" and isinstance(ops[1], Register) and ops[1].name == dest.name:
-            self._write(dest.name, ZERO_WORD, sem)
-            return
-        a = self.value(ops[0])
-        b = self.value(ops[1]) if len(ops) > 1 and not isinstance(ops[1], Imm) else None
-        word = self._transfer(sem, width, a, b, instr)
-        self._write(dest.name, word, sem)
+        a = self.word(ops[0])
+        sources = byte_sources(instr)
+        if sources is not None:
+            # A relocation from memory or a scalar register: unknown bytes.
+            return relocate(sources, a, TOP_WORD, self.zero)
+        b = self.word(ops[1]) if len(ops) > 1 and not isinstance(ops[1], Imm) else None
+        return list(_transfer(facts.sem, instr.opcode.width, a, b, instr))
 
-    def _transfer(
-        self,
-        sem: str,
-        width: int | None,
-        a: ByteWord,
-        b: ByteWord | None,
-        instr: Instruction,
-    ) -> ByteWord:
-        if sem in ("pand", "pandn", "por", "pxor"):
-            assert b is not None
-            out = []
-            for (l1, h1), (l2, h2) in zip(a, b):
-                if sem == "pand":
-                    out.append((0, min(h1, h2)))
-                elif sem == "pandn":
-                    out.append((0, h2))
-                elif sem == "por":
-                    out.append((max(l1, l2), _or_hi(h1, h2)))
-                else:
-                    out.append((0, _or_hi(h1, h2)))
-            return tuple(out)
-        if sem in ("punpckl", "punpckh") and width is not None:
-            assert b is not None
-            span = width // 8
-            lowhalf = sem == "punpckl"
-            out_bytes: list[tuple[int, int]] = []
-            for granule in range(4 // span):
-                offset = (0 if lowhalf else 4) + granule * span
-                out_bytes.extend(a[offset : offset + span])
-                out_bytes.extend(b[offset : offset + span])
-            return tuple(out_bytes)
-        if sem == "pshufw":
-            control = instr.operands[2]
-            if isinstance(control, Imm):
-                lanes = lane_view(a if b is None else b, 16)
-                src = lanes if b is None else lane_view(b, 16)
-                picked = [
-                    src[(control.value >> (2 * i)) & 3] for i in range(4)
-                ]
-                return word_from_lanes(picked, 16)
+
+def _transfer(
+    sem: str,
+    width: int | None,
+    a: ByteWord,
+    b: ByteWord | None,
+    instr: Instruction,
+) -> ByteWord:
+    """Interval arithmetic of a computing packed op."""
+    if sem in ("pand", "pandn", "por", "pxor"):
+        assert b is not None
+        out = []
+        for (l1, h1), (l2, h2) in zip(a, b):
+            if sem == "pand":
+                out.append((0, min(h1, h2)))
+            elif sem == "pandn":
+                out.append((0, h2))
+            elif sem == "por":
+                out.append((max(l1, l2), _or_hi(h1, h2)))
+            else:
+                out.append((0, _or_hi(h1, h2)))
+        return tuple(out)
+    if width is None:
+        return TOP_WORD
+    lane_max = (1 << width) - 1
+    lanes_a = lane_view(a, width)
+    lanes_b = lane_view(b, width) if b is not None else None
+    out_lanes: list[tuple[int, int]] = []
+    if sem in ("psll", "psrl", "psra"):
+        count = instr.operands[1]
+        if not isinstance(count, Imm):
             return TOP_WORD
-        if sem == "vperm":
-            control = instr.operands[2]
-            if isinstance(control, Imm) and b is not None:
-                concat = tuple(a) + tuple(b)
-                return tuple(
-                    concat[(control.value >> (4 * i)) & 0xF] for i in range(8)
-                )
-            return TOP_WORD
-        if width is None:
-            return TOP_WORD
-        lane_max = (1 << width) - 1
-        lanes_a = lane_view(a, width)
-        lanes_b = lane_view(b, width) if b is not None else None
-        out_lanes: list[tuple[int, int]] = []
-        if sem in ("psll", "psrl", "psra"):
-            count = instr.operands[1]
-            if not isinstance(count, Imm):
-                return TOP_WORD
-            n = count.value
-            for lo, hi in lanes_a:
-                if sem == "psrl":
-                    out_lanes.append((lo >> n, hi >> n))
-                elif sem == "psll":
-                    shifted = hi << n
-                    out_lanes.append(
-                        (lo << n, shifted) if shifted <= lane_max else (0, lane_max)
-                    )
-                else:
-                    out_lanes.append((0, lane_max))
-            return word_from_lanes(out_lanes, width)
-        if lanes_b is None:
-            return TOP_WORD
-        for (l1, h1), (l2, h2) in zip(lanes_a, lanes_b):
-            if sem == "padd":
-                total = h1 + h2
-                out_lanes.append((l1 + l2, total) if total <= lane_max else (0, lane_max))
-            elif sem == "psub":
-                out_lanes.append((l1 - h2, h1 - l2) if l1 >= h2 else (0, lane_max))
-            elif sem == "paddus":
-                out_lanes.append((min(l1 + l2, lane_max), min(h1 + h2, lane_max)))
-            elif sem == "psubus":
-                out_lanes.append((max(l1 - h2, 0), max(h1 - l2, 0)))
-            elif sem == "pavg":
-                out_lanes.append(((l1 + l2 + 1) >> 1, (h1 + h2 + 1) >> 1))
-            elif sem == "pminu":
-                out_lanes.append((min(l1, l2), min(h1, h2)))
-            elif sem == "pmaxu":
-                out_lanes.append((max(l1, l2), max(h1, h2)))
-            elif sem == "pmullw":
-                product = h1 * h2
+        n = count.value
+        for lo, hi in lanes_a:
+            if sem == "psrl":
+                out_lanes.append((lo >> n, hi >> n))
+            elif sem == "psll":
+                shifted = hi << n
                 out_lanes.append(
-                    (l1 * l2, product) if product <= lane_max else (0, lane_max)
+                    (lo << n, shifted) if shifted <= lane_max else (0, lane_max)
                 )
-            elif sem in ("pmulhuw", "pmuludq"):
-                shift = width if sem == "pmulhuw" else 0
-                hi_bound = (h1 * h2) >> shift
-                out_lanes.append(
-                    ((l1 * l2) >> shift, min(hi_bound, lane_max))
-                    if sem == "pmulhuw"
-                    else (0, lane_max)
-                )
-            else:  # signed saturation, compares, signed multiplies: top lane
+            else:
                 out_lanes.append((0, lane_max))
         return word_from_lanes(out_lanes, width)
+    if lanes_b is None:
+        return TOP_WORD
+    for (l1, h1), (l2, h2) in zip(lanes_a, lanes_b):
+        if sem == "padd":
+            total = h1 + h2
+            out_lanes.append((l1 + l2, total) if total <= lane_max else (0, lane_max))
+        elif sem == "psub":
+            out_lanes.append((l1 - h2, h1 - l2) if l1 >= h2 else (0, lane_max))
+        elif sem == "paddus":
+            out_lanes.append((min(l1 + l2, lane_max), min(h1 + h2, lane_max)))
+        elif sem == "psubus":
+            out_lanes.append((max(l1 - h2, 0), max(h1 - l2, 0)))
+        elif sem == "pavg":
+            out_lanes.append(((l1 + l2 + 1) >> 1, (h1 + h2 + 1) >> 1))
+        elif sem == "pminu":
+            out_lanes.append((min(l1, l2), min(h1, h2)))
+        elif sem == "pmaxu":
+            out_lanes.append((max(l1, l2), max(h1, h2)))
+        elif sem == "pmullw":
+            product = h1 * h2
+            out_lanes.append(
+                (l1 * l2, product) if product <= lane_max else (0, lane_max)
+            )
+        elif sem in ("pmulhuw", "pmuludq"):
+            shift = width if sem == "pmulhuw" else 0
+            hi_bound = (h1 * h2) >> shift
+            out_lanes.append(
+                ((l1 * l2) >> shift, min(hi_bound, lane_max))
+                if sem == "pmulhuw"
+                else (0, lane_max)
+            )
+        else:  # signed saturation, compares, signed multiplies: top lane
+            out_lanes.append((0, lane_max))
+    return word_from_lanes(out_lanes, width)
 
 
 # ---- per-region certification --------------------------------------------------
@@ -719,20 +657,23 @@ def _certify_region(
     kind, counter, trip = _derive_trip(program, region, scalars, out, loc)
 
     # ---- scalar body walk ----------------------------------------------------
+    body = [
+        (position, program.instructions[position],
+         byte_facts(program.instructions[position]))
+        for position in range(region.start, region.end)
+    ]
     walk = _ScalarWalk()
     accesses: list[MemAccess] = []
-    for position in range(region.start, region.end):
-        instr = program.instructions[position]
-        if instr.reads_memory or instr.writes_memory:
-            mem = instr.mem_operand
-            assert mem is not None
+    for position, instr, fact in body:
+        if fact.access is not None:
+            assert fact.mem is not None
             accesses.append(
                 MemAccess(
                     position=position,
-                    access="store" if instr.writes_memory else "load",
-                    size=access_size(instr),
-                    address=walk.address(mem),
-                    mem=mem,
+                    access=fact.access,
+                    size=fact.size,
+                    address=walk.address(fact.mem),
+                    mem=fact.mem,
                 )
             )
         walk.step(instr)
@@ -851,30 +792,19 @@ def _certify_region(
             )
 
     # ---- MMX byte-interval walk ----------------------------------------------
-    body_mmx_written: set[str] = set()
-    for position in range(region.start, region.end):
-        for reg in program.instructions[position].regs_written():
-            if isinstance(reg, Register) and reg.is_mmx:
-                body_mmx_written.add(reg.name)
-    mmx = _MmxWalk(frozenset(zeroed - body_mmx_written))
+    body_mmx_written = {fact.mmx_dest for _, _, fact in body}
+    mmx = _Intervals({reg.index for reg in MM if reg.name in zeroed} - body_mmx_written)
     accumulate_bounds: dict[int, int | None] = {}
-    for position in range(region.start, region.end):
-        instr = program.instructions[position]
-        sem = instr.opcode.sem
-        dest = instr.dest
-        if (
-            dest is not None and dest.is_mmx
-            and swar_status(sem) == "modular"
-            and len(instr.operands) > 1
-        ):
-            source = instr.operands[1]
-            if isinstance(source, Register) and source.is_mmx:
+    write_sems: dict[int, list[str]] = {}
+    for position, instr, fact in body:
+        if fact.mmx_dest is not None:
+            write_sems.setdefault(fact.mmx_dest, []).append(fact.sem)
+            if swar_status(fact.sem) == "modular" and len(instr.operands) > 1:
                 accumulate_bounds[position] = word_bound(
-                    mmx.value(source), instr.opcode.width
+                    mmx.word(instr.operands[1]), instr.opcode.width
                 )
-            else:
-                accumulate_bounds[position] = None
-        mmx.step(instr)
+        mmx.step(instr, fact)
+    carried_mmx = mmx.live_in & mmx.written
 
     # ---- packed-op SWAR records ----------------------------------------------
     swar_records: list[dict[str, Any]] = []
@@ -916,7 +846,7 @@ def _certify_region(
     for position in sorted(accumulate_bounds):
         dest = program.instructions[position].dest
         assert dest is not None
-        if mmx.is_carried(dest.name):
+        if dest.index in carried_mmx:
             overflow_records.append(
                 {"position": position, "register": dest.name}
             )
@@ -1010,14 +940,10 @@ def _certify_region(
         )
     for name in opaque:
         carried_records.append({"register": name, "class": "opaque"})
-    for name in sorted(mmx.live_in & mmx.written):
-        sems = mmx.write_sems.get(name, [])
-        cls = (
-            "reduction"
-            if sems and all(sem in REDUCTION_SEMS for sem in sems)
-            else "carried"
-        )
-        carried_records.append({"register": name, "class": cls})
+    for index in sorted(carried_mmx):
+        sems = write_sems[index]
+        cls = "reduction" if all(sem in REDUCTION_SEMS for sem in sems) else "carried"
+        carried_records.append({"register": MM[index].name, "class": cls})
     carried_records.sort(key=lambda rec: str(rec["register"]))
 
     needed = address_symbols | set(inductions)
@@ -1074,15 +1000,10 @@ def _certify_region(
     # Issuance-time self-check: the independent replay checker must accept
     # every certificate we ship; a failure is a certifier bug surfaced as
     # fx-cert-* findings rather than a bogus proof.
-    from repro.analysis.absint.replay import (
-        check_fusion_certificate,
-        fusion_certificate_findings,
-    )
-
     issues = check_fusion_certificate(certificate, program)
     if issues:
-        extra = fusion_certificate_findings(issues, subject=subject)
-        certification.findings = sort_findings(findings + extra)
+        add_findings(out, issues, subject)
+        certification.findings = sort_findings(out.findings)
         return certification
     certification.certificate = certificate
     return certification

@@ -1,609 +1,10 @@
-"""Independent replay checking of :class:`FusionCertificate` claims.
+"""The fusion-certificate checker's import path inside the certifier package.
 
-Mirrors the PR 3 offload-certificate pattern: the certifier proves, this
-module *re-derives*.  Nothing here imports the abstract interpreter — the
-checker works from the certificate's pure data plus the program it names,
-re-deriving every claim by concrete execution:
-
-- the body text must match the shipped instructions (else *stale*),
-- register read/write footprints are recomputed from operand decoding,
-- the loop is then *run* for the certified trip count with scalars seeded
-  from the certificate's entry constants: every memory access must land on
-  its recorded ``first + k * stride`` closed form, every induction register
-  must hit ``entry + (k + 1) * step`` after each iteration, the counter must
-  exhaust exactly at the recorded trip, and no store may touch the MMIO
-  window,
-- packed-op SWAR records, carried classes, overflow and carried-memory
-  records are recomputed structurally and compared both directions.
-
-Any disagreement is a :class:`FusionCertIssue`;
-:func:`fusion_certificate_findings` maps them onto the ``fx-cert-*`` rules.
+The checker lives in :mod:`repro.core.replay`, next to the off-load
+certificate checker; this module keeps ``repro.analysis.absint.replay``
+importable for callers and tracers that name it.
 """
 
-from __future__ import annotations
+from repro.core.replay import REPLAY_TRIP_LIMIT, check_fusion_certificate
 
-from dataclasses import dataclass
-from typing import Any
-
-from repro.analysis.absint.certificate import FUSION_CERT_SCHEMA, FusionCertificate
-from repro.analysis.findings import Finding, FindingCollector
-from repro.core.mmio import DEFAULT_MMIO_BASE, MMIO_WINDOW_BYTES
-from repro.isa.instructions import Instruction, Program
-from repro.isa.opcodes import InstrClass
-from repro.isa.operands import Imm, Mem
-from repro.isa.registers import Register
-from repro.simd.swar import MASKS
-
-_MASK = 0xFFFFFFFF
-
-#: Replay refuses to run implausibly long loops; anything above this bound
-#: cannot be certified (the issuance self-check runs this same code).
-REPLAY_TRIP_LIMIT = 65536
-
-#: Same taxonomy the certifier records — duplicated as literal data on
-#: purpose so a certifier-side edit cannot silently rewrite the checker.
-_SATURATING = frozenset({
-    "padds", "paddus", "psubs", "psubus", "packss", "packus",
-    "pavg", "pmins", "pmaxs", "pminu", "pmaxu",
-})
-_MODULAR = frozenset({"padd", "psub", "pmullw", "pmaddwd", "psll"})
-_EXACT = frozenset({
-    "pand", "pandn", "por", "pxor", "pcmpeq", "pcmpgt",
-    "pmulhw", "pmulhuw", "pmuludq", "punpckl", "punpckh",
-    "pshufw", "vperm", "psrl", "psra",
-})
-
-_REDUCTION = frozenset({
-    "padd", "psub", "padds", "psubs", "paddus", "psubus",
-    "pmins", "pmaxs", "pminu", "pmaxu", "pavg",
-    "pand", "por", "pxor",
-})
-
-
-@dataclass(frozen=True)
-class FusionCertIssue:
-    """One replay disagreement: ``code`` selects the ``fx-cert-*`` rule."""
-
-    code: str  # "schema" | "stale" | "mismatch"
-    loop: str
-    message: str
-
-
-def _status(sem: str) -> str | None:
-    if sem in _SATURATING:
-        return "saturating"
-    if sem in _MODULAR:
-        return "modular"
-    if sem in _EXACT:
-        return "exact"
-    return None
-
-
-def _access_kind(instr: Instruction) -> str | None:
-    if instr.writes_memory:
-        return "store"
-    if instr.reads_memory:
-        return "load"
-    return None
-
-
-def _access_size(instr: Instruction) -> int:
-    if instr.opcode.width is not None and instr.opcode.sem != "movq":
-        return instr.opcode.width // 8
-    return 8
-
-
-def _is_zero_idiom(instr: Instruction) -> bool:
-    """``pxor r, r`` reads nothing architecturally: it unconditionally zeroes."""
-    if instr.opcode.sem != "pxor" or len(instr.operands) != 2:
-        return False
-    first, second = instr.operands
-    return (
-        isinstance(first, Register)
-        and isinstance(second, Register)
-        and first.name == second.name
-    )
-
-
-def _region_footprints(
-    program: Program, start: int, end: int
-) -> tuple[dict[str, list[str]], dict[str, list[str]], set[str]]:
-    """(reads, writes, carried-names) recomputed from operand decoding."""
-    scalar_reads: set[str] = set()
-    mmx_reads: set[str] = set()
-    scalar_writes: set[str] = set()
-    mmx_writes: set[str] = set()
-    written_so_far: set[str] = set()
-    live_in: set[str] = set()
-    for position in range(start, end + 1):
-        instr = program.instructions[position]
-        zero_idiom = _is_zero_idiom(instr)
-        for reg in instr.regs_read():
-            if not isinstance(reg, Register):
-                continue
-            (mmx_reads if reg.is_mmx else scalar_reads).add(reg.name)
-            if not zero_idiom and reg.name not in written_so_far:
-                live_in.add(reg.name)
-        for reg in instr.regs_written():
-            if not isinstance(reg, Register):
-                continue
-            (mmx_writes if reg.is_mmx else scalar_writes).add(reg.name)
-            written_so_far.add(reg.name)
-    reads = {"scalar": sorted(scalar_reads), "mmx": sorted(mmx_reads)}
-    writes = {"scalar": sorted(scalar_writes), "mmx": sorted(mmx_writes)}
-    return reads, writes, live_in & written_so_far
-
-
-# ---- concrete scalar re-execution ----------------------------------------------
-
-
-class _Replay:
-    """Minimal concrete scalar machine: 32-bit masked, flags as a last result.
-
-    Deliberately written against the ISA reference semantics rather than
-    shared with the certifier, so the two cannot fail identically.
-    """
-
-    def __init__(self, entry: dict[str, int]) -> None:
-        self.env: dict[str, int] = {
-            name: value & _MASK for name, value in entry.items()
-        }
-        self.last_result: int | None = None
-
-    def get(self, name: str) -> int | None:
-        return self.env.get(name)
-
-    def address(self, mem: Mem) -> int | None:
-        base = self.env.get(mem.base.name)
-        if base is None:
-            return None
-        address = base + mem.disp
-        if mem.index is not None:
-            index = self.env.get(mem.index.name)
-            if index is None:
-                return None
-            address += index * mem.scale
-        return address & _MASK
-
-    def _operand(self, operand: object) -> int | None:
-        if isinstance(operand, Imm):
-            return operand.value & _MASK
-        if isinstance(operand, Register) and not operand.is_mmx:
-            return self.env.get(operand.name)
-        return None
-
-    def _set(self, name: str, value: int | None, flags: bool) -> None:
-        if value is None:
-            self.env.pop(name, None)
-            if flags:
-                self.last_result = None
-            return
-        value &= _MASK
-        self.env[name] = value
-        if flags:
-            self.last_result = value
-
-    def step(self, instr: Instruction) -> None:
-        sem = instr.opcode.sem
-        dest = instr.dest
-        if sem == "cmp":
-            left = self._operand(instr.operands[0])
-            right = self._operand(instr.operands[1])
-            self.last_result = (
-                None if left is None or right is None else (left - right) & _MASK
-            )
-            return
-        if dest is None or dest.is_mmx:
-            return
-        name = dest.name
-        if sem == "mov":
-            self._set(name, self._operand(instr.operands[1]), flags=False)
-            return
-        if sem == "lea":
-            mem = instr.mem_operand
-            self._set(
-                name, self.address(mem) if mem is not None else None, flags=False
-            )
-            return
-        if sem in ("add", "sub", "and", "or", "xor", "imul"):
-            left = self.env.get(name)
-            right = self._operand(instr.operands[1])
-            if left is None or right is None:
-                self._set(name, None, flags=True)
-                return
-            value = {
-                "add": left + right,
-                "sub": left - right,
-                "and": left & right,
-                "or": left | right,
-                "xor": left ^ right,
-                "imul": left * right,
-            }[sem]
-            self._set(name, value, flags=True)
-            return
-        if sem in ("shl", "shr", "sar"):
-            left = self.env.get(name)
-            count = instr.operands[1]
-            if left is None or not isinstance(count, Imm):
-                self._set(name, None, flags=True)
-                return
-            n = count.value & 31
-            if sem == "shl":
-                value = left << n
-            elif sem == "shr":
-                value = left >> n
-            else:
-                signed = left - (1 << 32) if left >> 31 else left
-                value = signed >> n
-            self._set(name, value, flags=True)
-            return
-        if sem in ("inc", "dec", "neg", "loop"):
-            left = self.env.get(name)
-            if left is None:
-                self._set(name, None, flags=True)
-                return
-            if sem == "inc":
-                value = left + 1
-            elif sem == "neg":
-                value = -left
-            else:  # dec, and the closing `loop` decrement
-                value = left - 1
-            self._set(name, value, flags=True)
-            return
-        # Loads, movd-from-MMX and anything else: destination unknown.
-        self._set(name, None, flags=False)
-
-
-# ---- the checker ---------------------------------------------------------------
-
-
-def check_fusion_certificate(
-    cert: FusionCertificate, program: Program
-) -> list[FusionCertIssue]:
-    """Every disagreement between *cert* and *program*; empty means verified."""
-    issues: list[FusionCertIssue] = []
-    loop = cert.loop
-
-    def issue(code: str, message: str) -> None:
-        issues.append(FusionCertIssue(code=code, loop=loop, message=message))
-
-    if cert.schema != FUSION_CERT_SCHEMA:
-        issue(
-            "schema",
-            f"unknown certificate schema {cert.schema!r} "
-            f"(checker speaks {FUSION_CERT_SCHEMA!r})",
-        )
-        return issues
-
-    # ---- staleness: the certified text must be the code that ships -----------
-    size = len(program.instructions)
-    if not (0 <= cert.start <= cert.end < size):
-        issue("stale", f"region [{cert.start}-{cert.end}] is out of bounds")
-        return issues
-    if program.labels.get(loop) != cert.start:
-        issue(
-            "stale",
-            f"label {loop!r} no longer marks instruction {cert.start}",
-        )
-        return issues
-    span = cert.end - cert.start + 1
-    if len(cert.body) != span:
-        issue(
-            "stale",
-            f"certificate records {len(cert.body)} body lines for a "
-            f"{span}-instruction region",
-        )
-        return issues
-    for offset, line in enumerate(cert.body):
-        actual = str(program.instructions[cert.start + offset])
-        if actual != line:
-            issue(
-                "stale",
-                f"body line {cert.start + offset} is {actual!r}, "
-                f"certificate says {line!r}",
-            )
-            return issues
-
-    # ---- register footprints -------------------------------------------------
-    reads, writes, carried_names = _region_footprints(
-        program, cert.start, cert.end
-    )
-    if cert.reads != reads:
-        issue("mismatch", f"read footprint is {reads}, certificate says {cert.reads}")
-    if cert.writes != writes:
-        issue(
-            "mismatch", f"write footprint is {writes}, certificate says {cert.writes}"
-        )
-
-    # ---- carried classification, both directions -----------------------------
-    recorded_carried = {str(rec.get("register")): rec for rec in cert.carried}
-    for name in sorted(carried_names):
-        if name not in recorded_carried:
-            issue("mismatch", f"loop-carried register {name} has no carried record")
-    for name, rec in recorded_carried.items():
-        if name not in carried_names:
-            issue(
-                "mismatch",
-                f"carried record names {name}, which is not live-in and "
-                "written in the region",
-            )
-        cls = rec.get("class")
-        if cls not in ("induction", "opaque", "reduction", "carried"):
-            issue("mismatch", f"carried record for {name} has unknown class {cls!r}")
-        elif cls == "induction" and not isinstance(rec.get("step"), int):
-            issue("mismatch", f"induction record for {name} has no integer step")
-        elif cls == "reduction":
-            sems = [
-                program.instructions[pos].opcode.sem
-                for pos in range(cert.start, cert.end + 1)
-                for reg in program.instructions[pos].regs_written()
-                if isinstance(reg, Register) and reg.name == name
-            ]
-            if not sems or not all(sem in _REDUCTION for sem in sems):
-                issue(
-                    "mismatch",
-                    f"reduction record for {name} but its writes are not all "
-                    "accumulating packed ops",
-                )
-
-    # ---- trip plausibility ---------------------------------------------------
-    kind = cert.trip.get("kind")
-    counter = cert.trip.get("counter")
-    trip = cert.trip.get("count")
-    if kind not in ("loop", "dec-jnz") or not isinstance(counter, str):
-        issue("mismatch", f"trip record {cert.trip!r} has no known form")
-        return issues
-    if not isinstance(trip, int) or trip < 1:
-        issue("mismatch", f"trip count {trip!r} is not a positive integer")
-        return issues
-    if trip > REPLAY_TRIP_LIMIT:
-        issue(
-            "mismatch",
-            f"trip count {trip} exceeds the replay budget "
-            f"({REPLAY_TRIP_LIMIT}); the loop cannot be re-verified",
-        )
-        return issues
-    closing = program.instructions[cert.end]
-    if kind == "loop" and closing.opcode.sem != "loop":
-        issue("mismatch", "trip kind is 'loop' but the closing branch is not")
-        return issues
-    if kind == "dec-jnz" and closing.opcode.sem != "jnz":
-        issue("mismatch", "trip kind is 'dec-jnz' but the closing branch is not jnz")
-        return issues
-
-    # ---- SWAR records, both directions ---------------------------------------
-    expected_swar: list[dict[str, Any]] = []
-    for position in range(cert.start, cert.end):
-        instr = program.instructions[position]
-        if instr.iclass not in (
-            InstrClass.MMX_ALU, InstrClass.MMX_MUL, InstrClass.MMX_SHIFT
-        ):
-            continue
-        width = instr.opcode.width
-        expected_swar.append({
-            "position": position,
-            "op": instr.opcode.name,
-            "width": width,
-            "status": _status(instr.opcode.sem),
-        })
-        if width is not None and width not in MASKS:
-            issue(
-                "mismatch",
-                f"packed op at {position} has lane width {width}, outside "
-                "the certified SWAR mask algebra",
-            )
-        if instr.opcode.sem in ("psll", "psrl", "psra") and len(instr.operands) > 1:
-            if isinstance(instr.operands[1], Register):
-                issue(
-                    "mismatch",
-                    f"packed shift at {position} takes a register count: "
-                    "not coverable by immediate-count masks",
-                )
-    if list(cert.swar) != expected_swar:
-        issue(
-            "mismatch",
-            f"SWAR records disagree: recomputed {len(expected_swar)} "
-            f"records, certificate has {len(cert.swar)} (or contents differ)",
-        )
-
-    # ---- overflow records, both directions -----------------------------------
-    mmx_carried = {
-        name for name in carried_names if name.startswith("mm")
-    }
-    expected_overflow: list[dict[str, Any]] = []
-    for position in range(cert.start, cert.end):
-        instr = program.instructions[position]
-        dest = instr.dest
-        if (
-            dest is not None and dest.is_mmx
-            and _status(instr.opcode.sem) == "modular"
-            and dest.name in mmx_carried
-        ):
-            expected_overflow.append(
-                {"position": position, "register": dest.name}
-            )
-    if list(cert.overflow) != expected_overflow:
-        issue(
-            "mismatch",
-            "overflow records disagree with the modular carried "
-            "accumulators found in the body",
-        )
-
-    # ---- memory record indices -----------------------------------------------
-    memory_by_position: dict[int, dict[str, Any]] = {}
-    for rec in cert.memory:
-        position = rec.get("position")
-        if not isinstance(position, int) or not (
-            cert.start <= position < cert.end
-        ):
-            issue("mismatch", f"memory record position {position!r} is not in the body")
-            continue
-        memory_by_position[position] = rec
-    for position in range(cert.start, cert.end):
-        instr = program.instructions[position]
-        kind_here = _access_kind(instr)
-        rec = memory_by_position.get(position)
-        if kind_here is None:
-            if rec is not None:
-                issue(
-                    "mismatch",
-                    f"memory record at {position} but the instruction does "
-                    "not access memory",
-                )
-            continue
-        if rec is None:
-            issue("mismatch", f"{kind_here} at {position} has no memory record")
-            continue
-        if rec.get("access") != kind_here:
-            issue(
-                "mismatch",
-                f"access at {position} is a {kind_here}, certificate says "
-                f"{rec.get('access')!r}",
-            )
-        if rec.get("size") != _access_size(instr):
-            issue(
-                "mismatch",
-                f"access at {position} moves {_access_size(instr)} bytes, "
-                f"certificate says {rec.get('size')!r}",
-            )
-    if issues:
-        return issues
-
-    # ---- carried-memory record arithmetic ------------------------------------
-    for rec in cert.mem_carried:
-        store = memory_by_position.get(rec.get("store", -1))
-        load = memory_by_position.get(rec.get("load", -1))
-        if store is None or load is None or store.get("access") != "store":
-            issue("mismatch", f"carried-memory record {rec!r} names unknown accesses")
-            continue
-        distance = rec.get("distance")
-        if distance is None:
-            continue
-        if not isinstance(distance, int) or distance < 1:
-            issue(
-                "mismatch",
-                f"carried-memory distance {distance!r} is not a positive "
-                "iteration count",
-            )
-            continue
-        stride = store.get("stride")
-        if (
-            store.get("stride") != load.get("stride")
-            or not isinstance(stride, int)
-            or store.get("first", 0) - load.get("first", 0) != distance * stride
-        ):
-            issue(
-                "mismatch",
-                f"carried-memory record {rec!r} is inconsistent with the "
-                "recorded closed forms",
-            )
-    if issues:
-        return issues
-
-    # ---- concrete replay of every certified iteration ------------------------
-    machine = _Replay(cert.entry)
-    for rec in cert.carried:
-        name = str(rec.get("register"))
-        if rec.get("class") == "induction" and name not in machine.env:
-            machine.env[name] = 0
-    induction_seed = {
-        str(rec["register"]): machine.env[str(rec["register"])]
-        for rec in cert.carried
-        if rec.get("class") == "induction"
-    }
-    mmio_lo = DEFAULT_MMIO_BASE
-    mmio_hi = DEFAULT_MMIO_BASE + MMIO_WINDOW_BYTES
-    for k in range(trip):
-        for position in range(cert.start, cert.end):
-            instr = program.instructions[position]
-            if _access_kind(instr) is not None:
-                mem = instr.mem_operand
-                assert mem is not None
-                address = machine.address(mem)
-                rec = memory_by_position[position]
-                expected = (
-                    int(rec["first"]) + k * int(rec["stride"])
-                ) & _MASK
-                if address is None:
-                    issue(
-                        "mismatch",
-                        f"iteration {k}: address at {position} is not "
-                        "concretely computable from the entry constants",
-                    )
-                    return issues
-                if address != expected:
-                    issue(
-                        "mismatch",
-                        f"iteration {k}: {rec['access']} at {position} hits "
-                        f"{address:#x}, closed form says {expected:#x}",
-                    )
-                    return issues
-                if rec["access"] == "store" and not (
-                    address + int(rec["size"]) <= mmio_lo or address >= mmio_hi
-                ):
-                    issue(
-                        "mismatch",
-                        f"iteration {k}: store at {position} touches the "
-                        "MMIO window",
-                    )
-                    return issues
-            machine.step(instr)
-        # The closing branch: decrement-and-test or test-last-result.
-        if kind == "loop":
-            machine.step(closing)
-            value = machine.get(counter)
-            taken = value is not None and value != 0
-        else:
-            taken = machine.last_result is not None and machine.last_result != 0
-            if machine.last_result is None:
-                issue(
-                    "mismatch",
-                    f"iteration {k}: closing jnz tests an unknown flag value",
-                )
-                return issues
-        should_continue = k < trip - 1
-        if taken != should_continue:
-            issue(
-                "mismatch",
-                f"iteration {k}: closing branch is "
-                f"{'taken' if taken else 'not taken'}, trip count {trip} "
-                f"says it should {'be' if should_continue else 'not be'}",
-            )
-            return issues
-        for rec in cert.carried:
-            if rec.get("class") != "induction":
-                continue
-            name = str(rec["register"])
-            step = int(rec["step"])
-            actual = machine.get(name)
-            expected_value = (induction_seed[name] + (k + 1) * step) & _MASK
-            if actual != expected_value:
-                issue(
-                    "mismatch",
-                    f"iteration {k}: induction {name} is {actual!r}, "
-                    f"step {step} says {expected_value}",
-                )
-                return issues
-    return issues
-
-
-def fusion_certificate_findings(
-    issues: list[FusionCertIssue], subject: str
-) -> list[Finding]:
-    """Map replay disagreements onto ``fx-cert-*`` findings."""
-    code_to_rule = {
-        "schema": "fx-cert-schema",
-        "stale": "fx-cert-stale",
-        "mismatch": "fx-cert-mismatch",
-    }
-    out = FindingCollector()
-    for item in issues:
-        out.add(
-            code_to_rule[item.code],
-            "error",
-            f"{subject}: loop {item.loop}",
-            item.message,
-            fix_hint="re-run the certifier against the current program",
-            loop=item.loop,
-        )
-    return out.findings
+__all__ = ["REPLAY_TRIP_LIMIT", "check_fusion_certificate"]

@@ -3,8 +3,8 @@
 The off-load pass emits an :class:`~repro.core.dataflow.OffloadCertificate`
 per accelerated loop — the removal set, the exact byte routes, and per
 deleted permute the consumer routes reproducing its byte movement.  This
-module turns :func:`repro.core.dataflow.check_certificate`'s issues into
-``oc-*`` findings and adds the one check the dataflow layer cannot do alone:
+module reports :func:`repro.core.replay.check_certificate`'s issues as
+``oc-*`` findings and adds the one check the replay cannot do alone:
 ``oc-program-mismatch``, comparing the certificate's routes against the
 *controller program that actually ships* — the synthesized
 :class:`~repro.core.program.SPUProgram` — state by state.  That closing of
@@ -18,23 +18,14 @@ from __future__ import annotations
 from repro.errors import RouteError
 from repro.analysis.findings import Finding, FindingCollector
 from repro.analysis.schedule import chain_states
-from repro.core.dataflow import OffloadCertificate, check_certificate
+from repro.core.dataflow import OffloadCertificate
 from repro.core.interconnect import (
     CONFIG_D_MODED,
     CONFIGS,
     CrossbarConfig,
 )
 from repro.core.program import SPUProgram
-
-#: CertIssue.code -> lint rule id.
-_CODE_TO_RULE = {
-    "stale": "oc-cert-stale",
-    "not-permute": "oc-not-permute",
-    "live-out": "oc-live-out-removed",
-    "route-illegal": "oc-route-illegal",
-    "byte-mismatch": "oc-byte-mismatch",
-    "backedge": "oc-backedge-mismatch",
-}
+from repro.core.replay import add_findings, check_certificate
 
 
 def resolve_config(name: str) -> CrossbarConfig:
@@ -59,16 +50,7 @@ def certificate_findings(
     label = subject if subject is not None else certificate.loop_label
     config = resolve_config(certificate.config_name)
 
-    for issue in check_certificate(certificate, config):
-        out.add(
-            _CODE_TO_RULE[issue.code],
-            "error",
-            f"{label} ({issue.location})",
-            issue.message,
-            fix_hint="re-run the off-load pass; a certificate must describe "
-            "exactly the transformation that ships",
-        )
-
+    add_findings(out, check_certificate(certificate, config), label)
     if spu_program is not None:
         out.extend(
             _program_agreement(certificate, spu_program, label, config)

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 from repro.analysis.findings import Finding, FindingCollector
 from repro.analysis.microprogram import simulate
 from repro.core.offload import OffloadError, find_loop
-from repro.core.dataflow import mmx_source_slots
+from repro.core.mmxbytes import mmx_source_slots
 from repro.core.program import SPUProgram
 from repro.isa.instructions import Program
 from repro.isa.operands import Imm, Mem

@@ -140,23 +140,25 @@ __all__ += [
 ]
 
 from repro.core.dataflow import (
-    ByteMap,
-    CertIssue,
     OffloadCertificate,
     OriginalAnalysis,
     PermuteWitness,
     analyze_original,
-    check_certificate,
     derive_routes,
 )
+from repro.core.mmxbytes import ByteFacts, ByteWalk, SymbolWalk, byte_facts
+from repro.core.replay import CertIssue, check_certificate
 
 __all__ += [
-    "ByteMap",
+    "ByteFacts",
+    "ByteWalk",
     "CertIssue",
     "OffloadCertificate",
     "OriginalAnalysis",
     "PermuteWitness",
+    "SymbolWalk",
     "analyze_original",
+    "byte_facts",
     "check_certificate",
     "derive_routes",
 ]

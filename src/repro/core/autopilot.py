@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 from repro.core.builder import SPUProgramBuilder  # noqa: F401 (re-export site)
 from repro.core.interconnect import CONFIG_D, CrossbarConfig
 from repro.core.mmio import DEFAULT_MMIO_BASE
-from repro.core.offload import OffloadError, OffloadReport, is_zero_idiom, mmx_dest, offload_loop
+from repro.core.mmxbytes import byte_facts
+from repro.core.offload import OffloadError, OffloadReport, offload_loop
 from repro.core.program import SPUProgram
 from repro.isa.instructions import Instruction, Program
 from repro.isa.opcodes import lookup
@@ -127,9 +128,9 @@ def _known_zero_at(program: Program, loop: DetectedLoop) -> tuple[Register, ...]
         if instr.is_branch:
             zero_state.clear()
             continue
-        dst = mmx_dest(instr)
-        if dst is not None:
-            zero_state[dst.index] = is_zero_idiom(instr)
+        fact = byte_facts(instr)
+        if fact.mmx_dest is not None:
+            zero_state[fact.mmx_dest] = fact.zero_idiom
     result = []
     for reg_index, is_zero in zero_state.items():
         if not is_zero:

@@ -1,19 +1,18 @@
-"""Symbolic byte-provenance dataflow: the engine behind off-load and lint.
+"""Route derivation for the off-load pass, and its certificates.
 
 The off-load pass (:mod:`repro.core.offload`) and the static certifier
 (:mod:`repro.analysis.certificate`) share one question: *given a loop body
 with some pure permutes deleted, do the recorded crossbar routes reproduce
-exactly the byte movement the deleted instructions performed?*  This module
-answers it with symbolic byte provenance — every MMX register byte at loop
-entry gets a unique symbol, permutes relocate symbols, computes mint fresh
-ones — packaged so the two clients stay honest about their division of
-labor:
+exactly the byte movement the deleted instructions performed?*  Both answer
+it with symbolic byte provenance — the :class:`~repro.core.mmxbytes.SymbolWalk`
+gives every MMX register byte at loop entry a unique symbol, relocations
+move symbols, computes mint fresh ones — and divide the labor:
 
 - :func:`derive_routes` *searches* for routes (the off-load pass's inner
   validation walk), and
-- :func:`check_certificate` *verifies* recorded routes without re-deriving
-  them, so a lint run never has to trust the synthesis machinery it is
-  auditing.
+- :func:`~repro.core.replay.check_certificate` *verifies* recorded routes
+  without re-deriving them, so a lint run never has to trust the synthesis
+  machinery it is auditing.
 
 The :class:`OffloadCertificate` a pass emits is the machine-checkable
 artifact connecting the two: per deleted permute it names the consumer
@@ -24,219 +23,28 @@ against those exact routes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any
 
+from repro.core.interconnect import CrossbarConfig
+from repro.core.mmxbytes import ZERO, SymbolWalk, byte_facts
+from repro.core.replay import check_certificate  # noqa: F401  (public path)
 from repro.errors import RouteError
 from repro.isa.instructions import Instruction
-from repro.isa.operands import Imm
 from repro.isa.registers import MMX_BYTES, Register
 
-#: Symbol meaning "architectural zero shifted in" — never routable.
-ZERO = -1
-
-
-# --- per-instruction byte semantics ------------------------------------------
-
-
-def is_pure_permute(instr: Instruction) -> bool:
-    """True for instructions the off-load pass may delete (pure relocation)."""
-    sem = instr.opcode.sem
-    if sem in ("punpckl", "punpckh", "pshufw"):
-        return True
-    if sem == "movq":
-        return all(isinstance(op, Register) and op.is_mmx for op in instr.operands)
-    if sem in ("psll", "psrl") and instr.opcode.width == 64:
-        count = instr.operands[1]
-        return isinstance(count, Imm) and count.value % 8 == 0
-    return False
-
-
-def byte_sources(instr: Instruction) -> list[tuple[str, int] | None]:
-    """Output-byte provenance of a pure permute.
-
-    Each of the 8 entries is ``('a', i)`` (byte *i* of the destination-as-
-    source operand), ``('b', i)`` (byte *i* of the second operand) or ``None``
-    for a shifted-in zero byte.
-    """
-    sem = instr.opcode.sem
-    if sem == "movq":
-        return [("b", i) for i in range(MMX_BYTES)]
-    if sem in ("psll", "psrl"):
-        k = instr.operands[1].value // 8
-        if sem == "psll":
-            return [("a", i - k) if i >= k else None for i in range(MMX_BYTES)]
-        return [("a", i + k) if i + k < MMX_BYTES else None for i in range(MMX_BYTES)]
-    if sem == "pshufw":
-        order = instr.operands[2].value & 0xFF
-        out: list[tuple[str, int] | None] = []
-        for lane in range(4):
-            src_lane = (order >> (2 * lane)) & 3
-            out.extend([("b", 2 * src_lane), ("b", 2 * src_lane + 1)])
-        return out
-    if sem in ("punpckl", "punpckh"):
-        k = instr.opcode.width // 8  # bytes per lane
-        lanes_n = MMX_BYTES // k
-        half = lanes_n // 2
-        base = 0 if sem == "punpckl" else half
-        out = []
-        for j in range(half):
-            out.extend([("a", (base + j) * k + t) for t in range(k)])
-            out.extend([("b", (base + j) * k + t) for t in range(k)])
-        return out
-    raise ValueError(f"{instr.name} is not a pure permute")
-
-
-def mmx_source_slots(instr: Instruction) -> list[int]:
-    """Operand slots read as routable MMX sources for *instr*."""
-    sem = instr.opcode.sem
-    slots: list[int] = []
-    if not instr.is_mmx:
-        return slots
-    if sem in ("movq", "movd"):
-        op = instr.operands[1]
-        if isinstance(op, Register) and op.is_mmx:
-            slots.append(1)
-        return slots
-    if sem == "pshufw":
-        op = instr.operands[1]
-        if isinstance(op, Register) and op.is_mmx:
-            slots.append(1)
-        return slots
-    if sem in ("psll", "psrl", "psra"):
-        # Route only the data operand; a register shift count stays literal.
-        if isinstance(instr.operands[0], Register):
-            slots.append(0)
-        return slots
-    # Packed read-modify-write forms: destination is also a source.
-    if isinstance(instr.operands[0], Register) and instr.operands[0].is_mmx:
-        slots.append(0)
-    if len(instr.operands) > 1:
-        op = instr.operands[1]
-        if isinstance(op, Register) and op.is_mmx:
-            slots.append(1)
-    return slots
-
-
-def mmx_dest(instr: Instruction) -> Register | None:
-    """MMX register written by *instr*, if any."""
-    dest = instr.dest
-    if dest is not None and dest.is_mmx:
-        return dest
-    return None
-
-
-def is_zero_idiom(instr: Instruction) -> bool:
-    """True for the canonical register-clear idioms (``pxor x,x`` etc.).
-
-    Their result is zero regardless of the register's content, so the
-    analysis can treat the destination as a known-zero source — which both
-    exempts the idiom from operand-routing requirements and lets consumers
-    of shifted-in zeros find a zero byte to route from.
-    """
-    if instr.opcode.sem not in ("pxor", "psub", "psubs", "psubus", "pandn"):
-        return False
-    operands = instr.operands
-    return (
-        len(operands) == 2
-        and isinstance(operands[0], Register)
-        and operands[0] == operands[1]
-    )
-
-
-# --- the symbolic engine ------------------------------------------------------
-
-
-class ByteMap:
-    """Maps (reg_index, byte) → symbol; mutated as the walk proceeds."""
-
-    def __init__(self, zero_regs: tuple = ()) -> None:
-        self.map: dict[tuple[int, int], int] = {}
-        self._next = 1
-        zero_indexes = {reg.index for reg in zero_regs}
-        for reg in range(8):
-            for byte in range(MMX_BYTES):
-                # Known-zero registers (pre-loop pxor idioms) seed ZERO
-                # symbols, giving shifted-in zeros a routable source.
-                self.map[(reg, byte)] = ZERO if reg in zero_indexes else self._fresh()
-
-    def _fresh(self) -> int:
-        sym = self._next
-        self._next += 1
-        return sym
-
-    def operand_syms(self, reg: Register) -> list[int]:
-        return [self.map[(reg.index, b)] for b in range(MMX_BYTES)]
-
-    def write_fresh(self, reg: Register) -> None:
-        for byte in range(MMX_BYTES):
-            self.map[(reg.index, byte)] = self._fresh()
-
-    def apply_permute(self, instr: Instruction) -> None:
-        dst = instr.operands[0]
-        a = self.operand_syms(dst)
-        src_op = instr.operands[1] if len(instr.operands) > 1 else None
-        b = (
-            self.operand_syms(src_op)
-            if isinstance(src_op, Register) and src_op.is_mmx
-            else [ZERO] * MMX_BYTES
-        )
-        out = []
-        for source in byte_sources(instr):
-            if source is None:
-                out.append(ZERO)
-            else:
-                which, i = source
-                out.append(a[i] if which == "a" else b[i])
-        for byte, sym in enumerate(out):
-            self.map[(dst.index, byte)] = sym
-
-    def step(self, instr: Instruction, *, removed: bool) -> None:
-        """Advance the map across *instr* (removed permutes change nothing)."""
-        if removed:
-            return
-        dst = mmx_dest(instr)
-        if dst is None:
-            return
-        if is_zero_idiom(instr):
-            for byte in range(MMX_BYTES):
-                self.map[(dst.index, byte)] = ZERO
-        elif is_pure_permute(instr):
-            self.apply_permute(instr)
-        else:
-            self.write_fresh(dst)
-
-    def set_dst(self, reg: Register, syms: list[int]) -> None:
-        """Replay a known output symbol vector into *reg* (transformed walk)."""
-        for byte, sym in enumerate(syms):
-            self.map[(reg.index, byte)] = sym
-
-    def locate(self, sym: int) -> tuple[int, int] | None:
-        """Find any register byte currently holding *sym*."""
-        for location, value in self.map.items():
-            if value == sym:
-                return location
-        return None
-
-    def locate_zero(self, byte: int) -> tuple[int, int] | None:
-        """Find a zero byte, preferring offset *byte* within its register.
-
-        Any ZERO byte is interchangeable at runtime; picking the same offset
-        keeps the route granule-aligned for half-word-port configurations.
-        """
-        for reg in range(8):
-            if self.map.get((reg, byte)) == ZERO:
-                return (reg, byte)
-        return self.locate(ZERO)
-
+#: A byte-granularity route: per operand byte, the source register-file
+#: byte (``register * 8 + byte``), or None for the architectural byte.
+Route = tuple[int | None, ...]
 
 # --- whole-body analysis ------------------------------------------------------
 
 
 @dataclass
 class OriginalAnalysis:
-    """Everything the walks need to know about the *original* loop body.
+    """Everything the route search needs to know about the *original* body.
 
-    Computed once by :func:`analyze_original`; consumed by both the
-    route-deriving walk (off-load) and the certificate-checking walk (lint).
+    Computed once by :func:`analyze_original` and replayed by every
+    :func:`derive_routes` walk of the off-load pass's fixed point.
     """
 
     #: Per instruction: required symbols per routable operand slot.
@@ -244,54 +52,44 @@ class OriginalAnalysis:
     #: Per instruction and slot: body position of the last prior write to the
     #: slot's register (blame assignment), or None.
     def_of_slot: list[dict[int, int | None]]
-    #: Per instruction: the destination's symbol vector *after* it runs
-    #: (None for instructions without an MMX destination).
-    out_syms: list[list[int] | None]
+    #: Per instruction: the MMX register it writes and that register's
+    #: symbol vector *after* it runs (None without an MMX destination).
+    writes: list[tuple[int, list[int]] | None]
     #: Register indexes live-in to the body (read before any write).
     live_in: frozenset[int]
-    #: End-of-body (reg, byte) → symbol map of the original body.
-    final_syms: dict[tuple[int, int], int]
+    #: End-of-body symbol vector of each register.
+    final_syms: list[list[int]]
 
 
 def analyze_original(
-    body: list[Instruction], known_zero: tuple = ()
+    body: list[Instruction], known_zero: tuple[Register, ...] = ()
 ) -> OriginalAnalysis:
-    """Walk the original body once, collecting the facts both walks replay."""
-    bmap = ByteMap(known_zero)
+    """Walk the original body once, collecting the facts the search replays."""
+    walk = SymbolWalk(known_zero)
     needed: list[dict[int, list[int]]] = []
     last_def: dict[int, int] = {}  # reg index -> body position of last write
     def_of_slot: list[dict[int, int | None]] = []
-    out_syms: list[list[int] | None] = []
-    live_in: set[int] = set()
-    written: set[int] = set()
+    writes: list[tuple[int, list[int]] | None] = []
     for position, instr in enumerate(body):
-        for reg in instr.mmx_regs_read():
-            if reg.index not in written:
-                live_in.add(reg.index)
-        slot_syms: dict[int, list[int]] = {}
-        slot_defs: dict[int, int | None] = {}
+        fact = byte_facts(instr)
         # Zero idioms produce 0 regardless of their inputs: no routing needed.
-        slots = () if is_zero_idiom(instr) else mmx_source_slots(instr)
-        for slot in slots:
-            reg = instr.operands[slot]
-            slot_syms[slot] = bmap.operand_syms(reg)
-            slot_defs[slot] = last_def.get(reg.index)
-        needed.append(slot_syms)
-        def_of_slot.append(slot_defs)
-        bmap.step(instr, removed=False)
-        dst = mmx_dest(instr)
+        regs = {
+            slot: instr.operands[slot].index
+            for slot in (() if fact.zero_idiom else fact.slots)
+        }
+        needed.append({slot: walk.regs[reg] for slot, reg in regs.items()})
+        def_of_slot.append({slot: last_def.get(reg) for slot, reg in regs.items()})
+        walk.step(instr, fact)
+        dst = fact.mmx_dest
+        writes.append(None if dst is None else (dst, walk.regs[dst]))
         if dst is not None:
-            last_def[dst.index] = position
-            written.add(dst.index)
-            out_syms.append(bmap.operand_syms(dst))
-        else:
-            out_syms.append(None)
+            last_def[dst] = position
     return OriginalAnalysis(
         needed=needed,
         def_of_slot=def_of_slot,
-        out_syms=out_syms,
-        live_in=frozenset(live_in),
-        final_syms=dict(bmap.map),
+        writes=writes,
+        live_in=frozenset(walk.live_in),
+        final_syms=walk.regs,
     )
 
 
@@ -315,31 +113,30 @@ def derive_routes(
     body: list[Instruction],
     removed: set[int],
     analysis: OriginalAnalysis,
-    known_zero: tuple,
-    config,
-) -> tuple[dict[int, dict[int, tuple]], WalkFailure | None]:
+    known_zero: tuple[Register, ...],
+    config: CrossbarConfig,
+) -> tuple[dict[int, dict[int, Route]], WalkFailure | None]:
     """Walk the transformed body under *removed*, deriving crossbar routes.
 
     Returns ``(routes, failure)``: per-body-position slot routes (byte
     granularity) when the transformation is valid (``failure is None``), or
     the :class:`WalkFailure` naming the candidate to keep.
     """
-    bmap = ByteMap(known_zero)
-    routes: dict[int, dict[int, tuple]] = {}
+    walk = SymbolWalk(known_zero)
+    regs = walk.regs
+    routes: dict[int, dict[int, Route]] = {}
     for position, instr in enumerate(body):
         if position in removed:
             continue  # removed instructions change nothing
         for slot, required in analysis.needed[position].items():
-            reg = instr.operands[slot]
+            held = regs[instr.operands[slot].index]
             byte_route: list[int | None] = []
             failed: str | None = None
             for byte, sym in enumerate(required):
-                if bmap.map[(reg.index, byte)] == sym:
+                if held[byte] == sym:
                     byte_route.append(None)  # already architectural
                     continue
-                location = (
-                    bmap.locate_zero(byte) if sym == ZERO else bmap.locate(sym)
-                )
+                location = walk.locate_zero(byte) if sym == ZERO else walk.locate(sym)
                 if location is None:
                     failed = (
                         "consumes shifted-in zero bytes with no zero source"
@@ -363,23 +160,19 @@ def derive_routes(
                 routes.setdefault(position, {})[slot] = tuple(byte_route)
         # Kept instructions produce their original values (routes make
         # their operands the original ones), so replay original symbols.
-        dst = mmx_dest(instr)
-        if dst is not None:
-            bmap.set_dst(dst, analysis.out_syms[position])
+        write = analysis.writes[position]
+        if write is not None:
+            regs[write[0]] = write[1]
     # Back-edge check: live-in registers must reach the loop end holding
     # exactly what the original body left there.
     last_removed_writer: dict[int, int] = {}
     for position in removed:
-        dst = mmx_dest(body[position])
-        if dst is not None:
-            prev = last_removed_writer.get(dst.index, -1)
-            last_removed_writer[dst.index] = max(prev, position)
+        write = analysis.writes[position]
+        if write is not None:
+            dst = write[0]
+            last_removed_writer[dst] = max(last_removed_writer.get(dst, -1), position)
     for reg_index in sorted(analysis.live_in):
-        mismatch = any(
-            bmap.map[(reg_index, byte)] != analysis.final_syms[(reg_index, byte)]
-            for byte in range(MMX_BYTES)
-        )
-        if mismatch:
+        if regs[reg_index] != analysis.final_syms[reg_index]:
             return routes, WalkFailure(
                 blame=last_removed_writer.get(reg_index),
                 near=len(body),
@@ -388,8 +181,6 @@ def derive_routes(
                 detail=reg_index,
             )
     return routes, None
-
-
 # --- certificates -------------------------------------------------------------
 
 
@@ -405,7 +196,7 @@ class PermuteWitness:
     #: output bytes to their consumers.
     consumers: tuple[tuple[int, int], ...]
 
-    def as_dict(self) -> dict:
+    def as_dict(self) -> dict[str, Any]:
         return {
             "position": self.position,
             "instr": self.instr,
@@ -432,7 +223,7 @@ class OffloadCertificate:
     #: Body positions the pass deleted.
     removed: tuple[int, ...] = ()
     #: Kept body position → slot → byte-granularity route.
-    routes: dict[int, dict[int, tuple]] = field(default_factory=dict)
+    routes: dict[int, dict[int, Route]] = field(default_factory=dict)
     #: Register indexes pinned by the live-out rule.
     live_out: tuple[int, ...] = ()
     #: Register indexes seeded as known zero.
@@ -451,7 +242,7 @@ class OffloadCertificate:
             position for position in range(len(self.body)) if position not in removed
         )
 
-    def as_dict(self) -> dict:
+    def as_dict(self) -> dict[str, Any]:
         """JSON-friendly certificate (body as text, routes as lists)."""
         return {
             "loop_label": self.loop_label,
@@ -471,126 +262,3 @@ class OffloadCertificate:
             "witnesses": [witness.as_dict() for witness in self.witnesses],
         }
 
-
-@dataclass(frozen=True)
-class CertIssue:
-    """One verification failure; the lint layer maps ``code`` to a rule id."""
-
-    code: str
-    location: str
-    message: str
-
-
-def _zero_registers(indexes: tuple[int, ...]) -> tuple:
-    from repro.isa.registers import MM
-
-    return tuple(MM[index] for index in indexes)
-
-
-def check_certificate(certificate: OffloadCertificate, config) -> list[CertIssue]:
-    """Verify *certificate* by replaying the walk against its recorded routes.
-
-    Independent of :func:`derive_routes`: where the deriving walk *searches*
-    for a source byte, this walk only *checks* that the recorded selector
-    holds the required symbol — so it cannot inherit a synthesis bug.
-    """
-    issues: list[CertIssue] = []
-    body = list(certificate.body)
-    removed = set(certificate.removed)
-    label = certificate.loop_label
-
-    for position in sorted(removed):
-        if position >= len(body):
-            issues.append(CertIssue(
-                "stale", f"{label}+{position}",
-                f"removed position {position} beyond the {len(body)}-instruction body",
-            ))
-            return issues
-        instr = body[position]
-        if not is_pure_permute(instr):
-            issues.append(CertIssue(
-                "not-permute", f"{label}+{position}",
-                f"removed instruction {instr} is not a pure permute",
-            ))
-
-    # Live-out rule: no removed position may be the last writer of a
-    # live-out register.
-    last_writer: dict[int, int] = {}
-    for position, instr in enumerate(body):
-        dst = mmx_dest(instr)
-        if dst is not None:
-            last_writer[dst.index] = position
-    for reg_index in certificate.live_out:
-        position = last_writer.get(reg_index)
-        if position is not None and position in removed:
-            issues.append(CertIssue(
-                "live-out", f"{label}+{position}",
-                f"removed permute {body[position]} is the last writer of "
-                f"live-out register mm{reg_index}",
-            ))
-
-    if issues:
-        return issues
-
-    known_zero = _zero_registers(certificate.known_zero)
-    analysis = analyze_original(body, known_zero)
-    bmap = ByteMap(known_zero)
-    for position, instr in enumerate(body):
-        if position in removed:
-            continue
-        slot_routes = certificate.routes.get(position, {})
-        for slot, required in analysis.needed[position].items():
-            reg = instr.operands[slot]
-            route = slot_routes.get(slot)
-            if route is not None and len(route) != MMX_BYTES:
-                issues.append(CertIssue(
-                    "route-illegal", f"{label}+{position}",
-                    f"slot {slot} route has {len(route)} entries, "
-                    f"need {MMX_BYTES}",
-                ))
-                continue
-            for byte, sym in enumerate(required):
-                selector = None if route is None else route[byte]
-                if selector is None:
-                    held = bmap.map[(reg.index, byte)]
-                    source = f"architectural {reg}[{byte}]"
-                else:
-                    held = bmap.map[(selector // MMX_BYTES, selector % MMX_BYTES)]
-                    source = (
-                        f"routed mm{selector // MMX_BYTES}"
-                        f"[{selector % MMX_BYTES}]"
-                    )
-                if held != sym:
-                    issues.append(CertIssue(
-                        "byte-mismatch", f"{label}+{position}",
-                        f"{instr}: slot {slot} byte {byte} needs "
-                        f"{'zero' if sym == ZERO else f'symbol {sym}'} but "
-                        f"{source} holds "
-                        f"{'zero' if held == ZERO else f'symbol {held}'}",
-                    ))
-                    break
-            if route is not None and any(sel is not None for sel in route):
-                try:
-                    config.check_byte_route(tuple(route))
-                except RouteError as exc:
-                    issues.append(CertIssue(
-                        "route-illegal", f"{label}+{position}",
-                        f"slot {slot} route illegal for config "
-                        f"{config.name}: {exc}",
-                    ))
-        dst = mmx_dest(instr)
-        if dst is not None:
-            bmap.set_dst(dst, analysis.out_syms[position])
-
-    for reg_index in sorted(analysis.live_in):
-        mismatch = [
-            byte for byte in range(MMX_BYTES)
-            if bmap.map[(reg_index, byte)] != analysis.final_syms[(reg_index, byte)]
-        ]
-        if mismatch:
-            issues.append(CertIssue(
-                "backedge", f"{label}+{len(body)}",
-                f"live-in register mm{reg_index} diverges from the original "
-                f"at the back edge (bytes {mismatch})",
-            ))
-    return issues

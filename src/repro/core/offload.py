@@ -6,19 +6,19 @@ from the body and synthesizes the SPU controller program that reroutes the
 consumers' operands through the crossbar instead — "the generation of the
 code for the SPU is systematic and can be automated".
 
-Method: symbolic byte provenance (:mod:`repro.core.dataflow`).  Every MMX
-register byte at loop entry gets a unique symbol; walking the body, pure
-permutes relocate symbols while computes/loads mint fresh ones.  An
-instruction's operand can be rerouted iff each byte's *original* symbol
-still lives somewhere in the register file of the transformed (permute-less)
-body at that point, at a location the interconnect configuration can
-address.  Candidates whose consumers cannot be rerouted are kept; the
-analysis iterates to a fixed point.
+Method: symbolic byte provenance (:mod:`repro.core.dataflow` over the byte
+walk of :mod:`repro.core.mmxbytes`).  Every MMX register byte at loop entry
+gets a unique symbol; walking the body, relocations move symbols while
+computes/loads mint fresh ones.  An instruction's operand can be rerouted
+iff each byte's *original* symbol still lives somewhere in the register
+file of the transformed (permute-less) body at that point, at a location
+the interconnect configuration can address.  Candidates whose consumers
+cannot be rerouted are kept; the analysis iterates to a fixed point.
 
 Every successful run emits an :class:`~repro.core.dataflow.OffloadCertificate`
 — the removal set, the exact byte routes, and per deleted permute the
 consumer routes that reproduce its byte movement — which
-:func:`repro.core.dataflow.check_certificate` (and ``repro lint``) can
+:func:`repro.core.replay.check_certificate` (and ``repro lint``) can
 re-verify without re-running the pass.
 
 Saturating packs (``packss*``/``packus*``) are value-transforming, not pure
@@ -33,16 +33,17 @@ from dataclasses import dataclass, field
 from repro.errors import ReproError
 from repro.core.builder import SPUProgramBuilder, StateSpec
 from repro.core.dataflow import (
-    ZERO,
-    ByteMap,
     OffloadCertificate,
     PermuteWitness,
+    Route,
     analyze_original,
-    byte_sources,
     derive_routes,
+)
+from repro.core.mmxbytes import (
+    ZERO,
+    byte_sources,
     is_pure_permute,
     is_zero_idiom,
-    mmx_dest,
     mmx_source_slots,
 )
 from repro.core.interconnect import CONFIG_D, CrossbarConfig
@@ -58,13 +59,9 @@ __all__ = [
     "find_loop",
     "is_pure_permute",
     "is_zero_idiom",
-    "mmx_dest",
     "mmx_source_slots",
     "offload_loop",
 ]
-
-#: Backwards-compatible alias; the engine now lives in repro.core.dataflow.
-_ByteMap = ByteMap
 
 
 class OffloadError(ReproError):
@@ -83,7 +80,7 @@ class OffloadReport:
     loop_start: int = 0
     loop_end: int = 0
     #: Routed operand slots per transformed-body position.
-    routes_by_position: dict[int, dict[int, tuple]] = field(default_factory=dict)
+    routes_by_position: dict[int, dict[int, Route]] = field(default_factory=dict)
     #: Candidates considered but kept, with reasons (diagnostics).
     kept: dict[int, str] = field(default_factory=dict)
     #: Machine-checkable soundness evidence (see repro.core.dataflow).
@@ -193,15 +190,15 @@ def offload_loop(
 
     # Live-out rule: the last writer of a live-out register must be kept.
     # These keeps are pinned: re-expansion below must never undo them.
-    last_writer: dict[int, int] = {}
-    for position, instr in enumerate(body):
-        dst = mmx_dest(instr)
-        if dst is not None:
-            last_writer[dst.index] = position
+    last_writer = {
+        write[0]: position
+        for position, write in enumerate(analysis.writes)
+        if write is not None
+    }
     pinned: set[int] = set()
     for reg in live_out:
         position = last_writer.get(reg.index)
-        if _keep(position, "last writer of a live-out register"):
+        if position is not None and _keep(position, "last writer of a live-out register"):
             pinned.add(position)
 
     # Fixed point: verify every kept instruction's operands are reachable,
@@ -271,7 +268,7 @@ def offload_loop(
     # --- emit the SPU controller program -----------------------------------------
     builder = SPUProgramBuilder(config=config, name=f"{program.name}-spu-ctl")
     specs: list[StateSpec] = []
-    routes_by_position: dict[int, dict[int, tuple]] = {}
+    routes_by_position: dict[int, dict[int, Route]] = {}
     new_position = 0
     for position in range(len(body)):
         if position in removed_set:

@@ -30,9 +30,10 @@ the run.  Readers (:class:`Reader`) get ``on_start(recorder)``,
 open across a chunk boundary.  Event objects are built only on request,
 by :meth:`Chunk.events`.
 
-A target without a ``recorder`` attribute (any object with a ``bus``) is
-recorded from its bus events instead, so the same readers aggregate a
-hand-driven or third-party event stream.
+A hand-driven stream is recorded by calling :meth:`Recorder.start`,
+:meth:`~Recorder.issue`, :meth:`~Recorder.stall`, :meth:`~Recorder.branch`
+and :meth:`~Recorder.end` directly; any target with a ``recorder``
+attribute can carry the recorder.
 """
 
 from __future__ import annotations
@@ -57,10 +58,6 @@ FLAG_BITS = 3
 def issue_flags(follower: bool, routed: bool, mmx: bool) -> int:
     """The flag bits of one issue's stamp."""
     return (V_PIPE if follower else 0) | (ROUTED if routed else 0) | (MMX if mmx else 0)
-
-
-#: Topics a bus-fed recorder subscribes to.
-_TOPICS = ("run_start", "issue", "stall", "branch", "run_end")
 
 
 def _column(values: array) -> np.ndarray:
@@ -162,7 +159,6 @@ class Recorder:
         self.instructions = 0
         self.finished = False
         self._target = None
-        self._unsubscribes: list = []
 
     # ---- wiring -------------------------------------------------------------
 
@@ -173,8 +169,6 @@ class Recorder:
         if recorder is None:
             recorder = cls()
             recorder._target = target
-            if not hasattr(target, "recorder"):
-                recorder._subscribe(target.bus)
             target.recorder = recorder
         recorder.readers.append(reader)
         return recorder
@@ -184,25 +178,8 @@ class Recorder:
         if reader in self.readers:
             self.readers.remove(reader)
         if not self.readers and self._target is not None:
-            if self._unsubscribes:
-                for unsubscribe in self._unsubscribes:
-                    unsubscribe()
-                self._unsubscribes = []
-                del self._target.recorder
-            else:
-                self._target.recorder = None
+            self._target.recorder = None
             self._target = None
-
-    def _subscribe(self, bus) -> None:
-        handlers = {
-            "run_start": lambda e: self.start(e.program, e.fill_cycles),
-            "issue": lambda e: self.issue(e.pc, e.cycle, issue_flags(
-                e.pipe == "V", e.routed, e.instr.is_mmx)),
-            "stall": lambda e: self.stall(e.pc, e.cycle, e.cycles),
-            "branch": lambda e: self.branch(e.taken, e.mispredict, e.penalty),
-            "run_end": lambda e: self.end(e.cycles, e.instructions, e.finished),
-        }
-        self._unsubscribes = [bus.subscribe(topic, handlers[topic]) for topic in _TOPICS]
 
     # ---- the write side -----------------------------------------------------
 

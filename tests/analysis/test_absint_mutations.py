@@ -14,8 +14,9 @@ from repro.analysis.absint import (
     FusionCertificate,
     certify_program,
     check_fusion_certificate,
-    fusion_certificate_findings,
 )
+from repro.analysis.findings import FindingCollector
+from repro.core.replay import add_findings
 from repro.isa import Program, ProgramBuilder
 from repro.kernels import make_kernel
 
@@ -217,7 +218,9 @@ class TestCertificateTampering:
 
     def test_findings_map_to_cert_rules(self):
         issues = self.issues_for(replace(self.cert, schema="bogus"))
-        findings = fusion_certificate_findings(issues, subject="DotProduct/mmx")
+        out = FindingCollector()
+        add_findings(out, issues, "DotProduct/mmx")
+        findings = out.findings
         assert [f.rule for f in findings] == ["fx-cert-schema"]
         assert findings[0].loop == self.cert.loop
         assert findings[0].severity.name == "ERROR"

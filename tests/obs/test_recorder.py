@@ -357,15 +357,17 @@ def test_profile_and_trace_match_issue_events(name):
             str(e.instr).split(": ")[-1] for e in issues[:1000]]
 
 
-def test_bus_fed_recorder_detaches_cleanly():
-    """A target without a recorder slot is recorded from its bus."""
+def test_hand_driven_recorder_detaches_cleanly():
+    """A hand-driven recorder feeds its reader and leaves with it."""
     from types import SimpleNamespace
 
-    from repro.obs import EventBus
-
-    target = SimpleNamespace(bus=EventBus())
+    target = SimpleNamespace(recorder=None)
     profiler = TraceProfiler().attach(target)
-    assert target.bus.has_subscribers("issue")
+    recorder = target.recorder
+    assert recorder is not None and recorder.readers == [profiler]
+    recorder.start("p", 0)
+    recorder.issue(0, 1, 0)
+    recorder.end(1, 1, True)
+    assert profiler.attributed_cycles() == 1
     profiler.detach()
-    assert not target.bus.has_subscribers()
-    assert not hasattr(target, "recorder")
+    assert target.recorder is None

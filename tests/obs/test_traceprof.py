@@ -5,15 +5,8 @@ from types import SimpleNamespace
 from repro.cpu import Machine
 from repro.isa import assemble
 from repro.kernels import make_kernel
-from repro.obs import (
-    BranchEvent,
-    EventBus,
-    IssueEvent,
-    RunEndEvent,
-    RunStartEvent,
-    StallEvent,
-    TraceProfiler,
-)
+from repro.obs import TraceProfiler
+from repro.obs.recorder import issue_flags
 
 LOOP = "mov r0, 5\ntop: paddw mm0, mm1\nloop r0, top\nhalt"
 
@@ -84,34 +77,24 @@ class TestOnMachines:
 
 
 def synthetic(profiler_kwargs=None):
-    """A profiler on a bare bus, driven by hand-crafted events."""
-    bus = EventBus()
-    profiler = TraceProfiler(**(profiler_kwargs or {})).attach(
-        SimpleNamespace(bus=bus)
-    )
-    return bus, profiler
+    """A profiler on a bare recorder, driven by hand-crafted records."""
+    target = SimpleNamespace(recorder=None)
+    profiler = TraceProfiler(**(profiler_kwargs or {})).attach(target)
+    return target.recorder, profiler
 
 
-INSTR = SimpleNamespace(is_mmx=False)
-
-
-def issue(bus, seq, cycle, pc, pipe="U", routed=False):
-    bus.dispatch("issue", IssueEvent(
-        seq=seq, cycle=cycle, pc=pc, instr=INSTR, pipe=pipe, routed=routed,
-    ))
+def issue(rec, cycle, pc, pipe="U", routed=False, mmx=False):
+    rec.issue(pc, cycle, issue_flags(pipe == "V", routed, mmx))
 
 
 class TestSyntheticStreams:
     def test_back_edge_closes_and_rekeys(self):
-        bus, profiler = synthetic()
-        bus.dispatch("run_start", RunStartEvent(program="p", fill_cycles=1))
-        for seq, (cycle, pc) in enumerate([(1, 0), (2, 1), (3, 2),
-                                           (4, 1), (5, 2),
-                                           (6, 1), (7, 2), (8, 3)]):
-            issue(bus, seq, cycle, pc)
-        bus.dispatch("run_end", RunEndEvent(
-            program="p", cycles=10, instructions=8, finished=True,
-        ))
+        rec, profiler = synthetic()
+        rec.start("p", 1)
+        for cycle, pc in [(1, 0), (2, 1), (3, 2), (4, 1), (5, 2),
+                          (6, 1), (7, 2), (8, 3)]:
+            issue(rec, cycle, pc)
+        rec.end(10, 8, True)
         bodies = sorted(trace.body for trace in profiler.traces.values())
         assert bodies == [(0, 1, 2), (1, 2), (1, 2, 3)]
         assert profiler.attributed_cycles() == 10
@@ -119,18 +102,16 @@ class TestSyntheticStreams:
         assert steady.executions == 1
 
     def test_pending_stall_lands_in_the_next_trace(self):
-        bus, profiler = synthetic()
-        bus.dispatch("run_start", RunStartEvent(program="p", fill_cycles=0))
-        issue(bus, 0, 1, 0)
-        issue(bus, 1, 2, 1)
+        rec, profiler = synthetic()
+        rec.start("p", 0)
+        issue(rec, 1, 0)
+        issue(rec, 2, 1)
         # Stall fires before the issue it delays — and that issue's pc is a
         # back edge, so the stall belongs to the *new* trace's window.
-        bus.dispatch("stall", StallEvent(cycle=3, pc=0, cycles=2))
-        issue(bus, 2, 5, 0)
-        issue(bus, 3, 6, 1)
-        bus.dispatch("run_end", RunEndEvent(
-            program="p", cycles=7, instructions=4, finished=True,
-        ))
+        rec.stall(0, 3, 2)
+        issue(rec, 5, 0)
+        issue(rec, 6, 1)
+        rec.end(7, 4, True)
         first = profiler.traces[(0, (0, 1))]
         assert first.executions == 2
         assert first.stall_cycles == 2
@@ -138,43 +119,34 @@ class TestSyntheticStreams:
         assert profiler.attributed_cycles() == 7
 
     def test_branch_penalty_charges_the_open_trace(self):
-        bus, profiler = synthetic()
-        bus.dispatch("run_start", RunStartEvent(program="p", fill_cycles=0))
-        issue(bus, 0, 1, 0)
-        bus.dispatch("branch", BranchEvent(
-            cycle=1, pc=0, taken=True, predicted_taken=False,
-            mispredict=True, penalty=3,
-        ))
-        issue(bus, 1, 5, 0)
-        bus.dispatch("run_end", RunEndEvent(
-            program="p", cycles=6, instructions=2, finished=True,
-        ))
+        rec, profiler = synthetic()
+        rec.start("p", 0)
+        issue(rec, 1, 0)
+        rec.branch(True, True, 3)
+        issue(rec, 5, 0)
+        rec.end(6, 2, True)
         trace = profiler.traces[(0, (0,))]
         assert trace.mispredict_cycles == 3
         assert profiler.attributed_cycles() == 6
 
     def test_two_repeating_bodies_make_a_head_unstable(self):
-        bus, profiler = synthetic()
-        bus.dispatch("run_start", RunStartEvent(program="p", fill_cycles=0))
+        rec, profiler = synthetic()
+        rec.start("p", 0)
         seq = 0
         # Head 0 alternates between paths (0,1) and (0,2) — both repeat.
         for pcs in [(0, 1), (0, 2), (0, 1), (0, 2), (0, 1)]:
             for pc in pcs:
-                issue(bus, seq, seq + 1, pc)
+                issue(rec, seq + 1, pc)
                 seq += 1
-        bus.dispatch("run_end", RunEndEvent(
-            program="p", cycles=seq + 1, instructions=seq, finished=True,
-        ))
+        rec.end(seq + 1, seq, True)
         assert 0 not in profiler.stable_heads()
 
     def test_truncated_body_keeps_counting(self):
-        bus, profiler = synthetic({"max_body": 2})
-        bus.dispatch("run_start", RunStartEvent(program="p", fill_cycles=0))
+        rec, profiler = synthetic({"max_body": 2})
+        rec.start("p", 0)
         for seq, pc in enumerate((0, 1, 2, 3)):
-            issue(bus, seq, seq + 1, pc)
-        bus.dispatch("run_end", RunEndEvent(
-            program="p", cycles=5, instructions=4, finished=True,
-        ))
+            issue(rec, seq + 1, pc)
+        rec.end(5, 4, True)
         trace = profiler.sorted_traces()[0]
         assert trace.truncated
         assert trace.instructions == 4  # counters keep going past the cap
@@ -182,18 +154,11 @@ class TestSyntheticStreams:
         assert profiler.attributed_cycles() == 5
 
     def test_as_dict_rates(self):
-        bus, profiler = synthetic()
-        bus.dispatch("run_start", RunStartEvent(program="p", fill_cycles=0))
-        mmx = SimpleNamespace(is_mmx=True)
-        bus.dispatch("issue", IssueEvent(
-            seq=0, cycle=1, pc=0, instr=mmx, pipe="U", routed=True,
-        ))
-        bus.dispatch("issue", IssueEvent(
-            seq=1, cycle=1, pc=1, instr=mmx, pipe="V", routed=False,
-        ))
-        bus.dispatch("run_end", RunEndEvent(
-            program="p", cycles=2, instructions=2, finished=True,
-        ))
+        rec, profiler = synthetic()
+        rec.start("p", 0)
+        issue(rec, 1, 0, pipe="U", routed=True, mmx=True)
+        issue(rec, 1, 1, pipe="V", routed=False, mmx=True)
+        rec.end(2, 2, True)
         record = profiler.sorted_traces()[0].as_dict()
         assert record["pair_fraction"] == 0.5
         assert record["route_utilization"] == 0.5
