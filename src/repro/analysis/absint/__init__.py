@@ -18,7 +18,7 @@ from repro.analysis.absint.audit import (
     fusion_audit,
     fusion_audit_report,
 )
-from repro.analysis.absint.certificate import FUSION_CERT_SCHEMA, FusionCertificate
+from repro.analysis.absint.certificate import FusionCertificate
 from repro.analysis.absint.domain import (
     Affine,
     ByteWord,
@@ -34,7 +34,11 @@ from repro.analysis.absint.interp import (
     certify_program,
     loop_entry_state,
 )
-from repro.core.replay import REPLAY_TRIP_LIMIT, check_fusion_certificate
+from repro.core.replay import (
+    FUSION_CERT_SCHEMA,
+    REPLAY_TRIP_LIMIT,
+    check_fusion_certificate,
+)
 
 __all__ = [
     "Affine",

@@ -49,7 +49,7 @@ from repro.core.mmxbytes import (
     is_zero_idiom,
     relocate,
 )
-from repro.core.replay import add_findings, check_fusion_certificate
+from repro.core.replay import ISSUE_RULES, CertIssue, check_fusion_certificate
 from repro.isa.instructions import Instruction, Program
 from repro.isa.opcodes import InstrClass
 from repro.isa.operands import Imm, Label, Mem
@@ -506,6 +506,19 @@ class ProgramCertification:
             else:
                 out[region.label] = region.blocking_rules()
         return out
+
+
+def add_replay_findings(
+    out: FindingCollector, issues: list[CertIssue], subject: str
+) -> None:
+    """Add one ``fx-cert-*`` error per fusion replay issue to *out*."""
+    for issue in issues:
+        out.add(
+            ISSUE_RULES[issue.code], "error", f"{subject}: loop {issue.location}",
+            issue.message,
+            fix_hint="re-run the certifier against the current program",
+            loop=issue.location,
+        )
 
 
 def _branch_target(instr: Instruction, program: Program) -> int | None:
@@ -1002,7 +1015,7 @@ def _certify_region(
     # fx-cert-* findings rather than a bogus proof.
     issues = check_fusion_certificate(certificate, program)
     if issues:
-        add_findings(out, issues, subject)
+        add_replay_findings(out, issues, subject)
         certification.findings = sort_findings(out.findings)
         return certification
     certification.certificate = certificate

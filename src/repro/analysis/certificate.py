@@ -25,7 +25,7 @@ from repro.core.interconnect import (
     CrossbarConfig,
 )
 from repro.core.program import SPUProgram
-from repro.core.replay import add_findings, check_certificate
+from repro.core.replay import ISSUE_RULES, check_certificate
 
 
 def resolve_config(name: str) -> CrossbarConfig:
@@ -50,7 +50,13 @@ def certificate_findings(
     label = subject if subject is not None else certificate.loop_label
     config = resolve_config(certificate.config_name)
 
-    add_findings(out, check_certificate(certificate, config), label)
+    for issue in check_certificate(certificate, config):
+        out.add(
+            ISSUE_RULES[issue.code], "error", f"{label} ({issue.location})",
+            issue.message,
+            fix_hint="re-run the off-load pass; a certificate must describe "
+            "exactly the transformation that ships",
+        )
     if spu_program is not None:
         out.extend(
             _program_agreement(certificate, spu_program, label, config)

@@ -23,8 +23,9 @@ and the provenance walk of :mod:`repro.core.mmxbytes`.
   Packed-op SWAR records, carried classes, overflow and carried-memory
   records are recomputed structurally and compared both directions.
 
-Every disagreement is a :class:`CertIssue`; :func:`add_findings` turns
-issues into findings under the rule :data:`ISSUE_RULES` names.
+Every disagreement is a :class:`CertIssue`; its finding carries the rule
+:data:`ISSUE_RULES` names, with the location text and fix hint of the
+analyzer that reports it.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from repro.simd.swar import MASKS
 
 if TYPE_CHECKING:
     from repro.analysis.absint.certificate import FusionCertificate
-    from repro.analysis.findings import FindingCollector
     from repro.core.dataflow import OffloadCertificate
     from repro.core.interconnect import CrossbarConfig
 
@@ -90,24 +90,6 @@ class CertIssue:
     code: str
     location: str
     message: str
-
-
-def add_findings(out: FindingCollector, issues: list[CertIssue], subject: str) -> None:
-    """Add one ``error`` finding per issue to *out*."""
-    for issue in issues:
-        rule = ISSUE_RULES[issue.code]
-        if rule.startswith("fx-"):
-            out.add(
-                rule, "error", f"{subject}: loop {issue.location}", issue.message,
-                fix_hint="re-run the certifier against the current program",
-                loop=issue.location,
-            )
-        else:
-            out.add(
-                rule, "error", f"{subject} ({issue.location})", issue.message,
-                fix_hint="re-run the off-load pass; a certificate must describe "
-                "exactly the transformation that ships",
-            )
 
 
 # ---- off-load certificates ------------------------------------------------------

@@ -16,7 +16,7 @@ from repro.analysis.absint import (
     check_fusion_certificate,
 )
 from repro.analysis.findings import FindingCollector
-from repro.core.replay import add_findings
+from repro.analysis.absint.interp import add_replay_findings
 from repro.isa import Program, ProgramBuilder
 from repro.kernels import make_kernel
 
@@ -219,7 +219,7 @@ class TestCertificateTampering:
     def test_findings_map_to_cert_rules(self):
         issues = self.issues_for(replace(self.cert, schema="bogus"))
         out = FindingCollector()
-        add_findings(out, issues, "DotProduct/mmx")
+        add_replay_findings(out, issues, "DotProduct/mmx")
         findings = out.findings
         assert [f.rule for f in findings] == ["fx-cert-schema"]
         assert findings[0].loop == self.cert.loop
