@@ -1,20 +1,19 @@
-"""Guard: the event bus costs nothing when nobody is listening.
+"""Guard: observation costs nothing when nobody is looking.
 
-The pipeline's emission sites are all guarded by a subscriber-list emptiness
-test (``if bus.issue: ...``), so an unobserved run should match pre-bus
-throughput.  :class:`PreBusMachine` reproduces the pre-bus hot loop exactly
-— the current per-uop ``run``/``_issue_uop``/``_branch_cost`` with every bus
-statement, resilience handler and translated-block entry deleted — and this
-bench asserts the instrumented, zero-subscriber machine stays within 5% of
-it on the same per-uop path (block translation forced off, as in
-``tests/cpu/test_blocks.py``).
+The per-uop issue loop's observation sites are each one ``None`` test (the
+recorder, the fault injector's issue trigger), so an unobserved run should
+match pre-bus throughput.  :class:`PreBusMachine` reproduces the pre-bus
+hot loop exactly — the current per-uop ``run``/``_issue_uop``/``_branch_cost``
+with every observation statement, resilience handler and translated-block
+entry deleted — and this bench asserts the instrumented, unobserved
+machine stays within 5% of it on the same per-uop path (block translation
+forced off, as in ``tests/cpu/test_blocks.py``).
 
-Unobserved runs normally enter translated blocks (``repro.cpu.blocks``),
-which runs with a callback subscriber never do, so the price of subscribing
-is also recorded against the translated path: that is what a user pays to
-look at a run.  A columnar recorder (``repro.obs.recorder``) keeps an
-observed run in blocks: the "recorder vs translated" row prices a run with
-the hot-trace profiler reading the recorder, and is gated at +100%.
+Unobserved runs normally enter translated blocks (``repro.cpu.blocks``).
+A columnar recorder (``repro.obs.recorder``) keeps an observed run in
+blocks: the "recorder vs translated" row prices a run with the hot-trace
+profiler reading the recorder, which is what a user pays to look at a run,
+and is gated at +100%.
 
 Measurement shape, each part earned by a failure mode it removes:
 
@@ -34,7 +33,6 @@ Measurement shape, each part earned by a failure mode it removes:
   specializer happen to land), and that bias is fixed for the process's
   lifetime, so no amount of in-process repetition averages it away.
 
-A fully-subscribed run is measured too, for the record.
 """
 
 import json
@@ -73,7 +71,6 @@ PAIRS = (
     ("idle", "prebus"),
     ("tracer_off", "prebus"),
     ("translated", "prebus"),
-    ("observed", "translated"),
     ("recorded", "translated"),
 )
 PAIR_ROUNDS = 7
@@ -98,7 +95,7 @@ class PreBusMachine(Machine):
             reg_ready[key] = cycle + latency
         return outcome
 
-    def _branch_cost(self, instr, pc, outcome, stats, cycle=0):
+    def _branch_cost(self, instr, pc, outcome, stats):
         stats.branches += 1
         if instr.opcode.sem == "jmp":
             predicted = True
@@ -166,7 +163,7 @@ class PreBusMachine(Machine):
                 break
 
             if outcome is not None:
-                cycle += 1 + self._branch_cost(instr, pc, outcome, stats, cycle)
+                cycle += 1 + self._branch_cost(instr, pc, outcome, stats)
                 stats.solo_cycles += 1
                 if mmx_busy:
                     stats.mmx_busy_cycles += 1
@@ -202,7 +199,7 @@ class PreBusMachine(Machine):
                         extra = 0
                         if outcome2 is not None:
                             if outcome2.is_branch:
-                                extra = self._branch_cost(follower, pc, outcome2, stats, cycle)
+                                extra = self._branch_cost(follower, pc, outcome2, stats)
                             pc = outcome2.next_pc
                         else:
                             pc += 1
@@ -237,21 +234,18 @@ def _per_uop(program):
 
 
 def _cases(program):
-    counter = []
     return [
         ("prebus", lambda: PreBusMachine(program), None),
         ("idle", lambda: _per_uop(program), None),
         # A trace profiler that was attached and then detached must leave the
-        # machine indistinguishable from one that never saw it: detach drops
-        # the subscriber lists back to empty, so the hot loop's emptiness
-        # guards skip every emission site again.
+        # machine indistinguishable from one that never saw it: the last
+        # reader's detach drops the recorder, so the hot loop's ``None``
+        # tests skip every recording site again.
         ("tracer_off", lambda: _per_uop(program),
          lambda machine: TraceProfiler().attach(machine).detach()),
         # What an unobserved run really does: enter translated blocks (the
         # warm-up run has translated the loop body).
         ("translated", lambda: Machine(program), None),
-        ("observed", lambda: Machine(program),
-         lambda machine: machine.bus.subscribe("issue", counter.append)),
         # The hot-trace profiler reads the recorder, which translated blocks
         # append to (the warm-up run has translated the recorded variant).
         ("recorded", lambda: Machine(program),
@@ -262,13 +256,13 @@ def _cases(program):
 def _measure():
     """One process's estimate: warm-up, then median ratios of adjacent pairs."""
     program = assemble(SOURCE)
-    cases = {name: (factory, subscribe) for name, factory, subscribe in _cases(program)}
+    cases = {name: (factory, observe) for name, factory, observe in _cases(program)}
 
     def timed(name):
-        factory, subscribe = cases[name]
+        factory, observe = cases[name]
         machine = factory()
-        if subscribe is not None:
-            subscribe(machine)
+        if observe is not None:
+            observe(machine)
         start = time.perf_counter()
         machine.run()
         return time.perf_counter() - start
@@ -314,11 +308,9 @@ def test_zero_subscriber_overhead(benchmark):
     started = time.perf_counter()
     samples = benchmark.pedantic(_sample_processes, rounds=1, iterations=1)
     elapsed = time.perf_counter() - started
-    (prebus_time, idle_time, tracer_off_time, translated_time, observed_time,
-     recorded_time) = (
+    prebus_time, idle_time, tracer_off_time, translated_time, recorded_time = (
         statistics.median(s["times"][name] for s in samples)
-        for name in ("prebus", "idle", "tracer_off", "translated", "observed",
-                     "recorded")
+        for name in ("prebus", "idle", "tracer_off", "translated", "recorded")
     )
 
     def overhead(pair):
@@ -326,22 +318,16 @@ def test_zero_subscriber_overhead(benchmark):
 
     idle_overhead = overhead("idle/prebus")
     tracer_off_overhead = overhead("tracer_off/prebus")
-    observed_overhead = observed_time / prebus_time - 1  # for the record
     translated_overhead = overhead("translated/prebus")
-    observed_vs_translated = overhead("observed/translated")
     recorded_vs_translated = overhead("recorded/translated")
     rows = [
         ["pre-bus baseline", f"{prebus_time * 1e3:.1f}", "-"],
-        ["event bus, no subscribers", f"{idle_time * 1e3:.1f}",
+        ["per-uop loop, unobserved", f"{idle_time * 1e3:.1f}",
          ratio(idle_overhead * 100, 2) + "%"],
         ["trace profiler attached+detached", f"{tracer_off_time * 1e3:.1f}",
          ratio(tracer_off_overhead * 100, 2) + "%"],
-        ["translated blocks, no subscribers", f"{translated_time * 1e3:.1f}",
+        ["translated blocks, unobserved", f"{translated_time * 1e3:.1f}",
          ratio(translated_overhead * 100, 2) + "%"],
-        ["event bus, issue subscriber", f"{observed_time * 1e3:.1f}",
-         ratio(observed_overhead * 100, 2) + "%"],
-        ["issue subscriber vs translated", "-",
-         ratio(observed_vs_translated * 100, 2) + "%"],
         ["recorder + trace profiler", f"{recorded_time * 1e3:.1f}",
          ratio((recorded_time / prebus_time - 1) * 100, 2) + "%"],
         ["recorder vs translated", "-",
@@ -359,23 +345,20 @@ def test_zero_subscriber_overhead(benchmark):
     emit("obs_overhead", text, headers=headers, rows=rows,
          data={"prebus_s": prebus_time, "idle_s": idle_time,
                "tracer_off_s": tracer_off_time,
-               "translated_s": translated_time,
-               "observed_s": observed_time, "recorded_s": recorded_time,
+               "translated_s": translated_time, "recorded_s": recorded_time,
                "idle_overhead": idle_overhead,
                "tracer_off_overhead": tracer_off_overhead,
                "translated_overhead": translated_overhead,
-               "observed_overhead": observed_overhead,
-               "observed_vs_translated_overhead": observed_vs_translated,
                "recorded_vs_translated_overhead": recorded_vs_translated,
                "processes": PROCESSES, "pair_rounds": PAIR_ROUNDS,
                "elapsed_s": elapsed})
 
     # The guard: an unobserved instrumented run is within 5% of pre-bus.
     assert idle_overhead < 0.05, (
-        f"zero-subscriber bus overhead {idle_overhead:.1%} exceeds the 5% budget"
+        f"unobserved per-uop overhead {idle_overhead:.1%} exceeds the 5% budget"
     )
     # A detached trace profiler gets the same budget: detach must return the
-    # bus to the zero-subscriber fast path, not leave residual dispatch work.
+    # machine to the unobserved fast path, not leave residual recording work.
     assert tracer_off_overhead < 0.05, (
         f"detached-tracer overhead {tracer_off_overhead:.1%} exceeds the"
         " 5% budget"

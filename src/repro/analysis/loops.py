@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.analysis.profiler import run_pc_counts
 from repro.cpu import Machine
 from repro.isa import Program
 
@@ -86,6 +87,9 @@ def profile_loops(machine: Machine, max_cycles: int | None = None) -> LoopProfil
     """Run *machine* and attribute issued instructions to loop regions.
 
     Nested regions attribute to the innermost (smallest) enclosing one.
+    The per-pc issue counts come from the machine's recorder
+    (:func:`repro.analysis.profiler.run_pc_counts`), so the run still
+    enters translated blocks.
     """
     regions = find_loop_regions(machine.program)
     profile = LoopProfile(regions=regions)
@@ -98,21 +102,18 @@ def profile_loops(machine: Machine, max_cycles: int | None = None) -> LoopProfil
                     best = region
         return best
 
-    def on_issue(event) -> None:
-        profile.total += 1
-        region = innermost(event.pc)
+    _, counts = run_pc_counts(machine, max_cycles)
+    instructions = machine.program.instructions
+    for pc, count in counts.items():
+        profile.total += count
+        region = innermost(pc)
         if region is None:
-            profile.outside += 1
+            profile.outside += count
         else:
-            region.instructions += 1
-            if event.instr.is_mmx:
-                region.mmx_instructions += 1
-            if event.instr.is_alignment_candidate:
-                region.alignment_instructions += 1
-
-    unsubscribe = machine.bus.subscribe("issue", on_issue)
-    try:
-        machine.run(max_cycles=max_cycles)
-    finally:
-        unsubscribe()
+            region.instructions += count
+            instr = instructions[pc]
+            if instr.is_mmx:
+                region.mmx_instructions += count
+            if instr.is_alignment_candidate:
+                region.alignment_instructions += count
     return profile

@@ -98,13 +98,14 @@ class _PcCounts:
         """The counts are complete with the last chunk."""
 
 
-def profile(machine: Machine, max_cycles: int | None = None) -> InstructionProfile:
-    """Run *machine* to completion while collecting the instruction mix.
+def run_pc_counts(machine: Machine,
+                  max_cycles: int | None = None) -> tuple[RunStats, dict[int, int]]:
+    """Run *machine* to completion; its stats and dynamic issues per pc.
 
-    Reads the machine's columnar recorder: ``by_opcode`` comes from the
-    per-pc issue counts, so the run still enters translated blocks, and it
-    composes with any other observer on the same run (tracer, timeline,
-    more profilers).
+    Reads the machine's columnar recorder, so the run still enters
+    translated blocks, and it composes with any other observer on the same
+    run (tracer, timeline, more profilers).  The counts are in first-issue
+    order.
     """
     reader = _PcCounts()
     recorder = Recorder.add(machine, reader)
@@ -112,8 +113,18 @@ def profile(machine: Machine, max_cycles: int | None = None) -> InstructionProfi
         stats = machine.run(max_cycles=max_cycles)
     finally:
         recorder.remove(reader)
+    return stats, reader.counts
+
+
+def profile(machine: Machine, max_cycles: int | None = None) -> InstructionProfile:
+    """Run *machine* to completion while collecting the instruction mix.
+
+    ``by_opcode`` comes from the per-pc issue counts of
+    :func:`run_pc_counts`.
+    """
+    stats, counts = run_pc_counts(machine, max_cycles)
     instructions = machine.program.instructions
     by_opcode: Counter = Counter()
-    for pc, count in reader.counts.items():
+    for pc, count in counts.items():
         by_opcode[instructions[pc].name] += count
     return InstructionProfile(stats=stats, by_opcode=by_opcode)

@@ -149,12 +149,15 @@ def mmx_source_slots(instr: Instruction) -> list[int]:
 def is_pure_permute(instr: Instruction) -> bool:
     """True for instructions the off-load pass may delete (pure relocation).
 
-    The ISA's alignment candidates, less the value-transforming packs and
-    the explicit ``vperm`` baseline.
+    The ISA's alignment candidates, less the value-transforming packs, the
+    explicit ``vperm`` baseline and any whose gather reads a non-MMX
+    operand (``punpcklbw mm1, [r1+8]``): loaded bytes are in no register
+    a route could select.
     """
     return bool(
         instr.is_alignment_candidate
         and instr.opcode.sem not in ("packss", "packus", "vperm")
+        and byte_facts(instr).sources is not None
     )
 
 

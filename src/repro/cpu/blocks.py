@@ -737,17 +737,17 @@ def translate(heads: dict[int, Head], program: Program, pc: int,
                                                 taken=True, target=target))
         em.const(f"i{at}", instr)
         if instr.opcode.sem == "jmp":
-            em.line(f"cyc += 1 + bc(i{at}, {at}, {taken}, stats, cyc)")
+            em.line(f"cyc += 1 + bc(i{at}, {at}, {taken}, stats)")
             leave(counts, at, target)
             return
         fall = em.const(f"OF{at}", ExecOutcome(next_pc=at + 1, is_branch=True,
                                                taken=False, target=target))
         em.line("if tk:")
         em.depth += 1
-        em.line(f"cyc += 1 + bc(i{at}, {at}, {taken}, stats, cyc)")
+        em.line(f"cyc += 1 + bc(i{at}, {at}, {taken}, stats)")
         leave(counts, at, target)
         em.depth -= 1
-        em.line(f"cyc += 1 + bc(i{at}, {at}, {fall}, stats, cyc)")
+        em.line(f"cyc += 1 + bc(i{at}, {at}, {fall}, stats)")
         leave(counts, at, at + 1)
 
     # Every issue group takes at least one cycle, so a register written in

@@ -13,20 +13,18 @@ reroutes the source operands of each dynamic MMX instruction through the
 crossbar and advances its decoupled controller — the pipeline only asks for
 the routed values, keeping this module independent of the SPU internals.
 
-Telemetry flows through :attr:`Machine.bus` (:mod:`repro.obs.events`): the
-run loop publishes ``run_start``, ``issue``, ``stall``, ``branch`` and
-``run_end`` events, each guarded by a subscriber-list emptiness test so an
-unobserved run pays no event-construction cost.  The same facts go to an
-attached :attr:`Machine.recorder` (:mod:`repro.obs.recorder`) as columns,
-which translated blocks append to as well.  (The legacy single-slot
-``Machine.on_issue`` hook shim has been removed after its deprecation
-window; subscribe to the bus instead.)
+A run is observed through an attached :attr:`Machine.recorder`
+(:mod:`repro.obs.recorder`): the issue loop and the translated blocks
+append each issue, stall, branch and the run's start and end to its
+columns.  Faults and degradations are published on :attr:`Machine.bus`
+(:mod:`repro.obs.events`).  A fault injector arms :attr:`Machine.trigger`,
+a one-shot callback after one exact issue.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol
+from typing import Callable, Protocol
 
 from repro.errors import ReproError, RunnerInterrupted, SimulationError
 from repro.resilience import ResilienceMode
@@ -44,16 +42,7 @@ from repro.cpu.pairing import can_pair
 from repro.cpu.state import MachineState
 from repro.cpu.stats import RunStats
 from repro.isa.instructions import Instruction, Program
-from repro.obs.events import (
-    BranchEvent,
-    DegradeEvent,
-    EventBus,
-    FaultEvent,
-    IssueEvent,
-    RunEndEvent,
-    RunStartEvent,
-    StallEvent,
-)
+from repro.obs.events import DegradeEvent, EventBus, FaultEvent
 from repro.obs.recorder import issue_flags
 
 
@@ -130,12 +119,16 @@ class Machine:
         self.config = config if config is not None else PipelineConfig()
         self.spu = spu
         self.state = MachineState()
-        #: Telemetry: every observer attaches here (see repro.obs.events).
-        #: With no subscribers the per-issue cost is one emptiness test.
+        #: Fault, degrade and SPU telemetry (see repro.obs.events).
         self.bus = EventBus()
         #: The columnar sink observers read (:class:`repro.obs.recorder.Recorder`);
         #: attached by ``Recorder.add`` and cleared when its last reader leaves.
         self.recorder = None
+        #: One-shot issue trigger ``(index, fn)``: ``fn()`` runs once, right
+        #: after the issue with run-wide index *index* is counted and before
+        #: the recorder and the scoreboard see it; the slot is cleared before
+        #: the call.  A run that starts armed stays on the per-uop path.
+        self.trigger: tuple[int, Callable[[], None]] | None = None
         # Pairing decisions depend only on the two static instructions; the
         # program never changes under a machine, so memoize per pc pair.
         self._pair_cache: dict[tuple[int, int], tuple[bool, str]] = {}
@@ -180,13 +173,13 @@ class Machine:
     ) -> ExecOutcome | None:
         """Issue one decoded micro-op; returns ``None`` for a fall-through.
 
-        Event order and architectural effects are bit-identical to the
-        pre-decode issue path: SPU routing, execution, dynamic count,
-        ``issue`` event, then scoreboard update.  Per-class/permute counts
-        are *not* bumped here — the run loop accumulates them per pc and
-        folds them into :class:`RunStats` at run exit (see
-        :meth:`_fold_issue_counts`); only the live ``instructions`` counter
-        (the event sequence number) advances per issue.
+        Order of effects: SPU routing, execution, dynamic count, the armed
+        :attr:`trigger`, the recorder, then the scoreboard update.
+        Per-class/permute counts are *not* bumped here — the run loop
+        accumulates them per pc and folds them into :class:`RunStats` at
+        run exit (see :meth:`_fold_issue_counts`); only the live
+        ``instructions`` counter (the issue's run-wide index plus one)
+        advances per issue.
         """
         instr = uop.instr
         spu = self.spu
@@ -195,19 +188,10 @@ class Machine:
             stats.spu_routed += 1
         outcome = uop.run(self.state, self.memory, routes)
         stats.instructions += 1
-        bus = self.bus
-        if bus.issue:
-            bus.dispatch(
-                "issue",
-                IssueEvent(
-                    seq=stats.instructions - 1,
-                    cycle=cycle,
-                    pc=self.state.pc,
-                    instr=instr,
-                    pipe=pipe,
-                    routed=routes is not None,
-                ),
-            )
+        trigger = self.trigger
+        if trigger is not None and stats.instructions > trigger[0]:
+            self.trigger = None
+            trigger[1]()
         rec = self.recorder
         if rec is not None:
             rec.issue(self.state.pc, cycle,
@@ -285,9 +269,9 @@ class Machine:
     def _abort(self, stats: RunStats, cycle: int, kind: str, message: str) -> None:
         """Watchdog/runaway exit: telemetry + a clean :class:`SimulationError`.
 
-        The partial :class:`RunStats` are finalized, ``fault`` and ``run_end``
-        events fire, and the raised error carries the stats as ``.stats`` so
-        harnesses can report how far the run got.
+        The partial :class:`RunStats` are finalized, the recording is closed,
+        a ``fault`` event fires, and the raised error carries the stats as
+        ``.stats`` so harnesses can report how far the run got.
         """
         stats.cycles = cycle
         stats.finished = False
@@ -297,22 +281,12 @@ class Machine:
         bus = self.bus
         if bus.fault:
             bus.dispatch("fault", FaultEvent(component="machine", kind=kind, detail=message))
-        if bus.run_end:
-            bus.dispatch(
-                "run_end",
-                RunEndEvent(
-                    program=self.program.name,
-                    cycles=stats.cycles,
-                    instructions=stats.instructions,
-                    finished=False,
-                ),
-            )
         error = SimulationError(message)
         error.stats = stats
         raise error
 
     def _branch_cost(self, instr: Instruction, pc: int, outcome: ExecOutcome,
-                     stats: RunStats, cycle: int = 0) -> int:
+                     stats: RunStats) -> int:
         """Predictor bookkeeping; returns extra cycles for a mispredict."""
         stats.branches += 1
         if instr.opcode.sem == "jmp":
@@ -329,19 +303,6 @@ class Machine:
         rec = self.recorder
         if rec is not None:
             rec.branch(outcome.taken, predicted != outcome.taken, penalty)
-        bus = self.bus
-        if bus.branch:
-            bus.dispatch(
-                "branch",
-                BranchEvent(
-                    cycle=cycle,
-                    pc=pc,
-                    taken=outcome.taken,
-                    predicted_taken=predicted,
-                    mispredict=predicted != outcome.taken,
-                    penalty=penalty,
-                ),
-            )
         return penalty
 
     # ---- main loop ---------------------------------------------------------
@@ -352,7 +313,7 @@ class Machine:
         Raises :class:`SimulationError` on runaway execution (cycle budget
         exhausted) or on falling off the end of the program.
 
-        STRICT runs without ``issue``/``stall``/``branch`` subscribers enter
+        STRICT runs with no :attr:`trigger` armed at run start enter
         translated blocks at hot block heads; see :mod:`repro.cpu.blocks`.
         Every count and cycle is the same either way.  An attached
         :attr:`recorder` does not keep a run out of blocks: the per-uop path
@@ -363,7 +324,6 @@ class Machine:
         stats = RunStats()
         state = self.state
         program = self.program
-        bus = self.bus
         config = self.config
         instructions = program.instructions
         size = len(instructions)
@@ -384,15 +344,13 @@ class Machine:
         stats.drain_cycles = fill
         cycle = fill
         pc = state.pc
-        if bus.run_start:
-            bus.dispatch("run_start", RunStartEvent(program=program.name, fill_cycles=fill))
         rec = self.recorder
         if rec is not None:
             rec.start(program.name, fill)
 
         heads = None
         if (self._translate and self.resilience is ResilienceMode.STRICT
-                and not (bus.issue or bus.stall or bus.branch)):
+                and self.trigger is None):
             with_spu = self.spu is not None
             recorded = rec is not None
             heads = blocks.block_heads(program, with_spu, config.issue_width,
@@ -451,8 +409,6 @@ class Machine:
                 if when > ready:
                     ready = when
             if ready > cycle:
-                if bus.stall:
-                    bus.dispatch("stall", StallEvent(cycle=cycle, pc=pc, cycles=ready - cycle))
                 if rec is not None:
                     rec.stall(pc, cycle, ready - cycle)
                 stats.stall_cycles += ready - cycle
@@ -480,7 +436,7 @@ class Machine:
                 break
 
             if outcome is not None:  # only control flow returns an outcome
-                cycle += 1 + self._branch_cost(instr, pc, outcome, stats, cycle)
+                cycle += 1 + self._branch_cost(instr, pc, outcome, stats)
                 stats.solo_cycles += 1
                 if mmx_busy:
                     stats.mmx_busy_cycles += 1
@@ -528,7 +484,7 @@ class Machine:
                         extra = 0
                         if outcome2 is not None:
                             if outcome2.is_branch:
-                                extra = self._branch_cost(follower, pc, outcome2, stats, cycle)
+                                extra = self._branch_cost(follower, pc, outcome2, stats)
                             pc = outcome2.next_pc
                         else:
                             pc += 1
@@ -554,16 +510,6 @@ class Machine:
         stats.finished = state.halted
         if rec is not None:
             rec.end(cycle, stats.instructions, stats.finished)
-        if bus.run_end:
-            bus.dispatch(
-                "run_end",
-                RunEndEvent(
-                    program=program.name,
-                    cycles=stats.cycles,
-                    instructions=stats.instructions,
-                    finished=stats.finished,
-                ),
-            )
         return stats
 
     def step_functional(self) -> Instruction | None:
@@ -583,20 +529,6 @@ class Machine:
         instr = uop.instr
         routes = self._spu_routes(instr)
         outcome = uop.run(state, self.memory, routes)
-        bus = self.bus
-        if bus.issue:
-            # Functional stepping has no timing model: cycle/seq are -1.
-            bus.dispatch(
-                "issue",
-                IssueEvent(
-                    seq=-1,
-                    cycle=-1,
-                    pc=state.pc,
-                    instr=instr,
-                    pipe="U",
-                    routed=routes is not None,
-                ),
-            )
         state.pc = outcome.next_pc if outcome is not None else state.pc + 1
         return instr
 

@@ -1,8 +1,9 @@
 """Arming :class:`FaultSpec`\\ s on a live machine.
 
-The injector rides the PR-1 event bus: it subscribes to the ``issue`` topic
-and fires its fault when the dynamic-issue sequence number reaches the
-spec's trigger, then detaches.  All mutations go through documented
+The injector arms the machine's one-shot issue trigger
+(:attr:`repro.cpu.pipeline.Machine.trigger`): its fault fires right after
+the issue whose run-wide index is the spec's trigger, so a fault can land
+between the U and V issues of a pair.  All mutations go through documented
 fault-injection hooks (``SPURegister.inject_bit_flip``,
 ``SPUController.inject_program`` / ``skew_counter``) or public controller
 operations (``suspend``/``resume``/``go`` for the GO race), and corrupted
@@ -154,13 +155,12 @@ class FaultInjector:
         self.fired = False
         self.applied: str | None = None
         self.apply_error: BaseException | None = None
-        self._unsubscribe = machine.bus.subscribe("issue", self._on_issue)
+        if machine.trigger is not None:
+            raise ValueError("the machine's issue trigger is already armed")
+        machine.trigger = (spec.trigger, self._fire)
 
-    def _on_issue(self, event) -> None:
-        if self.fired or event.seq < self.spec.trigger:
-            return
+    def _fire(self) -> None:
         self.fired = True
-        self._unsubscribe()
         try:
             self.applied = _APPLY[self.spec.kind](self.machine, self.spec)
         except RunnerInterrupted:
@@ -173,4 +173,6 @@ class FaultInjector:
 
     def detach(self) -> None:
         """Disarm without firing (idempotent)."""
-        self._unsubscribe()
+        trigger = self.machine.trigger
+        if trigger is not None and trigger[1] == self._fire:
+            self.machine.trigger = None

@@ -1,8 +1,8 @@
 """repro.obs — the instrumentation subsystem.
 
 A unified telemetry layer for the simulator: a multi-subscriber event bus
-(:mod:`repro.obs.events`) replaces the old single-slot ``Machine.on_issue``
-hook; per-stage cycle attribution (:mod:`repro.obs.attribution`) tags every
+(:mod:`repro.obs.events`) carries SPU, fault and orchestration events;
+per-stage cycle attribution (:mod:`repro.obs.attribution`) tags every
 simulated cycle as pair-issue / solo-issue / data-stall / mispredict-bubble /
 drain; SPU controller tracing (:mod:`repro.obs.spu`) records the microprogram
 state machine's transitions, loop counters and GO/idle occupancy; a metrics
@@ -10,8 +10,9 @@ registry plus JSON/JSONL exporters (:mod:`repro.obs.metrics`,
 :mod:`repro.obs.export`) turn all of it into machine-readable reports; a
 back-edge hot-trace profiler (:mod:`repro.obs.traceprof`) aggregates runs
 into the per-trace cycle attribution behind ``repro top``; a columnar run
-recorder (:mod:`repro.obs.recorder`) feeds it, the timeline and the
-tracer without taking a run out of translated blocks; and host-side
+recorder (:mod:`repro.obs.recorder`) is how a machine run's issues,
+stalls and branches are observed, and feeds the profiler, the timeline
+and the tracer without taking a run out of translated blocks; and host-side
 span tracing (:mod:`repro.obs.spans`) times campaigns as OTLP-flavored
 hierarchical spans.
 
@@ -25,13 +26,11 @@ See ``docs/observability.md`` for the event and schema reference.
 
 from repro.obs.events import (
     TOPICS,
-    BranchEvent,
     BreakerOpenEvent,
     ControllerStepEvent,
     DegradeEvent,
     EventBus,
     FaultEvent,
-    IssueEvent,
     JobDegradedEvent,
     JobDoneEvent,
     JobRejectedEvent,
@@ -39,12 +38,9 @@ from repro.obs.events import (
     JobStartedEvent,
     JobSubmittedEvent,
     RecoveryEvent,
-    RunEndEvent,
-    RunStartEvent,
     ServeCompactEvent,
     ServeDrainEvent,
     SPURouteEvent,
-    StallEvent,
     SubscriberError,
     TaskDoneEvent,
     TaskRetryEvent,
@@ -72,13 +68,11 @@ from repro.obs.traceprof import TraceProfiler, TraceStats
 
 __all__ = [
     "TOPICS",
-    "BranchEvent",
     "BreakerOpenEvent",
     "ControllerStepEvent",
     "DegradeEvent",
     "EventBus",
     "FaultEvent",
-    "IssueEvent",
     "JobDegradedEvent",
     "JobDoneEvent",
     "JobRejectedEvent",
@@ -86,12 +80,9 @@ __all__ = [
     "JobStartedEvent",
     "JobSubmittedEvent",
     "RecoveryEvent",
-    "RunEndEvent",
-    "RunStartEvent",
     "ServeCompactEvent",
     "ServeDrainEvent",
     "SPURouteEvent",
-    "StallEvent",
     "SubscriberError",
     "TaskDoneEvent",
     "TaskRetryEvent",

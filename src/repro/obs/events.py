@@ -1,18 +1,20 @@
 """The simulator's event bus and its event types.
 
-The bus replaces the old single-slot ``Machine.on_issue`` hook: any number of
-subscribers can observe a run concurrently, subscribers can attach and detach
-mid-run, and a subscriber that raises does not corrupt the simulation (the
-error is recorded on :attr:`EventBus.errors` and the offender is dropped).
+Any number of subscribers can watch a topic concurrently, subscribers can
+attach and detach mid-run, and a subscriber that raises does not corrupt the
+simulation (the error is recorded on :attr:`EventBus.errors` and the
+offender is dropped).
 
-Dispatch is designed around the pipeline's hot issue loop: each topic is a
-plain list attribute on the bus, so the no-subscriber case costs one
-attribute load plus an emptiness test per emission site — no event object is
-even constructed.  Emitters follow the pattern::
+Each topic is a plain list attribute on the bus, so the no-subscriber case
+costs one attribute load plus an emptiness test per emission site — no
+event object is even constructed.  Emitters follow the pattern::
 
     bus = self.bus
-    if bus.issue:
-        bus.dispatch("issue", IssueEvent(...))
+    if bus.fault:
+        bus.dispatch("fault", FaultEvent(...))
+
+A machine run's issues, stalls and branches are not bus topics: observers
+read them from the columnar recorder (:mod:`repro.obs.recorder`).
 
 This module must stay import-light: :mod:`repro.cpu.pipeline` imports it, so
 nothing here may import from ``repro.cpu``/``repro.core``/``repro.kernels``.
@@ -25,9 +27,10 @@ from typing import Any, Callable
 
 from repro.errors import RunnerInterrupted
 
-#: Every topic the simulator emits, in rough pipeline order.  The three
-#: resilience topics (``fault``/``degrade``/``recovery``) fire only when
-#: something goes wrong, so they are free on healthy runs.  The five
+#: Every topic the simulator emits.  The two SPU topics fire per routed
+#: instruction and controller step; the three resilience topics
+#: (``fault``/``degrade``/``recovery``) fire only when something goes
+#: wrong, so they are free on healthy runs.  The five
 #: ``task_*``/``breaker_*`` topics are orchestration-level: they are emitted
 #: by the :mod:`repro.runner` campaign runner (on its own bus instance, one
 #: per :class:`repro.runner.Runner`), never by a simulated machine.  The
@@ -36,16 +39,11 @@ from repro.errors import RunnerInterrupted
 #: admission, execution, supervision, compaction and drain of whole
 #: campaigns.
 TOPICS = (
-    "run_start",
-    "issue",
-    "stall",
-    "branch",
     "spu_route",
     "controller_step",
     "fault",
     "degrade",
     "recovery",
-    "run_end",
     "task_start",
     "task_retry",
     "task_timeout",
@@ -63,52 +61,6 @@ TOPICS = (
 
 
 # ---- event payloads ----------------------------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class RunStartEvent:
-    """A :meth:`Machine.run` invocation began."""
-
-    program: str
-    #: Pipeline-fill cycles charged before the first issue (the SPU's extra
-    #: interconnect stage, §5.1.1) — the timeline's initial ``drain`` segment.
-    fill_cycles: int
-
-
-@dataclass(frozen=True, slots=True)
-class IssueEvent:
-    """One dynamic instruction issued (U or V pipe)."""
-
-    seq: int
-    cycle: int
-    pc: int
-    instr: Any
-    #: ``"U"`` for the first issue of a cycle, ``"V"`` for a paired follower.
-    pipe: str
-    #: True when the SPU rerouted at least one source operand.
-    routed: bool
-
-
-@dataclass(frozen=True, slots=True)
-class StallEvent:
-    """The next instruction waited on a not-yet-ready source register."""
-
-    cycle: int
-    pc: int
-    cycles: int
-
-
-@dataclass(frozen=True, slots=True)
-class BranchEvent:
-    """A branch resolved (every branch, mispredicted or not)."""
-
-    cycle: int
-    pc: int
-    taken: bool
-    predicted_taken: bool
-    mispredict: bool
-    #: Bubble cycles charged (0 on a correct prediction).
-    penalty: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -179,16 +131,6 @@ class RecoveryEvent:
 
     component: str
     detail: str = ""
-
-
-@dataclass(frozen=True, slots=True)
-class RunEndEvent:
-    """A :meth:`Machine.run` invocation finished (also on abort)."""
-
-    program: str
-    cycles: int
-    instructions: int
-    finished: bool
 
 
 # ---- task lifecycle (repro.runner) -------------------------------------------

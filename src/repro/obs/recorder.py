@@ -1,12 +1,13 @@
 """Columnar run recorder: observe a run without leaving translated blocks.
 
 A :class:`Recorder` is a sink attached to a machine (``machine.recorder``),
-not a bus topic.  :meth:`repro.cpu.pipeline.Machine.run` and the recorded
-variants of its translated blocks (:mod:`repro.cpu.blocks`) append the
-run's ``run_start``/``issue``/``stall``/``branch``/``run_end`` facts to
-columns, so a recorded STRICT run keeps entering blocks.  The two dense
-ones are ``array('q')``; the sparse ones are lists, whose ``extend`` by a
-tuple is several times cheaper than an array's:
+and the only way to watch a machine run.
+:meth:`repro.cpu.pipeline.Machine.run` and the recorded variants of its
+translated blocks (:mod:`repro.cpu.blocks`) append the run's start, its
+issues, stalls and branches and its end to columns, so a recorded STRICT
+run keeps entering blocks.  The two dense columns are ``array('q')``; the
+sparse ones are lists, whose ``extend`` by a tuple is several times cheaper
+than an array's:
 
 ``pc``
     one entry per issue;
@@ -27,8 +28,7 @@ the run.  Readers (:class:`Reader`) get ``on_start(recorder)``,
 ``on_chunk(chunk)`` and ``on_end(recorder)``; they aggregate columns
 (:class:`~repro.obs.traceprof.TraceProfiler`,
 :class:`~repro.obs.attribution.CycleAttribution`) and carry whatever is
-open across a chunk boundary.  Event objects are built only on request,
-by :meth:`Chunk.events`.
+open across a chunk boundary.  No per-event object is ever built.
 
 A hand-driven stream is recorded by calling :meth:`Recorder.start`,
 :meth:`~Recorder.issue`, :meth:`~Recorder.stall`, :meth:`~Recorder.branch`
@@ -41,8 +41,6 @@ from __future__ import annotations
 from array import array
 
 import numpy as np
-
-from repro.obs.events import BranchEvent, IssueEvent, StallEvent
 
 #: Issues per chunk.  A chunk's columns are 64 KiB and a reader's numpy
 #: temporaries some 0.5 MiB; a reader's fixed cost per chunk (some 0.1 ms)
@@ -90,36 +88,6 @@ class Chunk:
 
     def __len__(self) -> int:
         return len(self.pc)
-
-    def events(self, instructions):
-        """The chunk's ``stall``/``issue``/``branch`` events, in bus order.
-
-        *instructions* is the program's instruction list (an issue event
-        carries its instruction).
-        """
-        pcs = self.pc.tolist()
-        cycles = self.cycle.tolist()
-        stalls = self.stalls.tolist()
-        branches = self.branches.tolist()
-        s = b = 0
-        for i, (pc, cycle, flags) in enumerate(zip(pcs, cycles, self.flags.tolist())):
-            while s < len(stalls) and stalls[s][0] == i:
-                _, stall_pc, stall_cycle, length = stalls[s]
-                yield StallEvent(cycle=stall_cycle, pc=stall_pc, cycles=length)
-                s += 1
-            yield IssueEvent(seq=self.base + i, cycle=cycle, pc=pc,
-                             instr=instructions[pc],
-                             pipe="V" if flags & V_PIPE else "U",
-                             routed=bool(flags & ROUTED))
-            while b < len(branches) and branches[b][0] == i:
-                _, code, penalty = branches[b]
-                taken, mispredict = bool(code & 1), bool(code & 2)
-                yield BranchEvent(cycle=cycle, pc=pc, taken=taken,
-                                  predicted_taken=taken != mispredict,
-                                  mispredict=mispredict, penalty=penalty)
-                b += 1
-        for _, stall_pc, stall_cycle, length in stalls[s:]:
-            yield StallEvent(cycle=stall_cycle, pc=stall_pc, cycles=length)
 
 
 class Reader:

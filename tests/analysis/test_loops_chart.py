@@ -2,10 +2,18 @@
 
 import pytest
 
-from repro.analysis import fig9_chart, find_loop_regions, profile_loops
+from repro.analysis import fig9_chart, find_loop_regions, profile, profile_loops
+from repro.analysis.profiler import run_pc_counts
 from repro.cpu import Machine
 from repro.isa import assemble
-from repro.kernels import DCTKernel, DotProductKernel
+from repro.kernels import ALL_KERNELS, DCTKernel, DotProductKernel, make_kernel
+from repro.kernels.fft import FFTKernel
+
+
+def build_kernel(name):
+    if name == "FFT1024":  # the --fast size, as ExperimentSuite(fast=True)
+        return FFTKernel(n=256)
+    return make_kernel(name)
 
 
 class TestLoopRegions:
@@ -80,7 +88,31 @@ class TestProfileLoops:
     def test_subscription_released(self):
         machine = Machine(assemble("halt"))
         profile_loops(machine)
-        assert not machine.bus.has_subscribers("issue")
+        assert machine.recorder is None and machine.trigger is None
+
+
+    @pytest.mark.parametrize("name", sorted(ALL_KERNELS))
+    def test_regions_partition_the_recorded_issues(self, name):
+        """Region sums plus ``outside`` are the run's per-pc issue counts,
+        as ``profile()`` reads them, and its instruction count."""
+        kernel = build_kernel(name)
+        for variant in ("mmx", "spu"):
+            loops = profile_loops(kernel.machine(variant))
+            stats, counts = run_pc_counts(kernel.machine(variant))
+            mix = profile(kernel.machine(variant))
+            assert loops.total == sum(counts.values()) == stats.instructions
+            assert loops.total == mix.total == sum(mix.by_opcode.values())
+            assert sum(r.instructions for r in loops.regions) + loops.outside \
+                == loops.total
+            inside = {}
+            for pc, count in counts.items():
+                spans = [r for r in loops.regions if r.start <= pc <= r.end]
+                if spans:
+                    label = min(spans, key=lambda r: r.end - r.start).label
+                    inside[label] = inside.get(label, 0) + count
+            assert {r.label: r.instructions for r in loops.regions
+                    if r.instructions} == inside
+            assert loops.outside == loops.total - sum(inside.values())
 
 
 class TestChart:

@@ -16,6 +16,7 @@ from repro.core.mmxbytes import (
     ByteWalk,
     byte_facts,
     byte_sources,
+    is_pure_permute,
     is_zero_idiom,
 )
 from repro.cpu import Machine
@@ -149,6 +150,14 @@ def test_offload_keeps_a_permute_of_memory_bytes():
     """)
     report = offload_loop(program, "top", 4, CONFIGS["A"], known_zero=(MM[7],))
     assert report.removed == []
+    # Not even a candidate: no route walk is spent on it, and the loop is
+    # left as it was.
+    unpack = program.labels["top"] + 1
+    assert str(program[unpack]) == "punpcklbw mm1, [r1+8]"
+    assert not is_pure_permute(program[unpack])
+    assert report.kept == {}
+    assert [str(i) for i in report.program] == [str(i) for i in program]
+    assert report.certificate.removed == () and report.certificate.routes == {}
 
     def run(machine):
         for i in range(64):

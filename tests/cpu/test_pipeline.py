@@ -4,7 +4,7 @@ import pytest
 
 from repro import simd
 from repro.errors import SimulationError
-from repro.cpu import Bimodal, Machine, PipelineConfig, StaticBTFN
+from repro.cpu import Bimodal, Machine, PipelineConfig, StaticBTFN, blocks, trace_run
 from repro.isa import MM, assemble
 
 
@@ -155,3 +155,70 @@ class TestAccounting:
         assert machine.state.scalar[0] == 7
         machine.reset()
         assert machine.state.scalar[0] == 0 and not machine.state.halted
+
+
+class TestIssueTrigger:
+    """``Machine.trigger``: a one-shot callback right after one exact issue."""
+
+    #: Each iteration pairs ``add r1`` (U) with ``add r2`` (V).
+    PAIRED = "mov r0, 6\ntop: add r1, 1\nadd r2, 1\nloop r0, top\nhalt"
+
+    def test_fires_between_the_u_and_v_issues_of_a_pair(self):
+        program = assemble(self.PAIRED)
+        u_pc = program.labels["top"]
+        trace = trace_run(Machine(program))
+        pairs = [(u, v) for u, v in zip(trace.entries, trace.entries[1:])
+                 if u.pc == u_pc and u.pipe == "U" and v.pipe == "V"
+                 and v.cycle == u.cycle]
+        assert len(pairs) == 5  # the first ``add r1`` pairs with ``mov``
+        u, v = pairs[1]
+        assert v.seq == u.seq + 1
+        adds = sum(1 for entry in trace if entry.pc == u_pc and entry.seq <= u.seq)
+        machine = Machine(program)
+        seen = []
+
+        def fire():
+            state = machine.state
+            recorder = machine.recorder
+            seen.append((state.scalar[1], state.scalar[2], state.pc,
+                         recorder.base + len(recorder.pc), machine.trigger))
+
+        machine.trigger = (u.seq, fire)
+        armed = trace_run(machine)
+        # U (``add r1``) has executed and been counted, V (``add r2``) has
+        # not; the recorder gets U after the callback, and the slot was
+        # cleared before the call.
+        assert seen == [(adds, adds - 1, u.pc, u.seq, None)]
+        assert machine.trigger is None
+        assert armed.entries == trace.entries
+        assert armed.stats.as_dict() == trace.stats.as_dict()
+
+    def test_unreached_trigger_stays_armed(self):
+        machine = Machine(assemble(self.PAIRED))
+        calls = []
+        machine.trigger = (10_000, lambda: calls.append(1))
+        stats = machine.run()
+        assert stats.instructions < 10_000 and not calls
+        assert machine.trigger is not None
+
+    def test_armed_trigger_keeps_the_run_out_of_blocks(self, monkeypatch):
+        """The gate is read once, at run start: a run whose trigger fires
+        early still finishes on the per-uop path, with the same counts."""
+        monkeypatch.setattr(blocks, "HOT_ENTRIES", 1)
+        taken = []
+        first_issue = blocks.first_issue
+
+        def spy(exit, issue_counts, reasons):
+            taken.append(exit)
+            first_issue(exit, issue_counts, reasons)
+
+        monkeypatch.setattr(blocks, "first_issue", spy)
+        source = "mov r0, 200\ntop: paddw mm0, mm1\npsubw mm2, mm3\nloop r0, top\nhalt"
+        program = assemble(source)
+        armed = Machine(program)
+        armed.trigger = (0, lambda: None)
+        armed_stats = armed.run()
+        assert not taken and armed.trigger is None
+        plain_stats = Machine(program).run()
+        assert taken
+        assert armed_stats.as_dict() == plain_stats.as_dict()

@@ -5,11 +5,23 @@ import pytest
 from repro.cpu import Machine, Memory, PipelineConfig
 from repro.errors import MemoryFault, SimulationError
 from repro.isa import assemble
+from repro.obs import Reader, Recorder
 from repro.resilience import ResilienceMode
 
 
 def machine_of(source, **kwargs):
     return Machine(assemble(source), **kwargs)
+
+
+class RunEnds(Reader):
+    """Recorder reader collecting ``(cycles, finished)`` at each run's end."""
+
+    def __init__(self, machine) -> None:
+        self.ends = []
+        Recorder.add(machine, self)
+
+    def on_end(self, recorder) -> None:
+        self.ends.append((recorder.cycles, recorder.finished))
 
 
 INFINITE = "top: jmp top\nhalt"
@@ -53,13 +65,13 @@ class TestWatchdog:
 
     def test_watchdog_emits_fault_and_run_end(self):
         machine = machine_of(INFINITE)
-        faults, ends = [], []
+        faults = []
         machine.bus.subscribe("fault", faults.append)
-        machine.bus.subscribe("run_end", ends.append)
-        with pytest.raises(SimulationError):
+        ends = RunEnds(machine).ends
+        with pytest.raises(SimulationError) as excinfo:
             machine.run(max_cycles=200)
         assert [event.kind for event in faults] == ["watchdog"]
-        assert len(ends) == 1 and ends[0].finished is False
+        assert ends == [(excinfo.value.stats.cycles, False)]
 
     def test_config_override_still_works(self):
         machine = machine_of(
@@ -164,13 +176,12 @@ class TestHaltMode:
         machine = machine_of(
             source, memory=Memory(require_alignment=True), resilience="halt"
         )
-        ends = []
-        machine.bus.subscribe("run_end", ends.append)
+        ends = RunEnds(machine).ends
         stats = machine.run()  # no exception: a clean fail-stop
         assert stats.finished is False
         assert stats.faults == 1
         assert stats.degraded_issues == 0
-        assert len(ends) == 1 and ends[0].finished is False
+        assert ends == [(stats.cycles, False)]
 
     def test_clean_program_unaffected_by_halt_mode(self):
         machine = machine_of("paddw mm0, mm1\nhalt", resilience="halt")

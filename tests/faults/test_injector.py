@@ -44,7 +44,17 @@ class TestInjectorFiring:
         assert injector.fired
         assert injector.apply_error is None
         assert "byte 60" in injector.applied
-        assert not machine.bus.has_subscribers("issue")  # detached itself
+        assert machine.trigger is None  # the one-shot slot emptied itself
+
+    def test_one_trigger_per_machine(self):
+        kernel = make_kernel("DotProduct")
+        machine = spu_machine(kernel)
+        spec = FaultSpec("register_bit", trigger=3, byte=0, bit=0)
+        first = FaultInjector(machine, spec)
+        with pytest.raises(ValueError, match="already armed"):
+            FaultInjector(machine, spec)
+        first.detach()
+        FaultInjector(machine, spec)
 
     def test_detach_disarms(self):
         kernel = make_kernel("DotProduct")

@@ -2,15 +2,15 @@
 
 import pytest
 
-from repro.cpu import Machine, trace_run
+from repro.cpu import Machine, Memory, trace_run
 from repro.isa import assemble
 from repro.obs import (
+    DegradeEvent,
     EventBus,
-    IssueEvent,
-    RunEndEvent,
-    RunStartEvent,
+    FaultEvent,
     SubscriberError,
     TOPICS,
+    TraceProfiler,
 )
 
 
@@ -19,6 +19,14 @@ def machine_of(source, **kwargs):
 
 
 LOOP = "mov r0, 5\ntop: paddw mm0, mm1\nloop r0, top\nhalt"
+#: A misaligned packed load, five times: each one a ``fault`` and a
+#: ``degrade`` event on a DEGRADE machine that requires alignment.
+FAULTING = "mov r1, 0x1003\nmov r0, 5\ntop: movq mm0, [r1]\nloop r0, top\nhalt"
+
+
+def faulting_machine():
+    return machine_of(FAULTING, memory=Memory(require_alignment=True),
+                      resilience="degrade")
 
 
 class TestBusUnit:
@@ -29,8 +37,8 @@ class TestBusUnit:
 
     def test_unsubscribe_callable_is_idempotent(self):
         bus = EventBus()
-        unsubscribe = bus.subscribe("issue", lambda event: None)
-        assert bus.has_subscribers("issue")
+        unsubscribe = bus.subscribe("fault", lambda event: None)
+        assert bus.has_subscribers("fault")
         unsubscribe()
         unsubscribe()
         assert not bus.has_subscribers()
@@ -45,9 +53,9 @@ class TestBusUnit:
     def test_dispatch_order_is_subscription_order(self):
         bus = EventBus()
         order = []
-        bus.subscribe("issue", lambda event: order.append("first"))
-        bus.subscribe("issue", lambda event: order.append("second"))
-        bus.dispatch("issue", object())
+        bus.subscribe("fault", lambda event: order.append("first"))
+        bus.subscribe("fault", lambda event: order.append("second"))
+        bus.dispatch("fault", object())
         assert order == ["first", "second"]
 
     def test_raising_subscriber_is_recorded_and_dropped(self):
@@ -57,17 +65,17 @@ class TestBusUnit:
         def bad(event):
             raise RuntimeError("observer bug")
 
-        bus.subscribe("issue", bad)
-        bus.subscribe("issue", seen.append)
-        bus.dispatch("issue", "a")
-        bus.dispatch("issue", "b")
+        bus.subscribe("fault", bad)
+        bus.subscribe("fault", seen.append)
+        bus.dispatch("fault", "a")
+        bus.dispatch("fault", "b")
         assert seen == ["a", "b"]
         assert len(bus.errors) == 1
         error = bus.errors[0]
         assert isinstance(error, SubscriberError)
-        assert error.topic == "issue" and error.subscriber is bad
+        assert error.topic == "fault" and error.subscriber is bad
         assert isinstance(error.error, RuntimeError)
-        assert bus.subscribers("issue") == [seen.append]
+        assert bus.subscribers("fault") == [seen.append]
 
     def test_unsubscribe_during_dispatch_is_safe(self):
         bus = EventBus()
@@ -78,65 +86,48 @@ class TestBusUnit:
             seen.append(event)
             unsubscribes[0]()
 
-        unsubscribes.append(bus.subscribe("issue", one_shot))
-        bus.subscribe("issue", lambda event: seen.append(("other", event)))
-        bus.dispatch("issue", 1)
-        bus.dispatch("issue", 2)
+        unsubscribes.append(bus.subscribe("fault", one_shot))
+        bus.subscribe("fault", lambda event: seen.append(("other", event)))
+        bus.dispatch("fault", 1)
+        bus.dispatch("fault", 2)
         assert seen == [1, ("other", 1), ("other", 2)]
 
 
 class TestBusOnMachine:
     def test_multiple_subscribers_see_the_same_run(self):
-        machine = machine_of(LOOP)
+        machine = faulting_machine()
         first, second = [], []
-        machine.bus.subscribe("issue", first.append)
-        machine.bus.subscribe("issue", second.append)
+        machine.bus.subscribe("fault", first.append)
+        machine.bus.subscribe("fault", second.append)
         stats = machine.run()
-        assert len(first) == stats.instructions
+        assert len(first) == stats.faults == 5
         assert first == second
-        assert all(isinstance(event, IssueEvent) for event in first)
+        assert all(isinstance(event, FaultEvent) for event in first)
 
-    def test_run_start_and_end_events(self):
-        machine = machine_of(LOOP)
-        lifecycle = []
-        machine.bus.subscribe("run_start", lifecycle.append)
-        machine.bus.subscribe("run_end", lifecycle.append)
+    def test_topics_fire_in_order(self):
+        machine = faulting_machine()
+        seen = []
+        machine.bus.subscribe("fault", seen.append)
+        machine.bus.subscribe("degrade", seen.append)
         stats = machine.run()
-        assert isinstance(lifecycle[0], RunStartEvent)
-        assert isinstance(lifecycle[-1], RunEndEvent)
-        assert lifecycle[-1].cycles == stats.cycles
-        assert lifecycle[-1].finished
-
-    def test_stall_and_branch_topics_fire(self):
-        stall_machine = machine_of("pmullw mm0, mm1\npaddw mm2, mm0\nhalt")
-        stalls = []
-        stall_machine.bus.subscribe("stall", stalls.append)
-        stats = stall_machine.run()
-        assert sum(event.cycles for event in stalls) == stats.stall_cycles == 2
-
-        branch_machine = machine_of(LOOP)
-        branches = []
-        branch_machine.bus.subscribe("branch", branches.append)
-        stats = branch_machine.run()
-        assert len(branches) == stats.branches
-        assert sum(event.penalty for event in branches) == stats.mispredict_cycles
+        assert [type(event) for event in seen] == [FaultEvent, DegradeEvent] * 5
+        assert stats.degraded_issues == 5
 
     def test_raising_subscriber_does_not_corrupt_the_run(self):
-        baseline = machine_of(LOOP).run()
-        machine = machine_of(LOOP)
+        baseline = faulting_machine().run()
+        machine = faulting_machine()
 
         def bomb(event):
             raise ValueError("boom")
 
-        machine.bus.subscribe("issue", bomb)
+        machine.bus.subscribe("fault", bomb)
         stats = machine.run()
-        assert stats.cycles == baseline.cycles
-        assert stats.instructions == baseline.instructions
+        assert stats.as_dict() == baseline.as_dict()
         assert machine.bus.errors and machine.bus.errors[0].subscriber is bomb
-        assert not machine.bus.has_subscribers("issue")
+        assert not machine.bus.has_subscribers("fault")
 
     def test_subscriber_can_unsubscribe_mid_run(self):
-        machine = machine_of(LOOP)
+        machine = faulting_machine()
         seen = []
         unsubscribes = []
 
@@ -145,20 +136,23 @@ class TestBusOnMachine:
             if len(seen) == 2:
                 unsubscribes[0]()
 
-        unsubscribes.append(machine.bus.subscribe("issue", two_then_done))
+        unsubscribes.append(machine.bus.subscribe("degrade", two_then_done))
         stats = machine.run()
         assert len(seen) == 2
-        assert stats.instructions > 2
+        assert stats.degraded_issues == 5
 
     def test_profile_and_trace_observe_one_run(self):
-        """The original single-slot hook's failure mode, now supported."""
+        """The original single-slot hook's failure mode, now supported:
+        two recorder readers watch one run."""
         from repro.analysis import profile
 
         machine = machine_of(LOOP)
-        issues = []
-        machine.bus.subscribe("issue", issues.append)
+        profiler = TraceProfiler().attach(machine)
         trace = trace_run(machine)
-        assert len(trace) == len(issues) == trace.stats.instructions
+        assert profiler.total_instructions == len(trace) == trace.stats.instructions
+        assert profiler.attributed_cycles() == trace.stats.cycles
+        profiler.detach()
+        assert machine.recorder is None
         # And the profiler path still works independently on a fresh machine.
         prof = profile(machine_of(LOOP))
         assert prof.total == trace.stats.instructions
@@ -166,6 +160,12 @@ class TestBusOnMachine:
 
 class TestOnIssueRemoved:
     def test_legacy_hook_is_gone(self):
-        """The deprecated single-slot shim was removed; the bus is the API."""
+        """The deprecated single-slot shim was removed; readers and the bus replace it."""
         machine = machine_of(LOOP)
         assert not hasattr(type(machine), "on_issue")
+
+    def test_machine_run_topics_are_gone(self):
+        """A run's issues, stalls and branches are read from the recorder."""
+        assert not {"run_start", "issue", "stall", "branch", "run_end"} & set(TOPICS)
+        with pytest.raises(ValueError, match="unknown topic"):
+            EventBus().subscribe("issue", lambda event: None)

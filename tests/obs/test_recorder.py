@@ -1,20 +1,27 @@
-"""Differential oracle: recorded runs against per-uop bus subscribers.
+"""Differential oracle: recorded runs against the per-uop recording.
 
 A :class:`~repro.obs.recorder.Recorder` lets an observed STRICT run keep
 entering translated blocks, so everything read from its columns must equal
-what plain callback subscribers see on the per-uop path:
+what the per-uop issue loop records (``Machine._translate = False``: its
+``rec.issue``/``rec.stall``/``rec.branch`` calls):
 
-* the materialized ``run_start``/``issue``/``stall``/``branch``/``run_end``
-  stream, event for event;
+* the run's start, issue, stall, branch and end records, read into
+  test-local tuples (:func:`chunk_events`), record for record;
 * the columnar :class:`TraceProfiler` against the event-at-a-time trace
   aggregation it replaced (:func:`reference_traces`), compared through
   ``sorted_traces()``, ``stable_heads()`` and ``attributed_cycles()``;
 * the columnar :class:`CycleAttribution` against the event-at-a-time
   timeline it replaced (:func:`reference_timeline`).
 
-The reference side subscribes plain callbacks to the bus, which keeps its
-run on the per-uop path.
+The reference side records with one reader and the default chunk size on
+the per-uop path; the recorded side adds the profiler and the timeline and
+enters blocks wherever the run is STRICT.  (The ``..._bus_subscribers`` and
+``..._issue_events`` test names date from when the reference side was a set
+of event-bus callbacks.)
 """
+
+from dataclasses import dataclass
+from typing import Any
 
 import pytest
 
@@ -25,20 +32,9 @@ from repro.faults import FaultInjector, FaultSpec
 from repro.isa import assemble
 from repro.kernels import ALL_KERNELS, make_kernel
 from repro.kernels.fft import FFTKernel
-from repro.obs import (
-    CycleAttribution,
-    CycleSegment,
-    IssueEvent,
-    RunEndEvent,
-    RunStartEvent,
-    StallEvent,
-    TraceProfiler,
-    TraceStats,
-)
-from repro.obs.recorder import Reader, Recorder
+from repro.obs import CycleAttribution, CycleSegment, TraceProfiler, TraceStats
+from repro.obs.recorder import ROUTED, V_PIPE, Reader, Recorder
 from repro.simd import use_backend
-
-TOPICS = ("run_start", "issue", "stall", "branch", "run_end")
 
 
 def build_kernel(name):
@@ -49,24 +45,93 @@ def build_kernel(name):
     return make_kernel(name)
 
 
+# ---- one record per fact of a run -------------------------------------------
+
+
+@dataclass(frozen=True)
+class RunStart:
+    program: str
+    fill_cycles: int
+
+
+@dataclass(frozen=True)
+class Issue:
+    seq: int
+    cycle: int
+    pc: int
+    instr: Any
+    pipe: str
+    routed: bool
+
+
+@dataclass(frozen=True)
+class Stall:
+    cycle: int
+    pc: int
+    cycles: int
+
+
+@dataclass(frozen=True)
+class Branch:
+    cycle: int
+    pc: int
+    taken: bool
+    predicted_taken: bool
+    mispredict: bool
+    penalty: int
+
+
+@dataclass(frozen=True)
+class RunEnd:
+    program: str
+    cycles: int
+    instructions: int
+    finished: bool
+
+
+def chunk_events(chunk, instructions):
+    """*chunk*'s stalls, issues and branches as records, in issue order.
+
+    A stall comes before the issue it delays and a branch after its own
+    issue; the last chunk may end with a stall before an issue that
+    faulted.
+    """
+    stalls = chunk.stalls.tolist()
+    branches = chunk.branches.tolist()
+    s = b = 0
+    for i, (pc, cycle, flags) in enumerate(zip(chunk.pc.tolist(), chunk.cycle.tolist(),
+                                               chunk.flags.tolist())):
+        while s < len(stalls) and stalls[s][0] == i:
+            _, stall_pc, stall_cycle, length = stalls[s]
+            yield Stall(stall_cycle, stall_pc, length)
+            s += 1
+        yield Issue(chunk.base + i, cycle, pc, instructions[pc],
+                    "V" if flags & V_PIPE else "U", bool(flags & ROUTED))
+        while b < len(branches) and branches[b][0] == i:
+            _, code, penalty = branches[b]
+            taken, mispredict = bool(code & 1), bool(code & 2)
+            yield Branch(cycle, pc, taken, taken != mispredict, mispredict, penalty)
+            b += 1
+    for _, stall_pc, stall_cycle, length in stalls[s:]:
+        yield Stall(stall_cycle, stall_pc, length)
+
+
 class EventLog(Reader):
-    """Recorder reader materializing every event of the run."""
+    """Recorder reader materializing every record of the run."""
 
     def __init__(self, machine) -> None:
         self.instructions = machine.program.instructions
         self.events = []
 
     def on_start(self, recorder) -> None:
-        self.events.append(RunStartEvent(program=recorder.program,
-                                         fill_cycles=recorder.fill_cycles))
+        self.events.append(RunStart(recorder.program, recorder.fill_cycles))
 
     def on_chunk(self, chunk) -> None:
-        self.events.extend(chunk.events(self.instructions))
+        self.events.extend(chunk_events(chunk, self.instructions))
 
     def on_end(self, recorder) -> None:
-        self.events.append(RunEndEvent(program=recorder.program, cycles=recorder.cycles,
-                                       instructions=recorder.instructions,
-                                       finished=recorder.finished))
+        self.events.append(RunEnd(recorder.program, recorder.cycles,
+                                  recorder.instructions, recorder.finished))
 
 
 # ---- the event-at-a-time references ------------------------------------------
@@ -95,7 +160,7 @@ def reference_traces(events, max_body=4096) -> TraceProfiler:
         state.update(open=False, truncated=False, start=at)
 
     for event in events:
-        if isinstance(event, IssueEvent):
+        if isinstance(event, Issue):
             if state["open"] and event.pc <= state["prev"]:
                 close(event.cycle)
             state.update(open=True, prev=event.pc)
@@ -111,12 +176,12 @@ def reference_traces(events, max_body=4096) -> TraceProfiler:
                 pcs.append(event.pc)
             else:
                 state["truncated"] = True
-        elif isinstance(event, StallEvent):
+        elif isinstance(event, Stall):
             state["stall"] += event.cycles
-        elif isinstance(event, RunEndEvent):
+        elif isinstance(event, RunEnd):
             if state["open"]:
                 close(event.cycles)
-        elif not isinstance(event, RunStartEvent):  # a branch
+        elif not isinstance(event, RunStart):  # a branch
             counters[3] += event.penalty
     return profiler
 
@@ -133,10 +198,10 @@ def reference_timeline(events) -> list:
             segments.append(CycleSegment(start, length, category))
 
     for event in events:
-        if isinstance(event, RunStartEvent):
+        if isinstance(event, RunStart):
             if event.fill_cycles:
                 append(0, event.fill_cycles, "drain")
-        elif isinstance(event, IssueEvent):
+        elif isinstance(event, Issue):
             if event.cycle != last_issue:
                 last_issue = event.cycle
                 append(event.cycle, 1, "solo_issue")
@@ -151,9 +216,9 @@ def reference_timeline(events) -> list:
                         and segments[-2].end == last.start:
                     segments[-2].length += 1
                     segments.pop()
-        elif isinstance(event, StallEvent):
+        elif isinstance(event, Stall):
             append(event.cycle, event.cycles, "data_stall")
-        elif not isinstance(event, RunEndEvent) and event.penalty:
+        elif not isinstance(event, RunEnd) and event.penalty:
             append(event.cycle + 1, event.penalty, "mispredict_bubble")
     return [segment.as_dict() for segment in segments]
 
@@ -164,33 +229,30 @@ def reference_timeline(events) -> list:
 def observe(machine, recorded, max_body=4096, chunk_size=None, max_cycles=None):
     """Run *machine* observed; ``(stats or error, events, profiler, timeline)``.
 
-    *recorded* attaches the recorder readers; otherwise plain callbacks
-    collect the bus stream (which keeps the run on the per-uop path).
+    *recorded* attaches the profiler and the timeline beside the record log
+    and lets a STRICT run enter translated blocks; otherwise the record log
+    alone reads the per-uop path's recording (the reference).
     """
-    events, undo = [], []
+    log = EventLog(machine)
+    Recorder.add(machine, log)
     profiler = timeline = None
     if recorded:
-        log = EventLog(machine)
-        Recorder.add(machine, log)
         if chunk_size is not None:
             machine.recorder.chunk_size = chunk_size
-        events = log.events
         profiler = TraceProfiler(max_body).attach(machine)
         timeline = CycleAttribution().attach(machine)
     else:
-        undo = [machine.bus.subscribe(topic, events.append) for topic in TOPICS]
+        machine._translate = False
     try:
         outcome = machine.run(max_cycles=max_cycles)
     except SimulationError as error:
         outcome = error
-    for unsubscribe in undo:
-        unsubscribe()
     if recorded:
         profiler.detach()
         timeline.detach()
-        machine.recorder.remove(log)
-        assert machine.recorder is None
-    return outcome, events, profiler, timeline
+    machine.recorder.remove(log)
+    assert machine.recorder is None
+    return outcome, log.events, profiler, timeline
 
 
 def assert_same(recorded, reference, max_body=4096):
@@ -199,6 +261,12 @@ def assert_same(recorded, reference, max_body=4096):
     assert type(outcome) is type(ref_outcome)
     if not isinstance(outcome, Exception):
         assert outcome.as_dict() == ref_outcome.as_dict()
+        stalls = [e for e in events if isinstance(e, Stall)]
+        branches = [e for e in events if isinstance(e, Branch)]
+        assert sum(e.cycles for e in stalls) == outcome.stall_cycles
+        assert len(branches) == outcome.branches
+        assert sum(e.mispredict for e in branches) == outcome.mispredicts
+        assert sum(e.penalty for e in branches) == outcome.mispredict_cycles
     assert events == ref_events
     expected = reference_traces(ref_events, max_body)
     assert [t.as_dict() for t in profiler.sorted_traces()] == \
@@ -207,7 +275,7 @@ def assert_same(recorded, reference, max_body=4096):
         [t.body for t in expected.sorted_traces()]
     assert profiler.stable_heads() == expected.stable_heads()
     assert profiler.attributed_cycles() == expected.attributed_cycles()
-    assert profiler.total_instructions == sum(isinstance(e, IssueEvent) for e in ref_events)
+    assert profiler.total_instructions == sum(isinstance(e, Issue) for e in ref_events)
     assert timeline.as_dict()["segments"] == reference_timeline(ref_events)
     assert not timeline.truncated
 
@@ -300,24 +368,9 @@ def test_stall_before_a_faulting_issue(resilience):
     source = "mov r4, 1000000\nmov r5, 4096\nimul r4, r5\nldw r6, [r4]\nadd r7, 1\nhalt"
     sides = [observe(Machine(assemble(source), resilience=resilience), recorded=recorded)
              for recorded in (False, True)]
-    assert any(isinstance(event, StallEvent) for event in sides[1][1])
+    assert any(isinstance(event, Stall) for event in sides[1][1])
     assert sides[1][0].faults == 1
     assert_same(sides[1], sides[0])
-
-
-def test_recorder_beside_a_plain_issue_subscriber(monkeypatch):
-    """A callback subscriber forces the per-uop path; the recorder still
-    records it."""
-    taken = translated_exits(monkeypatch)
-    kernel = build_kernel("FFT128")
-    reference = observe(kernel.machine("spu"), recorded=False)
-    machine = kernel.machine("spu")
-    issues = []
-    machine.bus.subscribe("issue", issues.append)
-    recorded = observe(machine, recorded=True)
-    assert not taken
-    assert issues == [e for e in reference[1] if isinstance(e, IssueEvent)]
-    assert_same(recorded, reference)
 
 
 def test_recorded_fft1024_takes_translated_exits(monkeypatch):
@@ -336,13 +389,11 @@ def test_recorded_fft1024_takes_translated_exits(monkeypatch):
 @pytest.mark.parametrize("name", sorted(ALL_KERNELS))
 def test_profile_and_trace_match_issue_events(name):
     """``repro profile``'s opcode mix and ``repro trace``'s entries, read
-    from the recorder, equal what an ``issue`` subscriber sees."""
+    from the recorder in blocks, equal the per-uop recording's issues."""
     kernel = build_kernel(name)
     for variant in ("mmx", "spu"):
-        machine = kernel.machine(variant)
-        issues = []
-        machine.bus.subscribe("issue", issues.append)
-        machine.run()
+        events = observe(kernel.machine(variant), recorded=False)[1]
+        issues = [event for event in events if isinstance(event, Issue)]
         expected = {}
         for event in issues:
             expected[event.instr.name] = expected.get(event.instr.name, 0) + 1
