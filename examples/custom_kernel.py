@@ -2,10 +2,11 @@
 """Scenario: bringing your own kernel to the SPU framework.
 
 Implements an alpha-blend (``out = (a*α + b*(256-α)) >> 8``) as a new
-:class:`repro.kernels.Kernel` subclass: write the MMX loop with the program
-builder, declare the loop, provide a NumPy fixed-point mirror — and the
-framework gives you bit-exact verification, the automatic SPU off-load, the
-cycle comparison and the microcode dump for free.
+:class:`repro.kernels.Kernel` subclass: write the loop in plain MMX with the
+program builder and provide a NumPy fixed-point mirror — and the framework
+gives you bit-exact verification, the automatic SPU off-load of every counted
+loop (GO stores included), the cycle comparison and the microcode dump for
+free.
 
 Run:  python examples/custom_kernel.py
 """
@@ -14,7 +15,7 @@ import numpy as np
 
 from repro.core import render_program
 from repro.isa import Program, ProgramBuilder
-from repro.kernels import Kernel, LoopSpec
+from repro.kernels import Kernel
 from repro.kernels.base import COEFF_BASE, INPUT_BASE, OUTPUT_BASE
 
 A_BASE = INPUT_BASE
@@ -38,12 +39,10 @@ class AlphaBlendKernel(Kernel):
 
     def build_mmx(self) -> Program:
         b = ProgramBuilder("alphablend-mmx")
-        self.preamble(b)
         b.mov("r0", self.samples // 4)
         b.mov("r1", A_BASE)
         b.mov("r2", B_BASE)
         b.mov("r3", OUTPUT_BASE)
-        self.go_store(b)
         b.label("loop")
         # Interleave (a_i, b_i) pairs so one pmaddwd per pair computes
         # a*alpha + b*(256-alpha) — the intra-word realignment the SPU eats.
@@ -64,9 +63,6 @@ class AlphaBlendKernel(Kernel):
         b.loop("r0", "loop")
         b.halt()
         return b.build()
-
-    def loops(self) -> list[LoopSpec]:
-        return [LoopSpec(label="loop", iterations=self.samples // 4)]
 
     def prepare(self, machine) -> None:
         machine.memory.write_array(A_BASE, self.a, np.int16)

@@ -94,8 +94,8 @@ _CATALOG: tuple[Rule, ...] = (
          "The GO store activates a controller context with no program "
          "loaded for it."),
     Rule("sa-missing-go", Severity.WARN,
-         "A loop named in the kernel's LoopSpec list has no GO store "
-         "before its label: the SPU never activates for it."),
+         "An accelerated loop (one with an off-load report) has no GO "
+         "store before its label: the SPU never activates for it."),
     Rule("sa-go-lead-in", Severity.ERROR,
          "Instructions between the GO store and the loop label would be "
          "stepped by the already-active controller, skewing the schedule."),

@@ -10,10 +10,11 @@ runs — the crossbar just routes the wrong operands on the wrong instructions,
 which is precisely the silent-corruption mode the fault taxonomy's
 ``go_race``/``counter_skew`` injections exercise dynamically.
 
-This module proves the convention statically: it walks each kernel loop's
-transformed body against its controller program (``sa-*`` rules), flagging
-length drift, counter totals, GO placement hazards and per-state route/slot
-disagreements — the static analogue of the differential self-check.
+This module proves the convention statically: it walks each accelerated
+loop's transformed body against its controller program (``sa-*`` rules),
+flagging length drift, counter totals, GO placement hazards and per-state
+route/slot disagreements — the static analogue of the differential
+self-check.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from typing import TYPE_CHECKING
 
 from repro.analysis.findings import Finding, FindingCollector
 from repro.analysis.microprogram import simulate
+from repro.core.mmio import DEFAULT_MMIO_BASE
 from repro.core.offload import OffloadError, find_loop
 from repro.core.mmxbytes import mmx_source_slots
 from repro.core.program import SPUProgram
@@ -49,17 +51,22 @@ def chain_states(program: SPUProgram) -> list[int]:
     return chain
 
 
-def _go_stores(program: Program) -> list[tuple[int, int]]:
+def _activations(program: Program) -> list[tuple[int, int]]:
     """All SPU GO stores: ``(stw_index, context)`` pairs, program order.
 
-    The framework idiom is ``mov r15, 1|(context<<1); stw [r14], r15``
-    (:meth:`repro.kernels.base.Kernel.go_store`); the scan resolves the GO
-    word through the most recent immediate move into the store's data
-    register.  Stores whose word cannot be resolved statically, and RESUME
-    stores (bit 3), are skipped.
+    The plumbing idiom is ``mov base, DEFAULT_MMIO_BASE`` once, then
+    ``mov go, 1|(context<<1); stw [base], go`` per loop
+    (:func:`repro.core.autopilot.inject_plumbing`).  A store counts when its
+    base register is one the program ever loads with the MMIO base; the scan
+    resolves the GO word through the most recent immediate move into the
+    store's data register.  Stores whose word cannot be resolved statically,
+    and RESUME stores (bit 3), are skipped.
     """
-    from repro.kernels.base import SPU_BASE_REG
-
+    base_regs = {
+        instr.operands[0]
+        for instr in program.instructions
+        if instr.opcode.sem == "mov" and instr.operands[1] == Imm(DEFAULT_MMIO_BASE)
+    }
     stores: list[tuple[int, int]] = []
     last_imm: dict[int, int | None] = {}
     for index, instr in enumerate(program.instructions):
@@ -72,7 +79,7 @@ def _go_stores(program: Program) -> list[tuple[int, int]]:
         if instr.opcode.sem != "stw":
             continue
         target = instr.operands[0]
-        if not (isinstance(target, Mem) and target.base == SPU_BASE_REG and target.disp == 0):
+        if not (isinstance(target, Mem) and target.base in base_regs and target.disp == 0):
             continue
         word = last_imm.get(instr.operands[1].index)
         if word is None or not word & 1 or word & 0b1000:
@@ -86,9 +93,9 @@ def analyze_schedule(kernel: Kernel) -> list[Finding]:
     out = FindingCollector()
     program, controller_programs = kernel.spu_programs()
     loaded = dict(controller_programs)
-    go_stores = _go_stores(program)
+    activations = _activations(program)
 
-    for index, context in go_stores:
+    for index, context in activations:
         if context not in loaded:
             out.add(
                 "sa-go-before-load",
@@ -100,8 +107,12 @@ def analyze_schedule(kernel: Kernel) -> list[Finding]:
                 "store names",
             )
 
-    for context, spec in enumerate(kernel.loops()):
-        label = spec.label
+    for context, report in kernel.offload_reports():
+        certificate = report.certificate
+        if certificate is None:
+            continue
+        label = certificate.loop_label
+        iterations = certificate.iterations
         subject = f"{kernel.name}/{label}"
         spu_program = loaded.get(context)
         if spu_program is None:
@@ -131,7 +142,7 @@ def analyze_schedule(kernel: Kernel) -> list[Finding]:
             entry_state = spu_program.states.get(spu_program.entry)
             if entry_state is not None:
                 cntr = entry_state.cntr
-                expected = spec.iterations * len(body)
+                expected = iterations * len(body)
                 actual = spu_program.counter_init[cntr]
                 if actual != expected:
                     out.add(
@@ -139,7 +150,7 @@ def analyze_schedule(kernel: Kernel) -> list[Finding]:
                         "error",
                         f"{subject} (context {context})",
                         f"CNTR{cntr}={actual} but the loop runs "
-                        f"{spec.iterations} iterations x {len(body)} "
+                        f"{iterations} iterations x {len(body)} "
                         f"instructions = {expected} controller steps",
                         fix_hint="program the counter to iterations x body "
                         "length so the SPU retires with the loop",
@@ -213,7 +224,7 @@ def analyze_schedule(kernel: Kernel) -> list[Finding]:
                     )
 
         # -- GO placement --------------------------------------------------
-        own_stores = [index for index, ctx in go_stores if ctx == context]
+        own_stores = [index for index, ctx in activations if ctx == context]
         before = [index for index in own_stores if index < start]
         if not before:
             out.add(
@@ -222,8 +233,8 @@ def analyze_schedule(kernel: Kernel) -> list[Finding]:
                 f"{subject} (context {context})",
                 f"no GO store for context {context} precedes the loop "
                 f"label: the SPU never activates for this loop",
-                fix_hint="emit go_store(builder, context) immediately "
-                "before the loop label",
+                fix_hint="store GO for this context immediately before "
+                "the loop label (repro.core.inject_plumbing)",
                 loop=label,
             )
         else:

@@ -49,7 +49,7 @@ def measure_startup_cost(kernel: Kernel) -> StartupCost:
     for context, spu_program in controller_programs:
         state_words += spu_program.state_count()
         # Stage without GO: pricing the upload alone; activation is the
-        # 2-instruction go_store the kernels already pay per phase.
+        # 2-instruction GO store the compiled program already pays per loop.
         instructions += emit_upload(
             builder, spu_program, kernel.config, context=context, go=False
         )

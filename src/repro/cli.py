@@ -83,7 +83,7 @@ import argparse
 import sys
 
 from repro.analysis import format_table, pct, ratio
-from repro.core import get_config, offload_loop
+from repro.core import get_config
 from repro.errors import KernelError
 from repro.experiments import ExperimentSuite, fig9, table1, table2, table3
 from repro.hw import spu_cost
@@ -308,20 +308,25 @@ def _cmd_cost(args: argparse.Namespace) -> int:
 
 
 def _cmd_offload(args: argparse.Namespace) -> int:
-    kernel = make_kernel(args.kernel)
-    program = kernel.mmx_program()
-    spec = kernel.loops()[0]
-    report = offload_loop(program, spec.label, spec.iterations, kernel.config,
-                          live_out=spec.live_out)
-    print(f"loop {spec.label!r}: removed {report.removed_count} instruction(s):")
-    for index in report.removed:
-        print(f"  - {program[index]}")
-    if report.kept:
-        print("kept (with reasons):")
-        for position, reason in sorted(report.kept.items()):
-            print(f"  - {program[report.loop_start + position]}: {reason}")
-    print(f"SPU program: {report.spu_program.state_count()} states, "
-          f"counters {report.spu_program.counter_init}")
+    result = make_kernel(args.kernel).compile_result()
+    for context, report in result.reports:
+        cert = report.certificate
+        assert cert is not None
+        print(f"loop {cert.loop_label!r} (context {context}, {cert.iterations} "
+              f"iterations): removed {report.removed_count} instruction(s):")
+        for position in cert.removed:
+            print(f"  - {cert.body[position]}")
+        if report.kept:
+            print("kept (with reasons):")
+            for position, reason in sorted(report.kept.items()):
+                print(f"  - {cert.body[position]}: {reason}")
+        for title, regs in (("live out", cert.live_out), ("known zero", cert.known_zero)):
+            if regs:
+                print(f"{title}: {', '.join(f'mm{index}' for index in regs)}")
+        print(f"SPU program: {report.spu_program.state_count()} states, "
+              f"counters {report.spu_program.counter_init}")
+    for label, reason in result.skipped.items():
+        print(f"skipped loop {label!r}: {reason}")
     return 0
 
 
@@ -665,10 +670,13 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    import time
+
     from repro.experiments import write_report
 
+    started = time.perf_counter()
     path = write_report(args.output, fast=args.fast)
-    print(f"wrote {path}")
+    print(f"wrote {path} in {time.perf_counter() - started:.1f}s")
     return 0
 
 

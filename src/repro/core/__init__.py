@@ -171,6 +171,7 @@ from repro.core.autopilot import (
     CompileResult,
     DetectedLoop,
     detect_counted_loops,
+    inject_plumbing,
     offload_program,
 )
 
@@ -178,5 +179,6 @@ __all__ += [
     "CompileResult",
     "DetectedLoop",
     "detect_counted_loops",
+    "inject_plumbing",
     "offload_program",
 ]

@@ -10,28 +10,31 @@ MMX program with **no SPU plumbing at all**, it
 2. statically infers each trip count from the dominating ``mov rX, imm``,
 3. runs the per-loop off-load pass (:func:`repro.core.offload.offload_loop`),
 4. assigns controller contexts (up to four) to the profitable loops, and
-5. injects the MMIO plumbing — one base-register load at program entry and
-   a GO store immediately before each accelerated loop — using scalar
-   registers the program does not touch.
+5. injects the MMIO plumbing (:func:`inject_plumbing`) — one base-register
+   load at program entry and a GO store immediately before each accelerated
+   loop — using scalar registers the program does not touch.
 
-The result is a transformed :class:`Program` plus the per-context
-controller programs, ready for :func:`repro.core.integration.attach_spu`.
+Each loop's ``live_out`` and ``known_zero`` facts are inferred from the
+surrounding straight-line code.  The result is a transformed
+:class:`Program` plus the per-context off-load reports and controller
+programs, ready for :func:`repro.core.integration.attach_spu`.  Every
+kernel's MMX+SPU variant is built this way.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from repro.core.builder import SPUProgramBuilder  # noqa: F401 (re-export site)
 from repro.core.interconnect import CONFIG_D, CrossbarConfig
 from repro.core.mmio import DEFAULT_MMIO_BASE
-from repro.core.mmxbytes import byte_facts
-from repro.core.offload import OffloadError, OffloadReport, offload_loop
+from repro.core.mmxbytes import is_pure_permute, is_zero_idiom
+from repro.core.offload import OffloadError, OffloadReport, find_loop, offload_loop
 from repro.core.program import SPUProgram
 from repro.isa.instructions import Instruction, Program
 from repro.isa.opcodes import lookup
 from repro.isa.operands import Imm, Label, Mem
-from repro.isa.registers import MM, NUM_SCALAR_REGS, R, Register
+from repro.isa.registers import MM, NUM_MMX_REGS, NUM_SCALAR_REGS, R, Register
 
 
 @dataclass
@@ -50,14 +53,22 @@ class CompileResult:
     """Output of :func:`offload_program`."""
 
     program: Program
-    #: (context, controller program) for each accelerated loop, in order.
-    controller_programs: list[tuple[int, SPUProgram]]
-    #: Loops accelerated, by label.
+    #: (context, off-load report) for each accelerated loop, in order.
+    reports: list[tuple[int, OffloadReport]] = field(default_factory=list)
+    #: Loops accelerated, by label, in context order.
     accelerated: list[str] = field(default_factory=list)
     #: Loops considered but skipped, with reasons.
     skipped: dict[str, str] = field(default_factory=dict)
-    #: Static permutes removed in total.
-    removed: int = 0
+
+    @property
+    def controller_programs(self) -> list[tuple[int, SPUProgram]]:
+        """(context, controller program) for each accelerated loop."""
+        return [(context, report.spu_program) for context, report in self.reports]
+
+    @property
+    def removed(self) -> int:
+        """Static permutes removed in total."""
+        return sum(report.removed_count for _, report in self.reports)
 
 
 def detect_counted_loops(program: Program) -> tuple[list[DetectedLoop], dict[str, str]]:
@@ -116,36 +127,69 @@ def detect_counted_loops(program: Program) -> tuple[list[DetectedLoop], dict[str
     return detected, skipped
 
 
-def _known_zero_at(program: Program, loop: DetectedLoop) -> tuple[Register, ...]:
-    """MMX registers provably zero at the loop and untouched in its body.
+def _known_zero_at(program: Program, start: int, end: int) -> tuple[Register, ...]:
+    """MMX registers provably zero at the loop ``[start, end]`` and untouched in it.
 
     A pre-loop clear idiom (``pxor x,x``) establishes zero; any other write
     clears the fact; control flow resets the analysis conservatively.
     """
     zero_state: dict[int, bool] = {}
-    for index in range(loop.start):
+    for index in range(start):
         instr = program[index]
         if instr.is_branch:
             zero_state.clear()
             continue
-        fact = byte_facts(instr)
-        if fact.mmx_dest is not None:
-            zero_state[fact.mmx_dest] = fact.zero_idiom
+        dest = instr.dest
+        if dest is not None and dest.is_mmx:
+            zero_state[dest.index] = is_zero_idiom(instr)
     result = []
     for reg_index, is_zero in zero_state.items():
         if not is_zero:
             continue
         written_in_body = any(
             MM[reg_index] in program[i].mmx_regs_written()
-            for i in range(loop.start, loop.end + 1)
+            for i in range(start, end + 1)
         )
         if not written_in_body:
             result.append(MM[reg_index])
     return tuple(result)
 
 
+def _live_after(program: Program, end: int) -> tuple[Register, ...]:
+    """MMX registers the code after the loop ending at *end* may read.
+
+    A straight-line scan: a read before any write makes a register live, a
+    write first makes it dead.  A branch back into the scanned code (a later
+    loop's back edge) revisits instructions already walked; any other branch
+    ends the scan with every undecided register live, and ``halt`` ends it
+    with none.
+    """
+    live: set[int] = set()
+    decided: set[int] = set()
+    for index in range(end + 1, len(program)):
+        instr = program[index]
+        if instr.opcode.sem == "halt":
+            break
+        if not is_zero_idiom(instr):
+            reads = {reg.index for reg in instr.mmx_regs_read()}
+            live.update(reads - decided)
+            decided.update(reads)
+        dest = instr.dest
+        if dest is not None and dest.is_mmx:
+            decided.add(dest.index)
+        if instr.is_branch:
+            target = instr.operands[-1]
+            if not (
+                isinstance(target, Label)
+                and end < program.target(target.name) <= index
+            ):
+                live.update(set(range(NUM_MMX_REGS)) - decided)
+                break
+    return tuple(MM[index] for index in sorted(live))
+
+
 def _free_scalar_registers(program: Program, count: int) -> list[Register]:
-    """Scalar registers the program never reads or writes."""
+    """Scalar registers the program never reads or writes, highest first."""
     used: set[Register] = set()
     for instr in program.instructions:
         for reg in (*instr.regs_read(), *instr.regs_written()):
@@ -179,64 +223,68 @@ def _inject(program: Program, insertions: dict[int, list[Instruction]]) -> Progr
     return result
 
 
-def offload_program(
-    program: Program,
-    config: CrossbarConfig = CONFIG_D,
-    mmio_base: int = DEFAULT_MMIO_BASE,
-    min_removed: int = 1,
-) -> CompileResult:
-    """Compile a plain MMX program into its SPU-accelerated form.
+def inject_plumbing(program: Program, loop_labels: Sequence[str]) -> Program:
+    """Add the SPU MMIO plumbing for controller contexts ``0..len(loop_labels)-1``.
 
-    Loops whose off-load removes fewer than *min_removed* instructions are
-    left untouched (no GO overhead for nothing); at most four loops are
-    accelerated (the MMIO context field width).
+    One ``mov base, DEFAULT_MMIO_BASE`` at program entry and, for context
+    *i*, the GO store ``mov go, 1|(i<<1); stw [base], go`` immediately
+    before the head of ``loop_labels[i]``.  *base* and *go* are the two
+    highest scalar registers the program leaves untouched (``r14`` and
+    ``r15`` when both are free).
     """
-    detected, skipped = detect_counted_loops(program)
-
-    candidates: list[tuple[DetectedLoop, OffloadReport]] = []
-    working = program
-    for loop in detected:
-        if len(candidates) == 4:
-            skipped[loop.label] = "context limit (4) reached"
-            continue
-        report = offload_loop(
-            working, loop.label, loop.iterations, config,
-            known_zero=_known_zero_at(working, loop),
-        )
-        if report.removed_count < min_removed:
-            skipped[loop.label] = "no removable permutes"
-            continue
-        working = report.program
-        candidates.append((loop, report))
-
-    if not candidates:
-        return CompileResult(program=program, controller_programs=[],
-                             skipped=skipped)
-
-    base_reg, go_reg = _free_scalar_registers(program, 2)
+    go_reg, base_reg = _free_scalar_registers(program, 2)
     mov = lookup("mov")
     stw = lookup("stw")
     insertions: dict[int, list[Instruction]] = {
-        0: [Instruction(opcode=mov, operands=(base_reg, Imm(mmio_base)))]
+        0: [Instruction(opcode=mov, operands=(base_reg, Imm(DEFAULT_MMIO_BASE)))]
     }
-    controller_programs: list[tuple[int, SPUProgram]] = []
-    accelerated: list[str] = []
-    removed_total = 0
-    for context, (loop, report) in enumerate(candidates):
-        head = working.target(loop.label)
-        insertions.setdefault(head, []).extend([
+    for context, label in enumerate(loop_labels):
+        insertions.setdefault(program.target(label), []).extend([
             Instruction(opcode=mov, operands=(go_reg, Imm(1 | (context << 1)))),
             Instruction(opcode=stw, operands=(Mem(base=base_reg), go_reg)),
         ])
-        controller_programs.append((context, report.spu_program))
-        accelerated.append(loop.label)
-        removed_total += report.removed_count
+    return _inject(program, insertions)
 
-    final = _inject(working, insertions)
+
+def offload_program(program: Program, config: CrossbarConfig = CONFIG_D) -> CompileResult:
+    """Compile a plain MMX program into its SPU-accelerated form.
+
+    Loops whose off-load removes nothing are left untouched (no GO overhead
+    for nothing); at most four loops are accelerated (the MMIO context field
+    width).  Each loop is found again by label in the program as transformed
+    so far, since earlier off-loads shift its indexes.
+    """
+    detected, skipped = detect_counted_loops(program)
+
+    reports: list[tuple[int, OffloadReport]] = []
+    accelerated: list[str] = []
+    working = program
+    for loop in detected:
+        if len(reports) == 4:
+            skipped[loop.label] = "context limit (4) reached"
+            continue
+        start, end = find_loop(working, loop.label)
+        if not any(map(is_pure_permute, working.instructions[start : end + 1])):
+            skipped[loop.label] = "no removable permutes"
+            continue
+        report = offload_loop(
+            working, loop.label, loop.iterations, config,
+            live_out=_live_after(working, end),
+            known_zero=_known_zero_at(working, start, end),
+        )
+        if not report.removed_count:
+            reasons = "; ".join(sorted(set(report.kept.values())))
+            skipped[loop.label] = f"no removable permutes (kept: {reasons})"
+            continue
+        working = report.program
+        reports.append((len(reports), report))
+        accelerated.append(loop.label)
+
+    if not reports:
+        return CompileResult(program=program, skipped=skipped)
     return CompileResult(
-        program=final,
-        controller_programs=controller_programs,
+        program=inject_plumbing(working, accelerated),
+        reports=reports,
         accelerated=accelerated,
         skipped=skipped,
-        removed=removed_total,
     )

@@ -4,11 +4,12 @@
 with the ASCII chart, and the quantitative extensions (start-up cost,
 energy, code size) — and writes a self-contained REPORT.md.  This is the
 artifact a reviewer diffs against EXPERIMENTS.md.
+The report is a pure function of the simulator (no wall-clock), so a fresh
+run is byte-identical to the committed copy.
 """
 
 from __future__ import annotations
 
-import time
 from pathlib import Path
 
 from repro.analysis import (
@@ -32,7 +33,6 @@ def _code_block(text: str) -> str:
 def generate_report(fast: bool = False) -> str:
     """Run the full evaluation; returns the report markdown."""
     suite = ExperimentSuite(fast=fast)
-    started = time.time()
     sections: list[str] = [
         "# Evaluation report",
         "",
@@ -111,8 +111,6 @@ def generate_report(fast: bool = False) -> str:
             ["Kernel", "MMX bytes", "MMX+SPU bytes", "Sub-word-addr bytes"],
             size_rows,
         )),
-        "",
-        f"_Total evaluation wall time: {time.time() - started:.1f}s._",
         "",
     ]
     return "\n".join(sections)

@@ -9,7 +9,6 @@ from repro.kernels.base import (
     TABLE_BASE,
     Kernel,
     KernelComparison,
-    LoopSpec,
 )
 from repro.kernels.dct import DCTKernel, dct_matrix_q12
 from repro.kernels.dotprod import DotProductKernel
@@ -39,7 +38,6 @@ __all__ = [
     "TABLE_BASE",
     "Kernel",
     "KernelComparison",
-    "LoopSpec",
     "DCTKernel",
     "dct_matrix_q12",
     "DotProductKernel",

@@ -6,41 +6,37 @@ coding strategy, a NumPy *fixed-point mirror* as the golden reference (same
 arithmetic, same rounding — equality is exact, not approximate), and the
 workload parameters of Table 2.
 
-The MMX+SPU variant follows the paper's methodology — "each of the
-algorithms is re-coded to avoid utilizing the permutation instructions that
-can be addressed by the SPU" — by running the automatic off-load pass on
-every marked loop.  Loops get one SPU controller context each; the program
-activates each phase's context by storing GO to the memory-mapped
-configuration register just before entering the loop (§4).  In the MMX-only
-baseline those stores hit plain memory and everything else is identical, so
-the comparison isolates the SPU's contribution.
+A kernel writes plain MMX only.  The MMX+SPU variant follows the paper's
+methodology — "each of the algorithms is re-coded to avoid utilizing the
+permutation instructions that can be addressed by the SPU" — by compiling
+that program with :func:`repro.core.autopilot.offload_program`: every
+counted loop is off-loaded, each loop that loses a permute gets one SPU
+controller context, and the compiler injects the GO store that activates it
+just before the loop (§4).  The MMX-only baseline carries no SPU plumbing at
+all; a kernel whose loops remove nothing runs its unchanged program on the
+extra-stage pipeline.
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import KernelError
 from repro.core import (
     CONFIG_D,
-    DEFAULT_MMIO_BASE,
+    CompileResult,
     CrossbarConfig,
     OffloadReport,
     SPUController,
     SPUProgram,
     attach_spu,
-    offload_loop,
+    offload_program,
 )
 from repro.cpu import Machine, PipelineConfig, RunStats
-from repro.isa import Program, ProgramBuilder, Register
-from repro.isa.registers import R
-
-#: Registers reserved by the framework for SPU control stores.
-SPU_BASE_REG = R[14]  # holds DEFAULT_MMIO_BASE
-SPU_GO_REG = R[15]  # holds the GO word for the next phase
+from repro.isa import Program
 
 #: Conventional memory layout used by all kernels.
 INPUT_BASE = 0x1000
@@ -49,18 +45,6 @@ TABLE_BASE = 0x6000
 OUTPUT_BASE = 0x8000
 SCRATCH_BASE = 0xC000
 MEMORY_SIZE = 1 << 20
-
-
-@dataclass
-class LoopSpec:
-    """One SPU-accelerated loop: label plus dynamic trip count."""
-
-    label: str
-    iterations: int
-    live_out: tuple[Register, ...] = ()
-    #: Registers zeroed before the loop and untouched inside it: routable
-    #: zero sources for the off-load pass.
-    known_zero: tuple[Register, ...] = ()
 
 
 @dataclass
@@ -98,17 +82,13 @@ class Kernel(abc.ABC):
         self.config = config
         self._mmx_program: Program | None = None
         self._spu_build: tuple[Program, list[tuple[int, SPUProgram]]] | None = None
-        self._offload_reports: list[tuple[int, OffloadReport]] | None = None
+        self._compiled: CompileResult | None = None
 
     # ---- to implement per kernel -------------------------------------------
 
     @abc.abstractmethod
     def build_mmx(self) -> Program:
         """The MMX-only program (IPP-style, permutes in software)."""
-
-    @abc.abstractmethod
-    def loops(self) -> list[LoopSpec]:
-        """The loops the SPU accelerates, in program order (≤4: contexts)."""
 
     @abc.abstractmethod
     def prepare(self, machine: Machine) -> None:
@@ -122,19 +102,6 @@ class Kernel(abc.ABC):
     def reference(self) -> np.ndarray:
         """Golden output from the NumPy fixed-point mirror."""
 
-    # ---- construction helpers -------------------------------------------------
-
-    @staticmethod
-    def go_store(b: ProgramBuilder, context: int = 0) -> None:
-        """Emit the GO store activating SPU *context* (call just before a loop)."""
-        b.mov(SPU_GO_REG, 1 | (context << 1))
-        b.stw(f"[{SPU_BASE_REG.name}]", SPU_GO_REG)
-
-    @staticmethod
-    def preamble(b: ProgramBuilder) -> None:
-        """Load the SPU MMIO base register (once, at program start)."""
-        b.mov(SPU_BASE_REG, DEFAULT_MMIO_BASE)
-
     # ---- cached builds -----------------------------------------------------------
 
     def mmx_program(self) -> Program:
@@ -145,33 +112,17 @@ class Kernel(abc.ABC):
     def spu_programs(self) -> tuple[Program, list[tuple[int, SPUProgram]]]:
         """Transformed program plus ``(context, controller program)`` pairs."""
         if self._spu_build is None:
-            loops = self.loops()
-            if not 1 <= len(loops) <= 4:
-                raise KernelError(
-                    f"{self.name}: {len(loops)} loops; the MMIO context field "
-                    "supports 1-4"
-                )
-            program = self.mmx_program()
-            controller_programs: list[tuple[int, SPUProgram]] = []
-            reports: list[tuple[int, OffloadReport]] = []
-            removed_total = 0
-            for context, spec in enumerate(loops):
-                report = offload_loop(
-                    program,
-                    spec.label,
-                    spec.iterations,
-                    self.config,
-                    live_out=spec.live_out,
-                    known_zero=spec.known_zero,
-                )
-                program = report.program
-                removed_total += report.removed_count
-                controller_programs.append((context, report.spu_program))
-                reports.append((context, report))
-            self._removed_permutes = removed_total
-            self._offload_reports = reports
-            self._spu_build = (program, controller_programs)
+            self._compiled = offload_program(self.mmx_program(), self.config)
+            self._spu_build = (
+                self._compiled.program, self._compiled.controller_programs
+            )
         return self._spu_build
+
+    def compile_result(self) -> CompileResult:
+        """The whole-program compile behind :meth:`spu_programs`."""
+        self.spu_programs()
+        assert self._compiled is not None
+        return self._compiled
 
     def offload_reports(self) -> list[tuple[int, OffloadReport]]:
         """Per-loop ``(context, OffloadReport)`` pairs, including certificates.
@@ -180,14 +131,11 @@ class Kernel(abc.ABC):
         :class:`~repro.core.dataflow.OffloadCertificate` without re-running
         the off-load pass.
         """
-        self.spu_programs()
-        assert self._offload_reports is not None
-        return self._offload_reports
+        return self.compile_result().reports
 
     @property
     def removed_permutes(self) -> int:
-        self.spu_programs()
-        return self._removed_permutes
+        return self.compile_result().removed
 
     # ---- optional hand-tuned variant (§5.2.2's "lower estimate" remark) ------
 

@@ -17,7 +17,7 @@ import numpy as np
 from repro.errors import KernelError
 from repro.cpu import Machine
 from repro.isa import Program, ProgramBuilder
-from repro.kernels.base import COEFF_BASE, INPUT_BASE, OUTPUT_BASE, Kernel, LoopSpec
+from repro.kernels.base import COEFF_BASE, INPUT_BASE, OUTPUT_BASE, Kernel
 
 #: Q8 luma weights for (R, G, B, A): Y = (66R + 129G + 25B) >> 8.
 WEIGHTS = (66, 129, 25, 0)
@@ -43,13 +43,11 @@ class ColorSpaceKernel(Kernel):
 
     def build_mmx(self) -> Program:
         b = ProgramBuilder(f"{self.name.lower()}-mmx")
-        self.preamble(b)
         b.mov("r0", self.iterations)
         b.mov("r1", INPUT_BASE)
         b.mov("r2", OUTPUT_BASE)
         b.mov("r3", COEFF_BASE)
         b.pxor("mm3", "mm3")  # zero register
-        self.go_store(b)
         b.label("loop")
         b.movq("mm0", "[r1]")  # R0 G0 B0 A0 R1 G1 B1 A1
         b.movq("mm1", "mm0")
@@ -74,8 +72,6 @@ class ColorSpaceKernel(Kernel):
         b.halt()
         return b.build()
 
-    def loops(self) -> list[LoopSpec]:
-        return [LoopSpec(label="loop", iterations=self.iterations)]
 
     def prepare(self, machine: Machine) -> None:
         machine.memory.write_array(INPUT_BASE, self.rgba.reshape(-1), np.uint8)

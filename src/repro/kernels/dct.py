@@ -6,8 +6,8 @@ transpose, a second row pass, and a final transpose.  The two transposes are
 pure inter-word data movement — the reason DCT is among the kernels the
 paper's unified SPU register helps most (§5.2.3).
 
-Four flat loops → four SPU controller contexts, activated in turn by GO
-stores (§3's multi-context support).
+Four flat loops → four SPU controller contexts, which the compiler activates
+in turn with GO stores (§3's multi-context support).
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from repro.kernels.base import (
     SCRATCH_BASE,
     TABLE_BASE,
     Kernel,
-    LoopSpec,
 )
 
 #: Q-format of the cosine coefficients and the matching output scale.
@@ -85,13 +84,11 @@ class DCTKernel(Kernel):
 
     # ---- program ---------------------------------------------------------------------
 
-    def _emit_row_pass(self, b: ProgramBuilder, label: str, src: int, dst: int,
-                       context: int) -> None:
+    def _emit_row_pass(self, b: ProgramBuilder, label: str, src: int, dst: int) -> None:
         """One 1-D DCT pass over 8 rows: out_row = C × row."""
         b.mov("r0", 8 * self.blocks)
         b.mov("r1", src)
         b.mov("r2", dst)
-        self.go_store(b, context=context)
         b.label(label)
         for u in range(8):
             b.pxor("mm2", "mm2")
@@ -119,12 +116,10 @@ class DCTKernel(Kernel):
         b.add("r2", 16)
         b.loop("r0", label)
 
-    def _emit_transpose(self, b: ProgramBuilder, label: str, table: int,
-                        context: int) -> None:
+    def _emit_transpose(self, b: ProgramBuilder, label: str, table: int) -> None:
         row = 16
         b.mov("r0", 4 * self.blocks)
         b.mov("r10", table)
-        self.go_store(b, context=context)
         b.label(label)
         b.ldw("r1", "[r10]")
         b.ldw("r2", "[r10+4]")
@@ -153,22 +148,14 @@ class DCTKernel(Kernel):
 
     def build_mmx(self) -> Program:
         b = ProgramBuilder(f"{self.name.lower()}-mmx")
-        self.preamble(b)
         b.mov("r3", COEFF_BASE)
-        self._emit_row_pass(b, "rows1", INPUT_BASE, STAGE1_OUT, context=0)
-        self._emit_transpose(b, "trans1", TILE_TABLE_1, context=1)
-        self._emit_row_pass(b, "rows2", STAGE2_OUT, STAGE3_OUT, context=2)
-        self._emit_transpose(b, "trans2", TILE_TABLE_2, context=3)
+        self._emit_row_pass(b, "rows1", INPUT_BASE, STAGE1_OUT)
+        self._emit_transpose(b, "trans1", TILE_TABLE_1)
+        self._emit_row_pass(b, "rows2", STAGE2_OUT, STAGE3_OUT)
+        self._emit_transpose(b, "trans2", TILE_TABLE_2)
         b.halt()
         return b.build()
 
-    def loops(self) -> list[LoopSpec]:
-        return [
-            LoopSpec(label="rows1", iterations=8 * self.blocks),
-            LoopSpec(label="trans1", iterations=4 * self.blocks),
-            LoopSpec(label="rows2", iterations=8 * self.blocks),
-            LoopSpec(label="trans2", iterations=4 * self.blocks),
-        ]
 
     def prepare(self, machine: Machine) -> None:
         machine.memory.write_array(INPUT_BASE, self.block.reshape(-1), np.int16)

@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.cpu import Machine
 from repro.isa import Program, ProgramBuilder
-from repro.kernels.base import INPUT_BASE, OUTPUT_BASE, Kernel, LoopSpec
+from repro.kernels.base import INPUT_BASE, OUTPUT_BASE, Kernel
 
 
 class DotProductKernel(Kernel):
@@ -30,11 +30,9 @@ class DotProductKernel(Kernel):
 
     def build_mmx(self) -> Program:
         b = ProgramBuilder(f"{self.name.lower()}-mmx")
-        self.preamble(b)
         b.mov("r0", self.blocks)
         b.mov("r1", INPUT_BASE)
         b.mov("r2", OUTPUT_BASE)
-        self.go_store(b)
         b.label("loop")
         b.movq("mm0", "[r1]")  # a b c d
         b.movq("mm1", "[r1+8]")  # e f g h
@@ -52,8 +50,6 @@ class DotProductKernel(Kernel):
         b.halt()
         return b.build()
 
-    def loops(self) -> list[LoopSpec]:
-        return [LoopSpec(label="loop", iterations=self.blocks)]
 
     def prepare(self, machine: Machine) -> None:
         machine.memory.write_array(INPUT_BASE, self.data, np.int16)

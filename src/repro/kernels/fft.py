@@ -36,7 +36,6 @@ from repro.kernels.base import (
     INPUT_BASE,
     TABLE_BASE,
     Kernel,
-    LoopSpec,
 )
 
 #: Twiddle fixed-point format (Q15).
@@ -124,7 +123,6 @@ class FFTKernel(Kernel):
 
     def build_mmx(self) -> Program:
         b = ProgramBuilder(f"{self.name.lower()}-mmx")
-        self.preamble(b)
 
         # Phase 0 (scalar): bit-reversal permutation.
         b.mov("r0", self.swap_count)
@@ -142,7 +140,6 @@ class FFTKernel(Kernel):
         # Phase 1 (MMX, context 0): size-2 stage, two complex per register.
         b.mov("r0", self.n // 2)
         b.mov("r1", INPUT_BASE)
-        self.go_store(b, context=0)
         b.label("stage1")
         b.movq("mm0", "[r1]")  # [ar ai br bi]
         b.pshufw("mm1", "mm0", 0x4E)  # [br bi ar ai]
@@ -202,8 +199,6 @@ class FFTKernel(Kernel):
         b.halt()
         return b.build()
 
-    def loops(self) -> list[LoopSpec]:
-        return [LoopSpec(label="stage1", iterations=self.n // 2)]
 
     def prepare(self, machine: Machine) -> None:
         interleaved = np.zeros(2 * self.n, dtype=np.int16)

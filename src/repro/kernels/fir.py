@@ -21,7 +21,7 @@ import numpy as np
 from repro.errors import KernelError
 from repro.cpu import Machine
 from repro.isa import Program, ProgramBuilder
-from repro.kernels.base import COEFF_BASE, INPUT_BASE, OUTPUT_BASE, Kernel, LoopSpec
+from repro.kernels.base import COEFF_BASE, INPUT_BASE, OUTPUT_BASE, Kernel
 
 #: Output scale shift (coefficients are Q-scaled by the workload generator).
 SHIFT = 12
@@ -86,12 +86,10 @@ class FIRKernel(Kernel):
     def build_mmx(self) -> Program:
         G = self.groups
         b = ProgramBuilder(f"{self.name.lower()}-mmx")
-        self.preamble(b)
         b.mov("r0", self.blocks)
         b.mov("r1", INPUT_BASE)  # &xbuf[n]
         b.mov("r2", OUTPUT_BASE)
         b.mov("r3", COEFF_BASE)
-        self.go_store(b)
         b.label("loop")
         # Registers stay within MM0..MM3 — config D's input window (§5.1.1:
         # every paper kernel fits configuration D).
@@ -119,8 +117,6 @@ class FIRKernel(Kernel):
         b.halt()
         return b.build()
 
-    def loops(self) -> list[LoopSpec]:
-        return [LoopSpec(label="loop", iterations=self.blocks)]
 
     def build_spu_tuned(self):
         """SPU-aware recoding (§5.2.2's 'if the code was reworked' remark).
@@ -133,16 +129,19 @@ class FIRKernel(Kernel):
         result lanes then hold the full sum and the copy/shift pair
         disappears, two instructions per phase instead of one.
         """
-        from repro.core import SPUProgramBuilder, StateSpec, halfword_route
+        from repro.core import (
+            SPUProgramBuilder,
+            StateSpec,
+            halfword_route,
+            inject_plumbing,
+        )
 
         G = self.groups
         b = ProgramBuilder(f"{self.name.lower()}-spu-tuned")
-        self.preamble(b)
         b.mov("r0", self.blocks)
         b.mov("r1", INPUT_BASE)
         b.mov("r2", OUTPUT_BASE)
         b.mov("r3", COEFF_BASE)
-        self.go_store(b)
         specs: list[StateSpec] = []
         # acc(mm2) + swapped-halves(mm2): lane0 = l0+l1, lane1 = l1+l0.
         swap_halves = halfword_route([(2, 2), (2, 3), (2, 0), (2, 1)])
@@ -174,7 +173,7 @@ class FIRKernel(Kernel):
 
         builder = SPUProgramBuilder(config=self.config, name=f"{self.name}-tuned-ctl")
         builder.loop(specs, self.blocks)
-        return b.build(), [(0, builder.build())]
+        return inject_plumbing(b.build(), ["loop"]), [(0, builder.build())]
 
     def prepare(self, machine: Machine) -> None:
         machine.memory.write_array(INPUT_BASE, self._xbuf(), np.int16)

@@ -27,7 +27,6 @@ from repro.kernels.base import (
     OUTPUT_BASE,
     SCRATCH_BASE,
     Kernel,
-    LoopSpec,
 )
 
 #: Feedback scale: y[n] = (Σ b·x − Σ a·y) >> SHIFT.
@@ -68,13 +67,11 @@ class IIRKernel(Kernel):
         T = self.taps
         hist_bytes = 4 * T
         b = ProgramBuilder(f"{self.name.lower()}-mmx")
-        self.preamble(b)
 
         # Phase 1 (MMX, context 0): widen int16 samples to int32.
         b.mov("r0", self.groups)
         b.mov("r1", INPUT_BASE)
         b.mov("r2", X32_BASE + hist_bytes)
-        self.go_store(b, context=0)
         b.label("widen")
         b.movq("mm0", "[r1]")
         b.movq("mm1", "mm0")
@@ -111,11 +108,10 @@ class IIRKernel(Kernel):
         b.add("r2", 4)
         b.loop("r0", "recur")
 
-        # Phase 3 (MMX, context 1): saturating narrow back to int16.
+        # Phase 3 (MMX): saturating narrow back to int16 (no permutes to off-load).
         b.mov("r0", self.groups)
         b.mov("r1", Y32_BASE + hist_bytes)
         b.mov("r2", OUTPUT_BASE)
-        self.go_store(b, context=1)
         b.label("narrow")
         b.movq("mm0", "[r1]")
         b.packssdw("mm0", "[r1+8]")
@@ -126,11 +122,6 @@ class IIRKernel(Kernel):
         b.halt()
         return b.build()
 
-    def loops(self) -> list[LoopSpec]:
-        return [
-            LoopSpec(label="widen", iterations=self.groups),
-            LoopSpec(label="narrow", iterations=self.groups),
-        ]
 
     def prepare(self, machine: Machine) -> None:
         machine.memory.write_array(INPUT_BASE, self.x, np.int16)

@@ -28,7 +28,6 @@ from repro.kernels.base import (
     SCRATCH_BASE,
     TABLE_BASE,
     Kernel,
-    LoopSpec,
 )
 
 SHIFT = 12
@@ -132,12 +131,10 @@ class MatMulKernel(Kernel):
         G = self.row_groups
         suffix = "spu-tuned" if tuned else "mmx"
         b = ProgramBuilder(f"{self.name.lower()}-{suffix}")
-        self.preamble(b)
 
-        # Phase 1: transpose B (context 0).
+        # Phase 1: transpose B.
         b.mov("r0", self.tiles)
         b.mov("r10", TILE_TABLE)
-        self.go_store(b, context=0)
         b.label("tloop")
         b.ldw("r1", "[r10]")
         b.ldw("r2", "[r10+4]")
@@ -145,12 +142,11 @@ class MatMulKernel(Kernel):
         self._emit_tile_transpose(b, row)
         b.loop("r0", "tloop")
 
-        # Phase 2: dot products (context 1).
+        # Phase 2: dot products.
         swap_halves = halfword_route([(2, 2), (2, 3), (2, 0), (2, 1)])
         specs: list[StateSpec] = []
         b.mov("r0", self.dot_groups)
         b.mov("r10", DOT_TABLE)
-        self.go_store(b, context=1)
         b.label("dloop")
         b.ldw("r1", "[r10]")  # A row
         b.ldw("r2", "[r10+4]")  # four BT rows
@@ -194,22 +190,17 @@ class MatMulKernel(Kernel):
     def build_spu_tuned(self):
         """SPU-aware recoding (§5.2.2): tile loop auto-off-loaded, dot loop
         hand-routed with the swap-halves horizontal reduction."""
-        from repro.core import SPUProgramBuilder, offload_loop
+        from repro.core import SPUProgramBuilder, inject_plumbing, offload_loop
 
         program, specs = self._build(tuned=True)
         tile_report = offload_loop(program, "tloop", self.tiles, self.config)
         builder = SPUProgramBuilder(config=self.config, name=f"{self.name}-tuned-ctl")
         builder.loop(specs, self.dot_groups)
-        return tile_report.program, [
+        return inject_plumbing(tile_report.program, ["tloop", "dloop"]), [
             (0, tile_report.spu_program),
             (1, builder.build()),
         ]
 
-    def loops(self) -> list[LoopSpec]:
-        return [
-            LoopSpec(label="tloop", iterations=self.tiles),
-            LoopSpec(label="dloop", iterations=self.dot_groups),
-        ]
 
     def prepare(self, machine: Machine) -> None:
         machine.memory.write_array(A_BASE, self.a.reshape(-1), np.int16)

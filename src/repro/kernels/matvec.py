@@ -15,7 +15,7 @@ import numpy as np
 from repro.errors import KernelError
 from repro.cpu import Machine
 from repro.isa import Program, ProgramBuilder
-from repro.kernels.base import COEFF_BASE, INPUT_BASE, OUTPUT_BASE, Kernel, LoopSpec
+from repro.kernels.base import COEFF_BASE, INPUT_BASE, OUTPUT_BASE, Kernel
 
 SHIFT = 12
 
@@ -50,12 +50,10 @@ class MatVecKernel(Kernel):
         G = self.row_groups
         row_bytes = 2 * self.n
         b = ProgramBuilder(f"{self.name.lower()}-mmx")
-        self.preamble(b)
         b.mov("r0", self.output_groups)
         b.mov("r1", A_BASE)  # current row
         b.mov("r2", OUTPUT_BASE)
         b.mov("r3", X_BASE)
-        self.go_store(b)
         b.label("loop")
         for j in range(4):  # four outputs per iteration
             b.pxor("mm2", "mm2")
@@ -80,8 +78,6 @@ class MatVecKernel(Kernel):
         b.halt()
         return b.build()
 
-    def loops(self) -> list[LoopSpec]:
-        return [LoopSpec(label="loop", iterations=self.output_groups)]
 
     def prepare(self, machine: Machine) -> None:
         machine.memory.write_array(A_BASE, self.a.reshape(-1), np.int16)

@@ -16,7 +16,7 @@ import numpy as np
 from repro.errors import KernelError
 from repro.cpu import Machine
 from repro.isa import Program, ProgramBuilder
-from repro.kernels.base import COEFF_BASE, INPUT_BASE, OUTPUT_BASE, Kernel, LoopSpec
+from repro.kernels.base import COEFF_BASE, INPUT_BASE, OUTPUT_BASE, Kernel
 
 A_BASE = INPUT_BASE
 B_BASE = INPUT_BASE + 0x800
@@ -45,13 +45,11 @@ class SADKernel(Kernel):
 
     def build_mmx(self) -> Program:
         b = ProgramBuilder(f"{self.name.lower()}-mmx")
-        self.preamble(b)
         b.mov("r0", self.groups)
         b.mov("r1", A_BASE)
         b.mov("r2", B_BASE)
         b.pxor("mm2", "mm2")  # word accumulator
         b.pxor("mm3", "mm3")  # zero register for the widening unpacks
-        self.go_store(b)
         b.label("loop")
         b.movq("mm0", "[r1]")
         b.movq("mm1", "[r2]")
@@ -77,12 +75,6 @@ class SADKernel(Kernel):
         b.halt()
         return b.build()
 
-    def loops(self) -> list[LoopSpec]:
-        from repro.isa import MM
-
-        # mm2 carries the accumulator across iterations and into the
-        # epilogue — the pass must keep its last in-loop writer.
-        return [LoopSpec(label="loop", iterations=self.groups, live_out=(MM[2],))]
 
     def prepare(self, machine: Machine) -> None:
         machine.memory.write_array(A_BASE, self.block_a, np.uint8)

@@ -18,7 +18,7 @@ import numpy as np
 from repro.errors import KernelError
 from repro.cpu import Machine
 from repro.isa import Program, ProgramBuilder
-from repro.kernels.base import INPUT_BASE, OUTPUT_BASE, TABLE_BASE, Kernel, LoopSpec
+from repro.kernels.base import INPUT_BASE, OUTPUT_BASE, TABLE_BASE, Kernel
 
 
 class TransposeKernel(Kernel):
@@ -53,10 +53,8 @@ class TransposeKernel(Kernel):
     def build_mmx(self) -> Program:
         row = 2 * self.n
         b = ProgramBuilder(f"{self.name.lower()}-mmx")
-        self.preamble(b)
         b.mov("r0", self.tiles)
         b.mov("r10", TABLE_BASE)
-        self.go_store(b)
         b.label("loop")
         b.ldw("r1", "[r10]")  # tile source
         b.ldw("r2", "[r10+4]")  # tile destination
@@ -86,8 +84,6 @@ class TransposeKernel(Kernel):
         b.halt()
         return b.build()
 
-    def loops(self) -> list[LoopSpec]:
-        return [LoopSpec(label="loop", iterations=self.tiles)]
 
     def prepare(self, machine: Machine) -> None:
         machine.memory.write_array(INPUT_BASE, self.matrix.reshape(-1), np.int16)

@@ -28,7 +28,7 @@ import numpy as np
 from repro.errors import KernelError
 from repro.cpu import Machine
 from repro.isa import Program, ProgramBuilder
-from repro.kernels.base import COEFF_BASE, INPUT_BASE, OUTPUT_BASE, Kernel, LoopSpec
+from repro.kernels.base import COEFF_BASE, INPUT_BASE, OUTPUT_BASE, Kernel
 
 #: Branch-metric scale (Hamming distance 0..2 per symbol × 64).
 BM_SCALE = 64
@@ -120,12 +120,10 @@ class ViterbiKernel(Kernel):
         n = self.nbits
         decoded_base = SURVIVOR_BASE + 8 * n
         b = ProgramBuilder(f"{self.name.lower()}-mmx")
-        self.preamble(b)
         # mm0 = path metrics, preloaded by prepare().
         b.mov("r0", n)
         b.mov("r1", COEFF_BASE)  # branch-metric table
         b.mov("r3", SURVIVOR_BASE)
-        self.go_store(b)
         b.label("acs")
         # Predecessor gathers: the intra-word shuffles the SPU removes.
         b.pshufw("mm1", "mm0", ORDER_A)  # A = metrics[0,0,1,1]
@@ -169,10 +167,6 @@ class ViterbiKernel(Kernel):
         b.halt()
         return b.build()
 
-    def loops(self) -> list[LoopSpec]:
-        from repro.isa import MM
-
-        return [LoopSpec(label="acs", iterations=self.nbits, live_out=(MM[0],))]
 
     def prepare(self, machine: Machine) -> None:
         from repro import simd

@@ -7,7 +7,7 @@ silent: the analyzer's value is that every finding marks a real divergence.
 """
 
 from repro.analysis import analyze_schedule, chain_states
-from repro.analysis.schedule import _go_stores
+from repro.analysis.schedule import _activations
 from repro.core.program import SPUState
 from repro.faults.injector import clone_spu_program
 from repro.isa import assemble
@@ -62,7 +62,7 @@ class TestCleanAgreement:
 
     def test_go_store_scan_matches_loaded_contexts(self):
         kernel, program, controller = build()
-        stores = _go_stores(program)
+        stores = _activations(program)
         assert [context for _, context in stores] == [
             context for context, _ in controller
         ]
@@ -71,8 +71,10 @@ class TestCleanAgreement:
         kernel, program, controller = build()
         from repro.core.offload import find_loop
 
-        for (context, spu_program), spec in zip(controller, kernel.loops()):
-            start, end = find_loop(program, spec.label)
+        for (context, spu_program), (_, report) in zip(
+            controller, kernel.offload_reports()
+        ):
+            start, end = find_loop(program, report.certificate.loop_label)
             assert len(chain_states(spu_program)) == end - start + 1
 
 
@@ -129,7 +131,7 @@ class TestGoPlacement:
     def test_missing_go(self):
         kernel, program, controller = build()
         (go_index, _context), = [
-            (index, context) for index, context in _go_stores(program)
+            (index, context) for index, context in _activations(program)
         ]
         # Drop the mov/stw pair that forms the GO store.
         stripped = splice(program, go_index - 1, remove=2)
@@ -139,7 +141,7 @@ class TestGoPlacement:
 
     def test_go_lead_in(self):
         kernel, program, controller = build()
-        (go_index, _context), = _go_stores(program)
+        (go_index, _context), = _activations(program)
         filler = assemble("nop").instructions
         # A stray instruction between the GO store and the loop label: the
         # active controller steps it, skewing every route pairing after.
@@ -160,10 +162,11 @@ class TestGoPlacement:
 
     def test_go_inside_loop(self):
         kernel, program, controller = build()
-        (go_index, context), = _go_stores(program)
+        (go_index, context), = _activations(program)
         from repro.core.offload import find_loop
 
-        start, end = find_loop(program, kernel.loops()[0].label)
+        (_, report), = kernel.offload_reports()
+        start, end = find_loop(program, report.certificate.loop_label)
         rogue = assemble(f"mov r15, {1 | (context << 1)}\nstw [r14], r15").instructions
         inside = splice(program, end, insert=rogue)
         kernel = install(kernel, inside, controller)

@@ -229,3 +229,120 @@ class TestNestedPrograms:
             return machine.memory.read_array(0x8000, 48, np.int16).tolist()
 
         assert run(program) == run(result.program, result.controller_programs)
+
+
+class TestWorkingProgramFacts:
+    """Per-loop facts read from the program as transformed so far."""
+
+    def test_later_loop_found_after_earlier_loop_shrinks(self):
+        """A 4x4 tile transpose loses 12 permutes ahead of a short second
+        loop: the second loop's original indexes lie past the end of the
+        shrunken program (DCT's shape)."""
+        b = ProgramBuilder("two-phase")
+        b.mov("r1", 0x1000)
+        b.mov("r2", 0x8000)
+        b.mov("r0", 2)
+        b.label("tile")
+        for row in range(4):
+            b.movq(f"mm{row}", f"[r1+{8 * row}]")
+        b.movq("mm4", "mm0")
+        b.punpcklwd("mm0", "mm1")
+        b.punpckhwd("mm4", "mm1")
+        b.movq("mm5", "mm2")
+        b.punpcklwd("mm2", "mm3")
+        b.punpckhwd("mm5", "mm3")
+        b.movq("mm6", "mm0")
+        b.punpckldq("mm0", "mm2")
+        b.punpckhdq("mm6", "mm2")
+        b.movq("mm7", "mm4")
+        b.punpckldq("mm4", "mm5")
+        b.punpckhdq("mm7", "mm5")
+        for column, reg in enumerate(("mm0", "mm6", "mm4", "mm7")):
+            b.movq(f"[r2+{8 * column}]", reg)
+        b.add("r1", 32)
+        b.add("r2", 32)
+        b.loop("r0", "tile")
+        b.mov("r0", 2)
+        b.label("pairs")
+        b.movq("mm0", "[r1]")
+        b.movq("mm1", "mm0")
+        b.punpcklwd("mm1", "mm0")
+        b.movq("[r2]", "mm1")
+        b.add("r1", 8)
+        b.add("r2", 8)
+        b.loop("r0", "pairs")
+        b.halt()
+        program = b.build()
+        result = offload_program(program)
+        assert result.accelerated == ["tile", "pairs"]
+        assert result.removed == 12 + 2
+        base, _ = run_with(program, out_words=40)
+        auto, _ = run_with(result.program, result.controller_programs, out_words=40)
+        assert base == auto
+
+    def test_live_out_keeps_last_writer(self):
+        """The copy is the last writer of mm1, which the epilogue stores:
+        removing it would leave mm1 stale after the loop."""
+        program = assemble("""
+            mov r0, 4
+            mov r1, 0x1000
+            mov r2, 0x8000
+        loop:
+            movq mm0, [r1]
+            movq mm1, mm0
+            paddw mm2, mm1
+            add r1, 8
+            loop r0, loop
+            movq [r2], mm1
+            movq [r2+8], mm2
+            halt
+        """)
+        result = offload_program(program)
+        assert not result.accelerated
+        assert result.program is program
+        base, _ = run_with(program, out_words=8)
+        auto, _ = run_with(result.program, result.controller_programs, out_words=8)
+        assert base == auto
+
+    def test_dead_after_loop_register_still_removed(self):
+        """Overwritten before any read after the loop: mm1 is not live-out."""
+        program = assemble("""
+            mov r0, 4
+            mov r1, 0x1000
+            mov r2, 0x8000
+        loop:
+            movq mm0, [r1]
+            movq mm1, mm0
+            paddw mm2, mm1
+            add r1, 8
+            loop r0, loop
+            pxor mm1, mm1
+            movq [r2], mm1
+            movq [r2+8], mm2
+            halt
+        """)
+        result = offload_program(program)
+        assert result.accelerated == ["loop"] and result.removed == 1
+        (_, report), = result.reports
+        assert report.certificate.live_out == (2,)
+        base, _ = run_with(program, out_words=8)
+        auto, _ = run_with(result.program, result.controller_programs, out_words=8)
+        assert base == auto
+
+    def test_unknown_control_flow_after_loop_keeps_everything_live(self):
+        program = assemble("""
+            mov r0, 4
+            mov r1, 0x1000
+        loop:
+            movq mm0, [r1]
+            movq mm1, mm0
+            paddw mm2, mm1
+            add r1, 8
+            loop r0, loop
+            jmp done
+            pxor mm1, mm1
+        done:
+            halt
+        """)
+        result = offload_program(program)
+        assert not result.accelerated

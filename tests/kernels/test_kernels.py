@@ -259,3 +259,60 @@ class TestVariantSizes:
 
     def test_dotprod_blocks(self):
         DotProductKernel(blocks=3).verify()
+
+
+class TestCompilePath:
+    """Kernels write plain MMX; the SPU variant is the whole-program compile."""
+
+    @pytest.mark.parametrize("name", sorted(ALL_KERNELS))
+    def test_mmx_program_has_no_spu_plumbing(self, name):
+        from repro.core import DEFAULT_MMIO_BASE
+        from repro.isa.operands import Imm
+
+        program = make_kernel(name).mmx_program()
+        assert not any(
+            isinstance(operand, Imm) and operand.value == DEFAULT_MMIO_BASE
+            for instr in program
+            for operand in instr.operands
+        )
+
+    @pytest.mark.parametrize("name", sorted(ALL_KERNELS))
+    def test_spu_build_is_the_compile_result(self, name):
+        kernel = make_kernel(name)
+        result = kernel.compile_result()
+        program, controller_programs = kernel.spu_programs()
+        assert program is result.program
+        assert controller_programs == result.controller_programs
+        assert kernel.offload_reports() == result.reports
+        assert kernel.removed_permutes == result.removed
+        assert [context for context, _ in result.reports] == list(
+            range(len(result.reports))
+        )
+
+    def test_dct_offloads_all_four_phases(self):
+        result = DCTKernel().compile_result()
+        assert result.accelerated == ["rows1", "trans1", "rows2", "trans2"]
+        assert result.removed == 44
+
+    def test_inferred_live_out_matches_epilogue_reads(self):
+        from repro.core import CONFIG_A
+        from repro.kernels import SADKernel, ViterbiKernel
+
+        for kernel, live in ((SADKernel(config=CONFIG_A), (2,)),
+                             (ViterbiKernel(), (0,))):
+            (_, report), = kernel.offload_reports()
+            assert report.certificate.live_out == live, kernel.name
+
+    def test_loop_without_removals_runs_plain_program(self):
+        from repro.kernels import SADKernel
+
+        kernel = SADKernel()  # config D: the byte unpacks cannot route
+        program, controller_programs = kernel.spu_programs()
+        assert program is kernel.mmx_program() and controller_programs == []
+        (reason,) = kernel.compile_result().skipped.values()
+        assert reason.startswith("no removable permutes (kept: ")
+        assert "route illegal for config D" in reason
+        spu, _ = kernel.run_spu()
+        mmx, _ = kernel.run_mmx()
+        assert spu.instructions == mmx.instructions
+        assert spu.cycles > mmx.cycles  # the extra pipeline stage alone
