@@ -13,7 +13,10 @@ Unobserved runs normally enter translated blocks (``repro.cpu.blocks``).
 A columnar recorder (``repro.obs.recorder``) keeps an observed run in
 blocks: the "recorder vs translated" row prices a run with the hot-trace
 profiler reading the recorder, which is what a user pays to look at a run,
-and is gated at +100%.
+and is gated at +100%.  The "controller trace vs translated" row prices
+the same for an SPU run: a :class:`ControllerTrace` on DCT, whose recorded
+blocks step the controller inline and append its step rows, against the
+same run unobserved, under the same +100% gate.
 
 Measurement shape, each part earned by a failure mode it removes:
 
@@ -25,8 +28,10 @@ Measurement shape, each part earned by a failure mode it removes:
   land on one side only (the 5% gate once read 13% on identical code);
 * the process reports the **median** of its ``PAIR_ROUNDS`` pair ratios,
   so a pair split by a scheduler hiccup is outvoted rather than averaged;
-* every pipeline gets one untimed warm-up run first, so CPython's adaptive
-  specialization has settled before the clock starts;
+* every pipeline gets two untimed warm-up runs first, so CPython's
+  adaptive specialization has settled and DCT's loops are translated (a
+  loop head is translated on its 64th entry, in DCT's second run) before
+  the clock starts;
 * the whole measurement is repeated in ``PROCESSES`` fresh interpreters and
   the **median** per-process ratio is asserted — a single process can be
   ±5-9% off purely from code-layout luck (how the allocator and JIT-less
@@ -54,7 +59,8 @@ from repro.cpu.pairing import can_pair
 from repro.cpu.stats import RunStats
 from repro.errors import SimulationError
 from repro.isa import assemble
-from repro.obs import TraceProfiler
+from repro.kernels import make_kernel
+from repro.obs import ControllerTrace, TraceProfiler
 
 #: ~70 ms per pre-bus run on a shared 2-vCPU VM: long enough to time stably.
 ITERATIONS = 8_000
@@ -72,7 +78,10 @@ PAIRS = (
     ("tracer_off", "prebus"),
     ("translated", "prebus"),
     ("recorded", "translated"),
+    ("controller_trace", "spu_translated"),
 )
+#: Untimed runs of each pipeline before the first timed pair.
+WARMUP_RUNS = 2
 PAIR_ROUNDS = 7
 PROCESSES = 9
 
@@ -233,7 +242,7 @@ def _per_uop(program):
     return machine
 
 
-def _cases(program):
+def _cases(program, kernel):
     return [
         ("prebus", lambda: PreBusMachine(program), None),
         ("idle", lambda: _per_uop(program), None),
@@ -250,13 +259,20 @@ def _cases(program):
         # append to (the warm-up run has translated the recorded variant).
         ("recorded", lambda: Machine(program),
          lambda machine: TraceProfiler().attach(machine)),
+        # An SPU run in translated blocks, which step the controller inline.
+        ("spu_translated", lambda: kernel.machine("spu"), None),
+        # The controller trace reads the step rows that the recorded blocks
+        # append, so the run stays in blocks.
+        ("controller_trace", lambda: kernel.machine("spu"),
+         lambda machine: ControllerTrace().attach(machine)),
     ]
 
 
 def _measure():
     """One process's estimate: warm-up, then median ratios of adjacent pairs."""
     program = assemble(SOURCE)
-    cases = {name: (factory, observe) for name, factory, observe in _cases(program)}
+    cases = {name: (factory, observe)
+             for name, factory, observe in _cases(program, make_kernel("DCT"))}
 
     def timed(name):
         factory, observe = cases[name]
@@ -267,8 +283,9 @@ def _measure():
         machine.run()
         return time.perf_counter() - start
 
-    for name in cases:  # settle adaptive specialization
-        timed(name)
+    for name in cases:  # settle adaptive specialization, translate
+        for _ in range(WARMUP_RUNS):
+            timed(name)
     times = {name: [] for name in cases}
     ratios = {f"{measured}/{baseline}": [] for measured, baseline in PAIRS}
     for round_ in range(PAIR_ROUNDS):
@@ -308,9 +325,11 @@ def test_zero_subscriber_overhead(benchmark):
     started = time.perf_counter()
     samples = benchmark.pedantic(_sample_processes, rounds=1, iterations=1)
     elapsed = time.perf_counter() - started
-    prebus_time, idle_time, tracer_off_time, translated_time, recorded_time = (
+    (prebus_time, idle_time, tracer_off_time, translated_time, recorded_time,
+     spu_time, controller_trace_time) = (
         statistics.median(s["times"][name] for s in samples)
-        for name in ("prebus", "idle", "tracer_off", "translated", "recorded")
+        for name in ("prebus", "idle", "tracer_off", "translated", "recorded",
+                     "spu_translated", "controller_trace")
     )
 
     def overhead(pair):
@@ -320,6 +339,7 @@ def test_zero_subscriber_overhead(benchmark):
     tracer_off_overhead = overhead("tracer_off/prebus")
     translated_overhead = overhead("translated/prebus")
     recorded_vs_translated = overhead("recorded/translated")
+    controller_trace_vs_translated = overhead("controller_trace/spu_translated")
     rows = [
         ["pre-bus baseline", f"{prebus_time * 1e3:.1f}", "-"],
         ["per-uop loop, unobserved", f"{idle_time * 1e3:.1f}",
@@ -332,6 +352,9 @@ def test_zero_subscriber_overhead(benchmark):
          ratio((recorded_time / prebus_time - 1) * 100, 2) + "%"],
         ["recorder vs translated", "-",
          ratio(recorded_vs_translated * 100, 2) + "%"],
+        ["DCT SPU, translated blocks, unobserved", f"{spu_time * 1e3:.1f}", "-"],
+        ["controller trace vs translated", f"{controller_trace_time * 1e3:.1f}",
+         ratio(controller_trace_vs_translated * 100, 2) + "%"],
     ]
     headers = ["pipeline", "median ms/run", "overhead"]
     text = format_table(
@@ -350,6 +373,10 @@ def test_zero_subscriber_overhead(benchmark):
                "tracer_off_overhead": tracer_off_overhead,
                "translated_overhead": translated_overhead,
                "recorded_vs_translated_overhead": recorded_vs_translated,
+               "spu_translated_s": spu_time,
+               "controller_trace_s": controller_trace_time,
+               "controller_trace_vs_translated_overhead":
+                   controller_trace_vs_translated,
                "processes": PROCESSES, "pair_rounds": PAIR_ROUNDS,
                "elapsed_s": elapsed})
 
@@ -368,6 +395,11 @@ def test_zero_subscriber_overhead(benchmark):
     assert recorded_vs_translated <= 1.0, (
         f"recorder overhead {recorded_vs_translated:.1%} over translated"
         " exceeds the +100% budget"
+    )
+    # The controller trace reads the same recorder, under the same budget.
+    assert controller_trace_vs_translated <= 1.0, (
+        f"controller trace overhead {controller_trace_vs_translated:.1%} over"
+        " translated exceeds the +100% budget"
     )
 
 

@@ -13,13 +13,14 @@ Multiple contexts hold independent program/counter banks for fast switching
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import RouteError, SPUProgramError
 from repro.resilience import ResilienceMode
 from repro.core.interconnect import CONFIG_D, CrossbarConfig, route_plan
 from repro.core.program import DEFAULT_NUM_STATES, SPUProgram, SPUState
-from repro.obs.events import ControllerStepEvent, DegradeEvent, FaultEvent, RecoveryEvent
+from repro.obs.events import DegradeEvent, FaultEvent, RecoveryEvent
+from repro.obs.recorder import route_bits
 
 
 @dataclass
@@ -45,10 +46,11 @@ def compile_steps(program: SPUProgram, config: CrossbarConfig,
     """The static schedule of *program*, for steps taken without checks.
 
     Maps a state index to ``(cntr, reload, next0, next1, slot-0 gather,
-    slot-1 gather, routed)``: ``reload`` is the selected counter's initial
-    value, a gather is the :class:`~repro.core.interconnect.WordPlan`
+    slot-1 gather, route bits)``: ``reload`` is the selected counter's
+    initial value, a gather is the :class:`~repro.core.interconnect.WordPlan`
     function of the slot's route (``None`` when the slot passes straight
-    through) and ``routed`` is 1 when the state routes anything.  A state
+    through) and the route bits those of a step row that routes every slot
+    the state routes (:func:`~repro.obs.recorder.route_bits`).  A state
     whose ``next0`` or ``next1`` lies outside the K states, or with a route
     that is illegal under *config*, has no entry: it takes the checked
     :meth:`SPUController.step`, which faults on it as it always has.
@@ -64,7 +66,7 @@ def compile_steps(program: SPUProgram, config: CrossbarConfig,
             continue
         table[index] = (
             state.cntr, program.counter_init[state.cntr], state.next0, state.next1,
-            gathers.get(0), gathers.get(1), 1 if state.routes else 0,
+            gathers.get(0), gathers.get(1), route_bits(bool(gathers), gathers),
         )
     return table
 
@@ -104,8 +106,9 @@ class SPUController:
         # until first use for a program installed by inject_program().
         self._tables: list[dict[int, tuple] | None] = [None] * contexts
         self.stats = ControllerStats()
-        #: Telemetry: set by attach_spu to the machine's EventBus; each
-        #: step() then emits a ``controller_step`` event when observed.
+        #: Fault, degrade and recovery telemetry: set by attach_spu to the
+        #: machine's EventBus.  Steps are observed through the machine's
+        #: recorder (``AttachedSPU.routes_for``).
         self.bus = None
 
     # ---- structural properties ------------------------------------------------
@@ -304,25 +307,10 @@ class SPUController:
                     f"outside K={self.num_states} (context {context})"
                 ),
             )
-        went_idle = next_index == self.num_states - 1
-        if went_idle:
+        if next_index == self.num_states - 1:
             self.enter_idle()
         else:
             self._current_by_ctx[context] = next_index
-        bus = self.bus
-        if bus is not None and bus.controller_step:
-            counters = self._counters_by_ctx[context]
-            bus.dispatch(
-                "controller_step",
-                ControllerStepEvent(
-                    context=context,
-                    state_index=emitted_index,
-                    next_index=next_index,
-                    counters=(counters[0], counters[1]),
-                    routed=bool(state.routes),
-                    went_idle=went_idle,
-                ),
-            )
         return state
 
     def enter_idle(self) -> bool:
@@ -330,11 +318,13 @@ class SPUController:
 
         Part of :meth:`step`, shared with the inlined step of translated
         blocks (:mod:`repro.cpu.blocks`); returns the new (false) activity.
+        The counters are reloaded in place, so a block's live counter list
+        reads the reloaded values.
         """
         context = self.context
         self._active = False
         self._current_by_ctx[context] = self.num_states - 1
-        self._counters_by_ctx[context] = list(self._programs[context].counter_init)
+        self._counters_by_ctx[context][:] = self._programs[context].counter_init
         self.stats.idle_entries += 1
         return False
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from repro.errors import RouteError
 from repro.resilience import ResilienceMode
 from repro.core.controller import SPUController
+from repro.core.program import SPUState
 from repro.core.interconnect import route_plan
 from repro.core.mmio import DEFAULT_MMIO_BASE, MMIO_WINDOW_BYTES, SPUMMIO
 from repro.core.spu_register import SPURegister
@@ -31,7 +32,8 @@ from repro.cpu.pipeline import Machine
 from repro.cpu.state import MachineState
 from repro.isa.instructions import Instruction
 from repro.isa.registers import Register
-from repro.obs.events import DegradeEvent, FaultEvent, SPURouteEvent
+from repro.obs.events import DegradeEvent, FaultEvent
+from repro.obs.recorder import route_bits
 
 
 @dataclass
@@ -49,12 +51,14 @@ class AttachmentStats:
 class AttachedSPU:
     """SPU controller + interconnect + unified register bound to a pipeline."""
 
-    def __init__(self, controller: SPUController) -> None:
+    def __init__(self, controller: SPUController, machine: Machine) -> None:
         self.controller = controller
+        #: The machine stepping the controller; its recorder gets the steps.
+        self.machine = machine
         self.register = SPURegister()
         self.stats = AttachmentStats()
-        #: Telemetry: set by attach_spu to the machine's EventBus.
-        self.bus = None
+        #: Fault and degrade telemetry: the machine's EventBus.
+        self.bus = machine.bus
 
     #: Gather through the unified register (``load_from_mmx`` +
     #: ``CrossbarConfig.apply``) instead of word plans.  Tests set it on an
@@ -90,14 +94,11 @@ class AttachedSPU:
         :meth:`~repro.core.controller.SPUController.step_table`, with which a
         block steps the controller inline.  The table is empty -- every step
         then goes through :meth:`block_step` -- while a register upset is
-        armed, while ``controller_step`` or ``spu_route`` has subscribers,
-        and on the byte path.
+        armed and on the byte path.
         """
         controller = self.controller
         context = controller.context
-        if self._byte_path or self.register._pending_flips or (
-                self.bus is not None and self.bus.spu_route) or (
-                controller.bus is not None and controller.bus.controller_step):
+        if self._byte_path or self.register._pending_flips:
             table = {}
         else:
             table = controller.step_table(context)
@@ -147,16 +148,36 @@ class AttachedSPU:
         self.stats.instructions_seen += steps
 
     def routes_for(self, instr: Instruction, state: MachineState) -> dict[int, int] | None:
-        """Advance the controller for one dynamic instruction; route operands."""
+        """Advance the controller for one dynamic instruction; route operands.
+
+        A completed step appends its row to the machine's recorder, if one
+        is attached (see :mod:`repro.obs.recorder`); a step that ends in a
+        fault park records none.
+        """
         controller = self.controller
         if not controller._active:
             return None
-        emitting_state = controller._current_by_ctx[controller.context]
+        context = controller.context
+        emitted = controller._current_by_ctx[context]
         spu_state = controller.step()
         self.stats.instructions_seen += 1
-        if spu_state is None or not spu_state.routes or not instr.is_mmx:
+        if spu_state is None:
             return None
-        config = controller.config
+        values = None
+        if spu_state.routes and instr.is_mmx:
+            values = self._gather(spu_state, instr, state)
+        rec = self.machine.recorder
+        if rec is not None:
+            counters = controller._counters_by_ctx[context]
+            rec.steps.extend((context, emitted, controller._current_by_ctx[context],
+                              counters[0], counters[1],
+                              route_bits(bool(spu_state.routes), values or ())))
+        return values
+
+    def _gather(self, spu_state: SPUState, instr: Instruction,
+                state: MachineState) -> dict[int, int] | None:
+        """The routed values of *instr*'s MMX register slots, or None."""
+        config = self.controller.config
         register = self.register
         byte_path = self._byte_path or bool(register._pending_flips)
         if byte_path:
@@ -187,43 +208,18 @@ class AttachedSPU:
                 values[slot] = straight
                 self.stats.serialized_operands += 1
                 bus = self.bus
-                if bus is not None:
-                    if bus.fault:
-                        bus.dispatch(
-                            "fault",
-                            FaultEvent(
-                                component="crossbar",
-                                kind="route_error",
-                                detail=str(error),
-                                pc=state.pc,
-                                error=error,
-                            ),
-                        )
-                    if bus.degrade:
-                        bus.dispatch(
-                            "degrade",
-                            DegradeEvent(
-                                component="crossbar",
-                                action="serialize_operand",
-                                detail=f"slot {slot} of {instr.name} at pc={state.pc}",
-                                pc=state.pc,
-                            ),
-                        )
+                if bus is not None and bus.fault:
+                    bus.dispatch("fault", FaultEvent(
+                        component="crossbar", kind="route_error", detail=str(error),
+                        pc=state.pc, error=error))
+                if bus is not None and bus.degrade:
+                    bus.dispatch("degrade", DegradeEvent(
+                        component="crossbar", action="serialize_operand",
+                        detail=f"slot {slot} of {instr.name} at pc={state.pc}", pc=state.pc))
         if not values:
             return None
         self.stats.routed_operands += len(values)
         self.stats.routed_instructions += 1
-        bus = self.bus
-        if bus is not None and bus.spu_route:
-            bus.dispatch(
-                "spu_route",
-                SPURouteEvent(
-                    pc=state.pc,
-                    instr=instr.name,
-                    slots=tuple(sorted(values)),
-                    state_index=emitting_state,
-                ),
-            )
         return values
 
 
@@ -239,8 +235,7 @@ def attach_spu(
     through stores, as the paper's memory-mapped interface specifies (§3).
     Pass ``mmio_base=None`` for host-side-only control.
     """
-    spu = AttachedSPU(controller)
-    spu.bus = machine.bus
+    spu = AttachedSPU(controller, machine)
     controller.bus = machine.bus
     if controller.resilience is None:
         # Inherit the machine's failure posture unless the controller was

@@ -30,8 +30,7 @@ instruction, so every cycle is still charged as the uop loop charges it:
   semantics run the decoded op with them).  The step's stats are kept in
   locals and folded in on every way out.  A step with no schedule entry
   (an undefined state, a next field out of range, an illegal route) or
-  taken while a register upset is armed or while ``controller_step`` or
-  ``spu_route`` has subscribers calls ``routes_for`` instead.  The
+  taken while a register upset is armed calls ``routes_for`` instead.  The
   controller's locals are re-read on entry, after such a call and after
   each access that may reach MMIO;
 * per-class, pairing and issue counts are static per way out of the block
@@ -40,7 +39,8 @@ instruction, so every cycle is still charged as the uop loop charges it:
 * a recorded block (the run has a :class:`~repro.obs.recorder.Recorder`)
   appends only what is dynamic to its columns: each issue's cycle and
   routed flag (the pipe and MMX bits are constants), each stall's start
-  and length at an issue-group head, and on the way out the exit's
+  and length at an issue-group head, each inline controller step's row
+  (``routes_for`` records the others), and on the way out the exit's
   static pcs.  Branches are recorded by ``Machine._branch_cost``, which
   the block calls as the uop loop does.  A full chunk is flushed on
   entry, an issue-group head.
@@ -76,7 +76,7 @@ from repro.isa.instructions import Program
 from repro.isa.opcodes import all_opcodes
 from repro.isa.operands import Imm, Mem
 from repro.isa.registers import SCALAR_MASK, Register
-from repro.obs.recorder import FLAG_BITS, ROUTED, issue_flags
+from repro.obs.recorder import FLAG_BITS, ROUTED, issue_flags, route_bits
 from repro.simd.lanes import WORD_MASK
 
 #: Entries of a leader before its block is translated.  Translating costs
@@ -136,8 +136,8 @@ _ENV = ("state, m, s, fl, I, size, memory, data, l1, l2, l4, l8, "
         "rr, stats, bc, cb, view, idle, slow, gather, put")
 #: What a recorded block unpacks after ``_ENV``: the recorder's stamp
 #: column, its append, the pc column's extend, its stall record, the chunk
-#: size and the flush.
-_REC_ENV = "QS, QA, PX, RS, CH, FL"
+#: size, the flush and the step column's extend.
+_REC_ENV = "QS, QA, PX, RS, CH, FL, SX"
 
 
 #: The SPU controller's locals in a block, and their re-read
@@ -222,7 +222,8 @@ def run_env(machine, reg_ready: list[int], stats, recorder=None) -> tuple:
     ) + (spu.block_env() if spu is not None else (None,) * 6)
     if recorder is not None:
         env += (recorder.stamp, recorder.stamp.append, recorder.pc.extend,
-                recorder.stall, recorder.chunk_size, recorder.flush)
+                recorder.stall, recorder.chunk_size, recorder.flush,
+                recorder.steps.extend)
     return env
 
 
@@ -401,7 +402,11 @@ class _Emitter:
             self.line("n = 0")
         self.line("if act:")
         self.depth += 1
-        self.line("e = T.get(cb[cx])")
+        if self.recorded:
+            self.line("q = cb[cx]")
+            self.line("e = T.get(q)")
+        else:
+            self.line("e = T.get(cb[cx])")
         self.line("if e is None:")
         instr = self.const(f"i{pc}", uop.instr)
         self.line(f"    {targets}, {flag}, {_VIEW_NAMES} = slow({instr}, {pc}, state, {args})")
@@ -415,6 +420,9 @@ class _Emitter:
         self.line(f"        {targets}, {flag} = gather(e, m, {args})")
         if slots:
             self.line(f"        rt += {flag}")
+        if self.recorded:
+            # The step's row: the route bits of the slots this op can route.
+            self.line(f"    SX((cx, q, k, cn[0], cn[1], e[6] & {route_bits(True, slots)}))")
         self.depth -= 1
         if generic:
             routed = ", ".join(f"{slot}: x{slot}" for slot in slots)

@@ -81,12 +81,12 @@ class EnergyBreakdown:
 def run_energy(
     stats: RunStats,
     config: CrossbarConfig | None = None,
-    controller_steps: int = 0,
+    spu_steps: int = 0,
     model: EnergyModel = EnergyModel(),
 ) -> EnergyBreakdown:
     """Price a run: instruction overheads + units + SPU activity.
 
-    ``controller_steps`` is the decoupled controller's dynamic step count
+    ``spu_steps`` is the decoupled controller's dynamic step count
     (0 for MMX-only runs); ``stats.spu_routed`` supplies the routed-operand
     count for the crossbar term.
     """
@@ -102,7 +102,7 @@ def run_energy(
             * bit_crosspoints(config) / 1000.0
         )
         controller = (
-            controller_steps * model.control_read_pj_per_100b
+            spu_steps * model.control_read_pj_per_100b
             * state_bits(config) / 100.0
         )
     return EnergyBreakdown(
@@ -140,6 +140,6 @@ def kernel_energy(kernel, model: EnergyModel = EnergyModel()) -> EnergyCompariso
     return EnergyComparison(
         name=kernel.name,
         mmx=run_energy(comparison.mmx),
-        spu=run_energy(comparison.spu, kernel.config, controller_steps=steps,
+        spu=run_energy(comparison.spu, kernel.config, spu_steps=steps,
                        model=model),
     )

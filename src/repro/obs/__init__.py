@@ -1,7 +1,7 @@
 """repro.obs — the instrumentation subsystem.
 
 A unified telemetry layer for the simulator: a multi-subscriber event bus
-(:mod:`repro.obs.events`) carries SPU, fault and orchestration events;
+(:mod:`repro.obs.events`) carries fault and orchestration events;
 per-stage cycle attribution (:mod:`repro.obs.attribution`) tags every
 simulated cycle as pair-issue / solo-issue / data-stall / mispredict-bubble /
 drain; SPU controller tracing (:mod:`repro.obs.spu`) records the microprogram
@@ -11,10 +11,10 @@ registry plus JSON/JSONL exporters (:mod:`repro.obs.metrics`,
 back-edge hot-trace profiler (:mod:`repro.obs.traceprof`) aggregates runs
 into the per-trace cycle attribution behind ``repro top``; a columnar run
 recorder (:mod:`repro.obs.recorder`) is how a machine run's issues,
-stalls and branches are observed, and feeds the profiler, the timeline
-and the tracer without taking a run out of translated blocks; and host-side
-span tracing (:mod:`repro.obs.spans`) times campaigns as OTLP-flavored
-hierarchical spans.
+stalls, branches and controller steps are observed, and feeds the
+profiler, the timeline and the tracers without taking a run out of
+translated blocks; and host-side span tracing (:mod:`repro.obs.spans`)
+times campaigns as OTLP-flavored hierarchical spans.
 
 The modules here deliberately avoid module-level imports from the simulator
 packages (``repro.cpu``, ``repro.core``, ``repro.kernels``): the pipeline's
@@ -27,7 +27,6 @@ See ``docs/observability.md`` for the event and schema reference.
 from repro.obs.events import (
     TOPICS,
     BreakerOpenEvent,
-    ControllerStepEvent,
     DegradeEvent,
     EventBus,
     FaultEvent,
@@ -40,7 +39,6 @@ from repro.obs.events import (
     RecoveryEvent,
     ServeCompactEvent,
     ServeDrainEvent,
-    SPURouteEvent,
     SubscriberError,
     TaskDoneEvent,
     TaskRetryEvent,
@@ -69,7 +67,6 @@ from repro.obs.traceprof import TraceProfiler, TraceStats
 __all__ = [
     "TOPICS",
     "BreakerOpenEvent",
-    "ControllerStepEvent",
     "DegradeEvent",
     "EventBus",
     "FaultEvent",
@@ -82,7 +79,6 @@ __all__ = [
     "RecoveryEvent",
     "ServeCompactEvent",
     "ServeDrainEvent",
-    "SPURouteEvent",
     "SubscriberError",
     "TaskDoneEvent",
     "TaskRetryEvent",

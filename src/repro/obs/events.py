@@ -13,8 +13,9 @@ event object is even constructed.  Emitters follow the pattern::
     if bus.fault:
         bus.dispatch("fault", FaultEvent(...))
 
-A machine run's issues, stalls and branches are not bus topics: observers
-read them from the columnar recorder (:mod:`repro.obs.recorder`).
+A machine run's issues, stalls, branches and SPU controller steps are not
+bus topics: observers read them from the columnar recorder
+(:mod:`repro.obs.recorder`).
 
 This module must stay import-light: :mod:`repro.cpu.pipeline` imports it, so
 nothing here may import from ``repro.cpu``/``repro.core``/``repro.kernels``.
@@ -27,8 +28,7 @@ from typing import Any, Callable
 
 from repro.errors import RunnerInterrupted
 
-#: Every topic the simulator emits.  The two SPU topics fire per routed
-#: instruction and controller step; the three resilience topics
+#: Every topic the simulator emits.  The three resilience topics
 #: (``fault``/``degrade``/``recovery``) fire only when something goes
 #: wrong, so they are free on healthy runs.  The five
 #: ``task_*``/``breaker_*`` topics are orchestration-level: they are emitted
@@ -39,8 +39,6 @@ from repro.errors import RunnerInterrupted
 #: admission, execution, supervision, compaction and drain of whole
 #: campaigns.
 TOPICS = (
-    "spu_route",
-    "controller_step",
     "fault",
     "degrade",
     "recovery",
@@ -61,33 +59,6 @@ TOPICS = (
 
 
 # ---- event payloads ----------------------------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class SPURouteEvent:
-    """The attached SPU rerouted operands of one dynamic instruction."""
-
-    pc: int
-    instr: str
-    #: Operand slots that received crossbar values.
-    slots: tuple[int, ...]
-    #: Controller state that emitted the routes.
-    state_index: int
-
-
-@dataclass(frozen=True, slots=True)
-class ControllerStepEvent:
-    """The decoupled controller advanced one dynamic MMX instruction."""
-
-    context: int
-    state_index: int
-    next_index: int
-    #: Loop-counter values *after* the step (post-decrement / post-reload).
-    counters: tuple[int, int]
-    #: True when the emitted state carried operand routes.
-    routed: bool
-    #: True when this step landed on the idle state (SPU disabled itself).
-    went_idle: bool
 
 
 @dataclass(frozen=True, slots=True)

@@ -4,8 +4,8 @@ A :class:`Recorder` is a sink attached to a machine (``machine.recorder``),
 and the only way to watch a machine run.
 :meth:`repro.cpu.pipeline.Machine.run` and the recorded variants of its
 translated blocks (:mod:`repro.cpu.blocks`) append the run's start, its
-issues, stalls and branches and its end to columns, so a recorded STRICT
-run keeps entering blocks.  The two dense columns are ``array('q')``; the
+issues, stalls, branches and SPU controller steps and its end to columns,
+so a recorded STRICT run keeps entering blocks.  The two dense columns are ``array('q')``; the
 sparse ones are lists, whose ``extend`` by a tuple is several times cheaper
 than an array's:
 
@@ -19,7 +19,15 @@ than an array's:
     stalled pc, the cycle the wait began and its length;
 ``branches``
     sparse, three entries per resolved branch: the index of the branch's
-    own issue, ``taken | mispredict << 1`` and the penalty.
+    own issue, ``taken | mispredict << 1`` and the penalty;
+``steps``
+    sparse, :data:`STEP_FIELDS` entries per completed controller step
+    (written by ``AttachedSPU.routes_for`` and the inline step of recorded
+    blocks): the context, the emitted state, the next state, CNTR0 and
+    CNTR1 after the step, and the route bits -- :data:`STATE_ROUTES` when
+    the emitted state has routes, plus ``2 << slot`` for each operand slot
+    that received a routed value.  Rows carry no issue index: they are in
+    step order and flush with the chunk they were written into.
 
 The columns are bounded: once :attr:`Recorder.chunk_size` issues have
 accumulated they are handed to the recorder's *readers* as a
@@ -27,7 +35,8 @@ accumulated they are handed to the recorder's *readers* as a
 the run.  Readers (:class:`Reader`) get ``on_start(recorder)``,
 ``on_chunk(chunk)`` and ``on_end(recorder)``; they aggregate columns
 (:class:`~repro.obs.traceprof.TraceProfiler`,
-:class:`~repro.obs.attribution.CycleAttribution`) and carry whatever is
+:class:`~repro.obs.attribution.CycleAttribution`,
+:class:`~repro.obs.spu.ControllerTrace`) and carry whatever is
 open across a chunk boundary.  No per-event object is ever built.
 
 A hand-driven stream is recorded by calling :meth:`Recorder.start`,
@@ -53,9 +62,19 @@ ROUTED = 2
 MMX = 4
 FLAG_BITS = 3
 
+#: Entries per ``steps`` row, and the route bit of a state that routes.
+STEP_FIELDS = 6
+STATE_ROUTES = 1
+
+
 def issue_flags(follower: bool, routed: bool, mmx: bool) -> int:
     """The flag bits of one issue's stamp."""
     return (V_PIPE if follower else 0) | (ROUTED if routed else 0) | (MMX if mmx else 0)
+
+
+def route_bits(routes: bool, slots) -> int:
+    """The route bits of a step row: the state routes, these slots got values."""
+    return (STATE_ROUTES if routes else 0) | sum(2 << slot for slot in slots)
 
 
 def _column(values: array) -> np.ndarray:
@@ -70,14 +89,15 @@ class Chunk:
     the run-wide index (the ``seq``) of the first.  ``stalls`` rows are
     ``(issue index, pc, cycle, cycles)`` and ``branches`` rows ``(issue
     index, taken | mispredict << 1, penalty)``, with chunk-relative issue
-    indices.  Only the run's last chunk can hold a stall whose index is
+    indices; ``steps`` rows are ``(context, state, next state, CNTR0,
+    CNTR1, route bits)``.  Only the run's last chunk can hold a stall whose index is
     ``len(pc)``: a stall before an issue that faulted and ended the run.
     """
 
-    __slots__ = ("base", "pc", "cycle", "flags", "stalls", "branches")
+    __slots__ = ("base", "pc", "cycle", "flags", "stalls", "branches", "steps")
 
     def __init__(self, base: int, pc: array, stamp: array, stalls: list[int],
-                 branches: list[int]) -> None:
+                 branches: list[int], steps: list[int]) -> None:
         self.base = base
         self.pc = _column(pc)
         stamps = _column(stamp)
@@ -85,6 +105,7 @@ class Chunk:
         self.flags = stamps & ((1 << FLAG_BITS) - 1)
         self.stalls = np.array(stalls, dtype=np.int64).reshape(-1, 4)
         self.branches = np.array(branches, dtype=np.int64).reshape(-1, 3)
+        self.steps = np.array(steps, dtype=np.int64).reshape(-1, STEP_FIELDS)
 
     def __len__(self) -> int:
         return len(self.pc)
@@ -117,6 +138,7 @@ class Recorder:
         self.stamp = array("q")
         self.stalls: list[int] = []
         self.branches: list[int] = []
+        self.steps: list[int] = []
         self.readers: list = []
         #: Run-wide index of the first issue in the columns.
         self.base = 0
@@ -153,7 +175,7 @@ class Recorder:
 
     def start(self, program: str, fill_cycles: int) -> None:
         """A run began: drop any unflushed remains and tell the readers."""
-        for column in (self.pc, self.stamp, self.stalls, self.branches):
+        for column in (self.pc, self.stamp, self.stalls, self.branches, self.steps):
             del column[:]
         self.base = 0
         self.program = program
@@ -195,8 +217,9 @@ class Recorder:
                 del stalls[-4:]
             for i in range(0, len(carried), 4):
                 carried[i] -= count
-        chunk = Chunk(self.base, self.pc, self.stamp, self.stalls, self.branches)
-        for column in (self.pc, self.stamp, self.stalls, self.branches):
+        chunk = Chunk(self.base, self.pc, self.stamp, self.stalls, self.branches,
+                      self.steps)
+        for column in (self.pc, self.stamp, self.stalls, self.branches, self.steps):
             del column[:]
         self.stalls.extend(carried)
         self.base += count

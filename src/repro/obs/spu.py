@@ -1,14 +1,16 @@
-"""SPU controller tracing: microprogram activity from bus events.
+"""SPU controller tracing: microprogram activity from the recorder.
 
-Subscribes to the ``controller_step`` and ``spu_route`` topics, reads the
-issue count from the machine's columnar recorder
-(:mod:`repro.obs.recorder`), and accumulates, per run:
+A :class:`~repro.obs.recorder.Reader` of the machine's columnar recorder
+(:mod:`repro.obs.recorder`): the issue count comes from its issue columns
+and every completed controller step from its ``steps`` column, which the
+per-uop loop and translated blocks both write.  Per run it accumulates:
 
 - **state occupancy** — dynamic steps spent in each of the K microprogram
   states (the hardware-counter view the paper's methodology leans on);
 - **transitions** — ``(state, next_state)`` edge counts, including the edge
   into the idle state;
-- **loop-counter timeline** — post-step CNTR0/CNTR1 values (capped);
+- **loop-counter timeline** — post-step CNTR0/CNTR1 values (capped at
+  :data:`COUNTER_LOG_LIMIT`);
 - **GO/idle occupancy** — the fraction of all issued dynamic instructions
   the controller was active for (it steps exactly once per dynamic
   instruction while GO is set, §4);
@@ -19,12 +21,22 @@ from __future__ import annotations
 
 from collections import Counter
 
-from repro.obs.events import ControllerStepEvent, SPURouteEvent
-from repro.obs.recorder import Reader, Recorder
+import numpy as np
+
+from repro.obs.recorder import STATE_ROUTES, Reader, Recorder, route_bits
+
+#: Counter-timeline entries kept per trace.
+COUNTER_LOG_LIMIT = 4096
+
+
+def _count(counter: Counter, column: np.ndarray) -> None:
+    """Add the occurrences of each value of *column* to *counter*."""
+    values, counts = np.unique(column, return_counts=True)
+    counter.update(dict(zip(values.tolist(), counts.tolist())))
 
 
 class ControllerTrace(Reader):
-    """Event-bus subscriber recording SPU controller activity.
+    """Recorder reader summarising SPU controller activity.
 
     Usage::
 
@@ -34,13 +46,12 @@ class ControllerTrace(Reader):
         trace.detach()
     """
 
-    def __init__(self, counter_log_limit: int = 4096) -> None:
-        self.counter_log_limit = counter_log_limit
+    def __init__(self) -> None:
         #: state index -> dynamic steps emitted from that state.
         self.state_occupancy: Counter = Counter()
         #: (state, next_state) -> traversal count.
         self.transitions: Counter = Counter()
-        #: (step#, cntr0, cntr1) snapshots, capped at counter_log_limit.
+        #: (step#, cntr0, cntr1) snapshots, capped at COUNTER_LOG_LIMIT.
         self.counter_log: list[tuple[int, int, int]] = []
         #: operand slot -> instructions that received a routed value there.
         self.routed_slots: Counter = Counter()
@@ -52,58 +63,56 @@ class ControllerTrace(Reader):
         self.steps_by_context: Counter = Counter()
         #: All dynamic instructions issued by the machine (GO set or not).
         self.issues = 0
-        self._unsubscribes: list = []
         self._recorder = None
         self._controller = None
 
     # -- wiring ---------------------------------------------------------------
 
     def attach(self, machine) -> "ControllerTrace":
-        """Subscribe to *machine*'s bus; returns ``self`` for chaining.
+        """Read *machine*'s recorder; returns ``self`` for chaining.
 
         When the machine has an attached SPU, static controller facts
         (activations, context switches) are pulled from its stats at export
         time.
         """
-        bus = machine.bus
-        self._unsubscribes = [
-            bus.subscribe("controller_step", self._on_step),
-            bus.subscribe("spu_route", self._on_route),
-        ]
         self._recorder = Recorder.add(machine, self)
         spu = getattr(machine, "spu", None)
         self._controller = getattr(spu, "controller", None)
         return self
 
     def detach(self) -> None:
-        for unsubscribe in self._unsubscribes:
-            unsubscribe()
-        self._unsubscribes = []
         if self._recorder is not None:
             self._recorder.remove(self)
             self._recorder = None
 
-    # -- event handlers -------------------------------------------------------
-
-    def _on_step(self, event: ControllerStepEvent) -> None:
-        self.steps += 1
-        self.state_occupancy[event.state_index] += 1
-        self.transitions[(event.state_index, event.next_index)] += 1
-        self.steps_by_context[event.context] += 1
-        if event.routed:
-            self.routed_steps += 1
-        if event.went_idle:
-            self.idle_entries += 1
-        if len(self.counter_log) < self.counter_log_limit:
-            self.counter_log.append((self.steps, *event.counters))
-
-    def _on_route(self, event: SPURouteEvent) -> None:
-        self.routed_instructions += 1
-        for slot in event.slots:
-            self.routed_slots[slot] += 1
+    # -- recorder columns -----------------------------------------------------
 
     def on_chunk(self, chunk) -> None:
         self.issues += len(chunk)
+        rows = chunk.steps
+        if not len(rows):
+            return
+        bits = rows[:, 5]
+        _count(self.steps_by_context, rows[:, 0])
+        _count(self.state_occupancy, rows[:, 1])
+        edges: Counter = Counter()
+        _count(edges, rows[:, 1] << 32 | rows[:, 2])
+        self.transitions.update({(edge >> 32, edge & 0xFFFFFFFF): count
+                                 for edge, count in edges.items()})
+        self.routed_steps += int(np.count_nonzero(bits & STATE_ROUTES))
+        self.routed_instructions += int(np.count_nonzero(bits >> 1))
+        self.routed_slots.update({
+            slot: routed for slot in (0, 1)
+            if (routed := int(np.count_nonzero(bits & route_bits(False, (slot,)))))})
+        if self._controller is not None:
+            self.idle_entries += int(np.count_nonzero(
+                rows[:, 2] == self._controller.num_states - 1))
+        room = COUNTER_LOG_LIMIT - len(self.counter_log)
+        if room > 0:
+            first = self.steps + 1
+            self.counter_log.extend(zip(range(first, first + room), rows[:room, 3].tolist(),
+                                        rows[:room, 4].tolist()))
+        self.steps += len(rows)
 
     # -- views ----------------------------------------------------------------
 
@@ -111,9 +120,6 @@ class ControllerTrace(Reader):
     def go_occupancy(self) -> float:
         """Fraction of dynamic instructions with the controller active."""
         return self.steps / self.issues if self.issues else 0.0
-
-    def hottest_states(self, count: int = 8) -> list[tuple[int, int]]:
-        return self.state_occupancy.most_common(count)
 
     def as_dict(self) -> dict:
         """JSON-friendly summary (string keys throughout)."""

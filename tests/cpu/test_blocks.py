@@ -35,6 +35,7 @@ from repro.faults.injector import clone_spu_program, corrupt_route
 from repro.isa import MM, ProgramBuilder, assemble
 from repro.kernels.fft import FFTKernel
 from repro.kernels.registry import ALL_KERNELS, make_kernel
+from repro.obs import ControllerTrace
 from repro.resilience import ResilienceMode
 
 CONFIGS = {
@@ -296,30 +297,21 @@ class TestSPUPaths:
             machine.run()
             assert machine.spu.controller.stats.fault_parks > 0
 
-    @pytest.mark.parametrize("topics", [("controller_step",), ("spu_route",),
-                                        ("controller_step", "spu_route")])
-    def test_observed_event_streams(self, topics):
-        kernel = build_kernel("FIR12")
+    def test_observed_controller_trace(self):
+        # A ControllerTrace reads step rows that the per-uop loop and the
+        # recorded blocks' inline step both write: the same summary on every
+        # path, cold and warm.  DCT runs four contexts and fills the log.
+        kernel = build_kernel("DCT")
 
         def observed(machine):
-            events = []
-            for topic in topics:
-                machine.bus.subscribe(topic, lambda event, t=topic: events.append((t, event)))
-            return machine, events
+            trace = ControllerTrace().attach(machine)
+            return snapshot(machine, machine.run()), trace.as_dict()
 
-        machine, expected_events = observed(byte_path(kernel.machine("spu")))
-        expected = snapshot(machine, machine.run())
-        assert expected_events
-        counter_init = {context: program.counter_init
-                        for context, program in kernel.spu_programs()[1]}
-        for topic, event in expected_events:
-            if topic == "controller_step" and event.went_idle:
-                assert event.counters == counter_init[event.context]
+        expected = observed(byte_path(kernel.machine("spu")))
+        assert expected[1]["steps"] > 0 and expected[1]["counter_log_truncated"]
         for make in (lambda: per_uop(kernel.machine("spu")), lambda: kernel.machine("spu")):
             for _ in range(2):
-                machine, events = observed(make())
-                assert snapshot(machine, machine.run()) == expected
-                assert events == expected_events
+                assert observed(make()) == expected
 
     @staticmethod
     def corrupted(kernel, resilience=None, controller_resilience=None):

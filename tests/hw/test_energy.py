@@ -33,14 +33,14 @@ class TestRunEnergy:
     def test_crossbar_scales_with_config_size(self):
         stats = RunStats()
         stats.spu_routed = 10
-        small = run_energy(stats, CONFIG_D, controller_steps=0)
-        big = run_energy(stats, CONFIG_A, controller_steps=0)
+        small = run_energy(stats, CONFIG_D, spu_steps=0)
+        big = run_energy(stats, CONFIG_A, spu_steps=0)
         assert big.crossbar_pj > small.crossbar_pj
 
     def test_controller_cost_per_step(self):
         stats = RunStats()
-        one = run_energy(stats, CONFIG_D, controller_steps=1)
-        ten = run_energy(stats, CONFIG_D, controller_steps=10)
+        one = run_energy(stats, CONFIG_D, spu_steps=1)
+        ten = run_energy(stats, CONFIG_D, spu_steps=10)
         assert ten.controller_pj == pytest.approx(10 * one.controller_pj)
 
     def test_total_is_sum(self):

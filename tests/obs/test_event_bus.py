@@ -169,3 +169,11 @@ class TestOnIssueRemoved:
         assert not {"run_start", "issue", "stall", "branch", "run_end"} & set(TOPICS)
         with pytest.raises(ValueError, match="unknown topic"):
             EventBus().subscribe("issue", lambda event: None)
+
+    def test_controller_topics_are_gone(self):
+        """Controller steps and routed slots are read from the recorder too."""
+        import repro.obs
+
+        assert not {"controller_step", "spu_route"} & set(TOPICS)
+        assert not hasattr(repro.obs, "ControllerStepEvent")
+        assert not hasattr(repro.obs, "SPURouteEvent")
