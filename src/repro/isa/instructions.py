@@ -208,8 +208,9 @@ class Instruction:
         if sem == "jmp":
             return self._memo_read(read)
         operands = self.operands
-        if sem in ("movq", "movd", "mov", "lea") or self.iclass is InstrClass.LOAD:
-            # Pure moves/loads read only their source operand.
+        if sem in ("movq", "movd", "mov", "lea", "pshufw") or self.iclass is InstrClass.LOAD:
+            # Pure moves/loads (and pshufw, which overwrites its destination
+            # with a shuffle of its source) read only their source operands.
             for operand in operands[1:]:
                 if isinstance(operand, Register):
                     read.add(operand)

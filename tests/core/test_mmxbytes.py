@@ -125,6 +125,12 @@ def test_zero_idioms_yield_zero(name):
         assert walk.regs[2] == [0] * 8 and walk.live_in == set()
 
 
+def test_pshufw_reads_only_its_source():
+    program = assemble("pshufw mm1, mm0, 0x1b\npshufw mm0, mm0, 0x1b\nhalt")
+    assert byte_facts(program[0]).reads == (0,)
+    assert byte_facts(program[1]).reads == (0,)
+
+
 def test_offload_keeps_a_permute_of_memory_bytes():
     # The loaded bytes exist nowhere in the register file, so no route can
     # stand in for the unpack even when a known-zero register offers zero

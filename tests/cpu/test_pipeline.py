@@ -45,6 +45,15 @@ class TestLatency:
         stats, _ = cycles_of("pmullw mm0, mm1\npaddw mm2, mm0\nhalt")
         assert stats.stall_cycles == 2
 
+    def test_pshufw_does_not_wait_for_its_destination(self):
+        # pshufw only writes mm0: it issues the cycle after the multiply
+        # (the two cannot pair, both write mm0) without waiting for it.
+        stats, _ = cycles_of("pmullw mm0, mm1\npshufw mm0, mm2, 0x1b\nhalt")
+        assert stats.stall_cycles == 0
+        assert stats.cycles == 3
+        stats, _ = cycles_of("pmullw mm0, mm1\npshufw mm0, mm0, 0x1b\nhalt")
+        assert stats.stall_cycles == 2
+
     def test_independent_instruction_hides_latency(self):
         stats, _ = cycles_of(
             "pmullw mm0, mm1\n" + "paddw mm2, mm3\n" * 4 + "paddw mm4, mm0\nhalt"

@@ -50,6 +50,13 @@ class TestHazardSets:
         assert instr.regs_read() == frozenset({MM[1]})
         assert instr.regs_written() == frozenset({MM[0]})
 
+    def test_pshufw_reads_source_only(self):
+        # pshufw overwrites its destination: it reads the destination
+        # register only when that is also the source.
+        assert make("pshufw", MM[1], MM[0], Imm(0x1B)).regs_read() == frozenset({MM[0]})
+        assert make("pshufw", MM[0], MM[0], Imm(0x1B)).regs_read() == frozenset({MM[0]})
+        assert make("pshufw", MM[1], MM[0], Imm(0x1B)).regs_written() == frozenset({MM[1]})
+
     def test_load_reads_address_regs(self):
         instr = make("movq", MM[0], Mem(base=R[1], index=R[2], scale=2))
         assert instr.regs_read() == frozenset({R[1], R[2]})

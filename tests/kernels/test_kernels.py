@@ -294,6 +294,15 @@ class TestCompilePath:
         assert result.accelerated == ["rows1", "trans1", "rows2", "trans2"]
         assert result.removed == 44
 
+    @pytest.mark.parametrize("config", ["A", "B", "C", "D"])
+    def test_fft_stage1_removes_four_permutes(self, config):
+        # pshufw writes mm1 without reading it, so stage1's shifted mm1 does
+        # not reach the next iteration and its psrlq goes too.
+        from repro.core import CONFIGS
+
+        result = make_kernel("FFT128", config=CONFIGS[config]).compile_result()
+        assert result.accelerated == ["stage1"] and result.removed == 4
+
     def test_inferred_live_out_matches_epilogue_reads(self):
         from repro.core import CONFIG_A
         from repro.kernels import SADKernel, ViterbiKernel
