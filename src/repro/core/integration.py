@@ -208,11 +208,11 @@ class AttachedSPU:
                 values[slot] = straight
                 self.stats.serialized_operands += 1
                 bus = self.bus
-                if bus is not None and bus.fault:
+                if bus.fault:
                     bus.dispatch("fault", FaultEvent(
                         component="crossbar", kind="route_error", detail=str(error),
                         pc=state.pc, error=error))
-                if bus is not None and bus.degrade:
+                if bus.degrade:
                     bus.dispatch("degrade", DegradeEvent(
                         component="crossbar", action="serialize_operand",
                         detail=f"slot {slot} of {instr.name} at pc={state.pc}", pc=state.pc))

@@ -4,10 +4,10 @@ A :class:`Recorder` is a sink attached to a machine (``machine.recorder``),
 and the only way to watch a machine run.
 :meth:`repro.cpu.pipeline.Machine.run` and the recorded variants of its
 translated blocks (:mod:`repro.cpu.blocks`) append the run's start, its
-issues, stalls, branches and SPU controller steps and its end to columns,
-so a recorded STRICT run keeps entering blocks.  The two dense columns are ``array('q')``; the
-sparse ones are lists, whose ``extend`` by a tuple is several times cheaper
-than an array's:
+issues, stalls, branches and SPU controller steps and its end to
+columns, so a recorded STRICT run keeps entering blocks.  The two dense
+columns are ``array('q')``; the sparse ones are lists, whose ``extend`` by
+a tuple is several times cheaper than an array's:
 
 ``pc``
     one entry per issue;
@@ -90,8 +90,9 @@ class Chunk:
     ``(issue index, pc, cycle, cycles)`` and ``branches`` rows ``(issue
     index, taken | mispredict << 1, penalty)``, with chunk-relative issue
     indices; ``steps`` rows are ``(context, state, next state, CNTR0,
-    CNTR1, route bits)``.  Only the run's last chunk can hold a stall whose index is
-    ``len(pc)``: a stall before an issue that faulted and ended the run.
+    CNTR1, route bits)``.  Only the run's last chunk can hold a stall whose
+    index is ``len(pc)``: a stall before an issue that faulted and ended the
+    run.
     """
 
     __slots__ = ("base", "pc", "cycle", "flags", "stalls", "branches", "steps")
