@@ -35,7 +35,7 @@ from repro.faults.injector import clone_spu_program, corrupt_route
 from repro.isa import MM, ProgramBuilder, assemble
 from repro.kernels.fft import FFTKernel
 from repro.kernels.registry import ALL_KERNELS, make_kernel
-from repro.obs import ControllerTrace
+from repro.obs import ControllerTrace, Reader, Recorder
 from repro.resilience import ResilienceMode
 
 CONFIGS = {
@@ -312,6 +312,50 @@ class TestSPUPaths:
         for make in (lambda: per_uop(kernel.machine("spu")), lambda: kernel.machine("spu")):
             for _ in range(2):
                 assert observed(make()) == expected
+
+    # What the retired bus topics carried now lives in columns of the
+    # recorder's step rows: a controller step is its context, emitted
+    # state, next state and counters; a route is its context, state and
+    # route bits, on the rows whose state routes.
+    STEP_VIEWS = {"controller_step": lambda row: tuple(row[:5]),
+                  "spu_route": lambda row: (row[0], row[1], row[5]) if row[5] else None}
+
+    @pytest.mark.parametrize("topics", [("controller_step",), ("spu_route",),
+                                        ("controller_step", "spu_route")])
+    def test_observed_event_streams(self, topics):
+        kernel = build_kernel("FIR12")
+        views = [(topic, self.STEP_VIEWS[topic]) for topic in topics]
+
+        class Rows(Reader):
+            def __init__(self):
+                self.events = []
+
+            def on_chunk(self, chunk):
+                for row in chunk.steps.tolist():
+                    for topic, view in views:
+                        event = view(row)
+                        if event is not None:
+                            self.events.append((topic, event))
+
+        def observed(machine):
+            rows = Rows()
+            Recorder.add(machine, rows)
+            return machine, rows.events
+
+        machine, expected_events = observed(byte_path(kernel.machine("spu")))
+        expected = snapshot(machine, machine.run())
+        assert {topic for topic, _ in expected_events} == set(topics)
+        counter_init = {context: tuple(program.counter_init)
+                        for context, program in kernel.spu_programs()[1]}
+        idle_state = machine.spu.controller.idle_state
+        for topic, event in expected_events:
+            if topic == "controller_step" and event[2] == idle_state:
+                assert event[3:] == counter_init[event[0]]
+        for make in (lambda: per_uop(kernel.machine("spu")), lambda: kernel.machine("spu")):
+            for _ in range(2):
+                machine, events = observed(make())
+                assert snapshot(machine, machine.run()) == expected
+                assert events == expected_events
 
     @staticmethod
     def corrupted(kernel, resilience=None, controller_resilience=None):
