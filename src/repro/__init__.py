@@ -19,7 +19,7 @@ Quick start::
 Sub-packages: :mod:`repro.simd` (packed arithmetic), :mod:`repro.isa`
 (assembler/IR), :mod:`repro.cpu` (dual-pipe cycle model), :mod:`repro.core`
 (the SPU), :mod:`repro.hw` (area/delay models), :mod:`repro.kernels`,
-:mod:`repro.analysis`, :mod:`repro.obs` (event bus, cycle attribution,
+:mod:`repro.analysis`, :mod:`repro.obs` (run recorder, cycle attribution,
 exporters), :mod:`repro.experiments`.
 """
 
@@ -73,7 +73,6 @@ from repro.analysis import profile
 from repro.obs import (
     ControllerTrace,
     CycleAttribution,
-    EventBus,
     MetricsRegistry,
     kernel_profile_report,
 )
@@ -135,7 +134,6 @@ __all__ = [
     "profile",
     "ControllerTrace",
     "CycleAttribution",
-    "EventBus",
     "MetricsRegistry",
     "kernel_profile_report",
     "ExperimentSuite",

@@ -19,7 +19,6 @@ from repro.errors import RouteError, SPUProgramError
 from repro.resilience import ResilienceMode
 from repro.core.interconnect import CONFIG_D, CrossbarConfig, route_plan
 from repro.core.program import DEFAULT_NUM_STATES, SPUProgram, SPUState
-from repro.obs.events import DegradeEvent, FaultEvent, RecoveryEvent
 from repro.obs.recorder import route_bits
 
 
@@ -27,6 +26,8 @@ from repro.obs.recorder import route_bits
 class ControllerStats:
     """Counters describing controller activity for Table 3 accounting."""
 
+    #: Completed steps; a step that faults on its state or its next
+    #: pointer is not counted (here or in :attr:`routed_steps`).
     steps: int = 0
     activations: int = 0
     routed_steps: int = 0
@@ -39,6 +40,8 @@ class ControllerStats:
     fault_parks: int = 0
     #: GO re-arms of a fault-parked context (degrade-mode recoveries).
     park_recoveries: int = 0
+    #: Faults raised instead of parked (STRICT and HALT postures).
+    fault_raises: int = 0
 
 
 def compile_steps(program: SPUProgram, config: CrossbarConfig,
@@ -91,7 +94,7 @@ class SPUController:
         #: for standalone controllers.
         self.resilience = None if resilience is None else ResilienceMode.parse(resilience)
         #: True after degrade mode parked the unit at idle because of a
-        #: fault; cleared (with a ``recovery`` event) by the next go().
+        #: fault; cleared (counting a park recovery) by the next go().
         self.fault_parked = False
         self.num_states = num_states
         self._programs: list[SPUProgram | None] = [None] * contexts
@@ -106,10 +109,6 @@ class SPUController:
         # until first use for a program installed by inject_program().
         self._tables: list[dict[int, tuple] | None] = [None] * contexts
         self.stats = ControllerStats()
-        #: Fault, degrade and recovery telemetry: set by attach_spu to the
-        #: machine's EventBus.  Steps are observed through the machine's
-        #: recorder (``AttachedSPU.routes_for``).
-        self.bus = None
 
     # ---- structural properties ------------------------------------------------
 
@@ -211,15 +210,6 @@ class SPUController:
             # posture: idle-127 disables, the GO bit brings it back).
             self.fault_parked = False
             self.stats.park_recoveries += 1
-            bus = self.bus
-            if bus is not None and bus.recovery:
-                bus.dispatch(
-                    "recovery",
-                    RecoveryEvent(
-                        component="controller",
-                        detail=f"context {self.context} re-armed after fault park",
-                    ),
-                )
 
     def stop(self) -> None:
         """Force-disable and reset the selected context to its initial state."""
@@ -277,16 +267,9 @@ class SPUController:
             # undefined state — the paper's hardware has no defined routes
             # to emit here.  Degrade mode parks the unit at idle-127.
             return self._fault_park(
-                kind="invalid_state",
-                detail=(
-                    f"controller reached undefined state {emitted_index} "
-                    f"in {program.name!r} (context {context})"
-                ),
+                f"controller reached undefined state {emitted_index} "
+                f"in {program.name!r} (context {context})"
             )
-        stats = self.stats
-        stats.steps += 1
-        if state.routes:
-            stats.routed_steps += 1
 
         counters = self._counters_by_ctx[context]
         cntr = state.cntr
@@ -301,12 +284,13 @@ class SPUController:
 
         if not 0 <= next_index < self.num_states:
             return self._fault_park(
-                kind="invalid_next",
-                detail=(
-                    f"state {emitted_index} selected next state {next_index}, "
-                    f"outside K={self.num_states} (context {context})"
-                ),
+                f"state {emitted_index} selected next state {next_index}, "
+                f"outside K={self.num_states} (context {context})"
             )
+        stats = self.stats
+        stats.steps += 1
+        if state.routes:
+            stats.routed_steps += 1
         if next_index == self.num_states - 1:
             self.enter_idle()
         else:
@@ -330,22 +314,18 @@ class SPUController:
 
     # ---- failure posture -------------------------------------------------------
 
-    def _fault_park(self, kind: str, detail: str) -> None:
+    def _fault_park(self, detail: str) -> None:
         """Handle an invalid controller condition per the resilience mode.
 
         STRICT (and HALT — the machine layer turns the raise into a clean
-        stop) raises :class:`SPUProgramError`; DEGRADE parks the unit at the
-        idle state with reset counters, emitting ``fault`` and ``degrade``
-        events, and leaves re-arming to the next GO.
+        stop) counts a fault raise and raises :class:`SPUProgramError`;
+        DEGRADE parks the unit at the idle state with reset counters,
+        counting a fault park, and leaves re-arming to the next GO.  A
+        faulting step is not counted as a step.
         """
-        bus = self.bus
-        if bus is not None and bus.fault:
-            bus.dispatch(
-                "fault",
-                FaultEvent(component="controller", kind=kind, detail=detail),
-            )
         mode = self.resilience if self.resilience is not None else ResilienceMode.STRICT
         if mode is not ResilienceMode.DEGRADE:
+            self.stats.fault_raises += 1
             raise SPUProgramError(detail)
         self._active = False
         self._current = self.idle_state
@@ -354,11 +334,6 @@ class SPUController:
             self._counters = list(program.counter_init)
         self.stats.fault_parks += 1
         self.fault_parked = True
-        if bus is not None and bus.degrade:
-            bus.dispatch(
-                "degrade",
-                DegradeEvent(component="controller", action="park_idle", detail=detail),
-            )
         return None
 
     # ---- fault-injection hooks (repro.faults) ---------------------------------

@@ -32,7 +32,6 @@ from repro.cpu.pipeline import Machine
 from repro.cpu.state import MachineState
 from repro.isa.instructions import Instruction
 from repro.isa.registers import Register
-from repro.obs.events import DegradeEvent, FaultEvent
 from repro.obs.recorder import route_bits
 
 
@@ -57,8 +56,6 @@ class AttachedSPU:
         self.machine = machine
         self.register = SPURegister()
         self.stats = AttachmentStats()
-        #: Fault and degrade telemetry: the machine's EventBus.
-        self.bus = machine.bus
 
     #: Gather through the unified register (``load_from_mmx`` +
     #: ``CrossbarConfig.apply``) instead of word plans.  Tests set it on an
@@ -200,22 +197,13 @@ class AttachedSPU:
                     values[slot] = config.apply(route, register, straight)
                 else:
                     values[slot] = route_plan(config, route).gather(mmx, straight)
-            except RouteError as error:
+            except RouteError:
                 if self._resilience() is not ResilienceMode.DEGRADE:
                     raise
                 # Serialize: the crossbar cannot realize this route, so the
                 # operand takes the architectural straight-through path.
                 values[slot] = straight
                 self.stats.serialized_operands += 1
-                bus = self.bus
-                if bus.fault:
-                    bus.dispatch("fault", FaultEvent(
-                        component="crossbar", kind="route_error", detail=str(error),
-                        pc=state.pc, error=error))
-                if bus.degrade:
-                    bus.dispatch("degrade", DegradeEvent(
-                        component="crossbar", action="serialize_operand",
-                        detail=f"slot {slot} of {instr.name} at pc={state.pc}", pc=state.pc))
         if not values:
             return None
         self.stats.routed_operands += len(values)
@@ -236,7 +224,6 @@ def attach_spu(
     Pass ``mmio_base=None`` for host-side-only control.
     """
     spu = AttachedSPU(controller, machine)
-    controller.bus = machine.bus
     if controller.resilience is None:
         # Inherit the machine's failure posture unless the controller was
         # constructed with an explicit mode of its own.

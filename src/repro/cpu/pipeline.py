@@ -16,9 +16,9 @@ the routed values, keeping this module independent of the SPU internals.
 A run is observed through an attached :attr:`Machine.recorder`
 (:mod:`repro.obs.recorder`): the issue loop and the translated blocks
 append each issue, stall, branch and the run's start and end to its
-columns.  Faults and degradations are published on :attr:`Machine.bus`
-(:mod:`repro.obs.events`).  A fault injector arms :attr:`Machine.trigger`,
-a one-shot callback after one exact issue.
+columns.  Faults and degradations are counted in :class:`RunStats`
+(``faults``, ``degraded_issues``).  A fault injector arms
+:attr:`Machine.trigger`, a one-shot callback after one exact issue.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from repro.cpu.pairing import can_pair
 from repro.cpu.state import MachineState
 from repro.cpu.stats import RunStats
 from repro.isa.instructions import Instruction, Program
-from repro.obs.events import DegradeEvent, EventBus, FaultEvent
 from repro.obs.recorder import issue_flags
 
 
@@ -109,8 +108,8 @@ class Machine:
     ) -> None:
         self.program = program
         #: Failure posture (see :mod:`repro.resilience`): STRICT raises on
-        #: any fault, DEGRADE absorbs recoverable ones (emitting ``fault``/
-        #: ``degrade`` events), HALT fail-stops the run cleanly.
+        #: any fault, DEGRADE absorbs recoverable ones (counting them in
+        #: :class:`RunStats`), HALT fail-stops the run cleanly.
         self.resilience = ResilienceMode.parse(resilience)
         self.memory = memory if memory is not None else Memory()
         self.predictor = (
@@ -119,8 +118,6 @@ class Machine:
         self.config = config if config is not None else PipelineConfig()
         self.spu = spu
         self.state = MachineState()
-        #: Fault, degrade and SPU telemetry (see repro.obs.events).
-        self.bus = EventBus()
         #: The columnar sink observers read (:class:`repro.obs.recorder.Recorder`);
         #: attached by ``Recorder.add`` and cleared when its last reader leaves.
         self.recorder = None
@@ -228,59 +225,33 @@ class Machine:
             if uop.is_alignment_candidate:
                 stats.alignment_candidates += count
 
-    def _issue_fault_action(self, error: ReproError, pc: int, stats: RunStats) -> str:
-        """Policy + telemetry for a fault raised while issuing an instruction.
+    def _issue_fault_action(self, error: ReproError, stats: RunStats) -> str:
+        """Policy for a fault raised while issuing an instruction.
 
-        STRICT re-raises *error*.  Otherwise a ``fault`` event is emitted and
-        the returned action is ``"halt"`` (fail-stop the run cleanly) or
-        ``"drop"`` (degrade: the faulting issue executes as a no-op, with a
-        ``degrade`` event).
+        STRICT re-raises *error*.  Otherwise the fault is counted and the
+        returned action is ``"halt"`` (fail-stop the run cleanly) or
+        ``"drop"`` (degrade: the faulting issue executes as a no-op).
         """
         if self.resilience is ResilienceMode.STRICT:
             raise error
         stats.faults += 1
-        bus = self.bus
-        if bus.fault:
-            bus.dispatch(
-                "fault",
-                FaultEvent(
-                    component="machine",
-                    kind=type(error).__name__,
-                    detail=str(error),
-                    pc=pc,
-                    error=error,
-                ),
-            )
         if self.resilience is ResilienceMode.HALT:
             return "halt"
         stats.degraded_issues += 1
-        if bus.degrade:
-            bus.dispatch(
-                "degrade",
-                DegradeEvent(
-                    component="machine",
-                    action="drop_instruction",
-                    detail=str(error),
-                    pc=pc,
-                ),
-            )
         return "drop"
 
-    def _abort(self, stats: RunStats, cycle: int, kind: str, message: str) -> None:
-        """Watchdog/runaway exit: telemetry + a clean :class:`SimulationError`.
+    def _abort(self, stats: RunStats, cycle: int, message: str) -> None:
+        """Watchdog/runaway exit: a clean :class:`SimulationError`.
 
         The partial :class:`RunStats` are finalized, the recording is closed,
-        a ``fault`` event fires, and the raised error carries the stats as
-        ``.stats`` so harnesses can report how far the run got.
+        and the raised error carries the stats as ``.stats`` so harnesses can
+        report how far the run got.
         """
         stats.cycles = cycle
         stats.finished = False
         rec = self.recorder
         if rec is not None:
             rec.end(cycle, stats.instructions, False)
-        bus = self.bus
-        if bus.fault:
-            bus.dispatch("fault", FaultEvent(component="machine", kind=kind, detail=message))
         error = SimulationError(message)
         error.stats = stats
         raise error
@@ -365,13 +336,13 @@ class Machine:
             if cycle > limit:
                 self._fold_issue_counts(stats, uops, issue_counts, tally)
                 self._abort(
-                    stats, cycle, "watchdog",
+                    stats, cycle,
                     f"cycle budget exceeded ({limit}) in {program.name!r} at pc={pc}",
                 )
             if not 0 <= pc < size:
                 self._fold_issue_counts(stats, uops, issue_counts, tally)
                 self._abort(
-                    stats, cycle, "runaway_pc",
+                    stats, cycle,
                     f"fell off program {program.name!r} (pc={pc}); missing halt?",
                 )
             if heads is not None:
@@ -420,7 +391,7 @@ class Machine:
             except RunnerInterrupted:
                 raise  # campaign-level stop, not a simulated fault
             except ReproError as error:
-                action = self._issue_fault_action(error, pc, stats)
+                action = self._issue_fault_action(error, stats)
                 cycle += 1
                 stats.solo_cycles += 1
                 if action == "halt":
@@ -469,7 +440,7 @@ class Machine:
                         except RunnerInterrupted:
                             raise  # campaign-level stop, not a simulated fault
                         except ReproError as error:
-                            action = self._issue_fault_action(error, pc, stats)
+                            action = self._issue_fault_action(error, stats)
                             cycle += 1
                             stats.solo_cycles += 1
                             if mmx_busy:

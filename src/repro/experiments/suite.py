@@ -105,8 +105,8 @@ class ExperimentSuite:
     def comparisons(self) -> dict[str, KernelComparison]:
         return {name: self.comparison(name) for name in self.kernel_names}
 
-    def prefetch(self, jobs: int = 1, journal_path=None, bus=None,
-                 runner_config=None, tracer=None, progress=None):
+    def prefetch(self, jobs: int = 1, journal_path=None, runner_config=None,
+                 tracer=None, progress=None):
         """Warm the comparison cache on the campaign runner; returns it.
 
         One ``suite_cell`` task per not-yet-cached kernel; with ``jobs >= 2``
@@ -136,7 +136,7 @@ class ExperimentSuite:
         if tracer is not None:
             root = tracer.begin("campaign:suite", kernels=len(pending),
                                 fast=self.fast, jobs=config.jobs)
-        runner = Runner(config, bus=bus, journal=journal,
+        runner = Runner(config, journal=journal,
                         tracer=tracer, span_parent=root, progress=progress)
         try:
             results = runner.run([

@@ -8,7 +8,7 @@ Two layers:
 - the *fault campaign* re-runs the SPU variant once per injection with a
   :class:`~repro.faults.injector.FaultInjector` armed, then classifies the
   outcome as ``masked`` (output still exact), ``detected`` (an exception,
-  a ``fault`` event or a fail-stop flagged the corruption) or ``silent``
+  a counted fault or a fail-stop flagged the corruption) or ``silent``
   (wrong output with no detection — the dangerous quadrant).
 
 Determinism: kernels run in sorted registry order, injection *i* targets
@@ -33,9 +33,6 @@ from repro.simd import full_validation
 
 #: Injection outcomes, from benign to dangerous.
 OUTCOMES = ("masked", "detected", "silent")
-
-#: Bus topics counted per faulty run.
-_COUNTED_TOPICS = ("fault", "degrade", "recovery")
 
 
 @dataclass
@@ -91,8 +88,8 @@ def classify_injection(stats, error, output_matches, event_counts) -> str:
     """Sort one injection into the masked/detected/silent taxonomy.
 
     An injection is *detected* when anything flagged it: an exception
-    escaped, a ``fault`` event fired (degrade-mode absorption still
-    detects), or the run fail-stopped short of ``halt``.  Otherwise the
+    escaped, a fault was counted (degrade-mode absorption still detects),
+    or the run fail-stopped short of ``halt``.  Otherwise the
     output decides: exact match → *masked*, mismatch → *silent*.
     """
     if error is not None:
@@ -104,16 +101,27 @@ def classify_injection(stats, error, output_matches, event_counts) -> str:
     return "masked" if output_matches else "silent"
 
 
-def _count_events(machine) -> dict[str, int]:
-    """Subscribe counters for the fault-related topics; returns the live dict."""
-    counts = {topic: 0 for topic in _COUNTED_TOPICS}
+def _event_counts(machine, stats, error) -> dict[str, int]:
+    """The run's fault, degrade and recovery counts, from component stats.
 
-    def _bump(event, topic):
-        counts[topic] += 1
-
-    for topic in _COUNTED_TOPICS:
-        machine.bus.subscribe(topic, lambda event, _t=topic: _bump(event, _t))
-    return counts
+    A fault is an absorbed or fail-stopped issue (``RunStats.faults``), a
+    serialized crossbar operand, a controller park or raise, or a
+    watchdog/runaway abort (the only raise that carries partial stats).
+    Each absorbed fault is also one degradation; a GO that re-arms a parked
+    controller is a recovery.
+    """
+    controller = machine.spu.controller.stats
+    serialized = machine.spu.stats.serialized_operands
+    faults = degraded = 0
+    if stats is not None:
+        faults, degraded = stats.faults, stats.degraded_issues
+    aborted = int(error is not None and stats is not None)
+    return {
+        "fault": (faults + serialized + controller.fault_parks
+                  + controller.fault_raises + aborted),
+        "degrade": degraded + serialized + controller.fault_parks,
+        "recovery": controller.park_recoveries,
+    }
 
 
 def _check_output(kernel, machine, reference) -> tuple[bool, int]:
@@ -196,7 +204,6 @@ def run_one_injection(
 
     machine = kernel.machine("spu", resilience=campaign.resilience)
     injector = FaultInjector(machine, spec)
-    event_counts = _count_events(machine)
     watchdog = (
         spu_clean["cycles"] * campaign.watchdog_factor
         + campaign.watchdog_slack
@@ -225,6 +232,7 @@ def run_one_injection(
     mismatches = None
     if error is None and stats is not None and stats.finished:
         output_matches, mismatches = _check_output(kernel, machine, reference)
+    event_counts = _event_counts(machine, stats, error)
     outcome = classify_injection(stats, error, output_matches, event_counts)
 
     # Static cross-check (lazy import: repro.analysis imports the kernel
@@ -250,7 +258,7 @@ def run_one_injection(
         "analysis": verdict,
         "output_matches": output_matches,
         "mismatching_elements": mismatches,
-        "events": dict(event_counts),
+        "events": event_counts,
         "finished": bool(stats.finished) if stats is not None else False,
         "cycles": stats.cycles if stats is not None else None,
         "machine_faults": stats.faults if stats is not None else None,

@@ -31,7 +31,6 @@ from repro.faults.campaign import (
     run_one_injection,
 )
 from repro.faults.spec import FAULT_KINDS, FaultCampaign
-from repro.obs.events import EventBus
 from repro.resilience import ResilienceMode
 from repro.runner import Journal, Runner, RunnerConfig, TaskSpec
 from repro.runner.policy import calibrated_timeout_s
@@ -144,7 +143,6 @@ def run_check_parallel(
     swar_check: bool = False,
     jobs: int = 2,
     journal_path=None,
-    bus: EventBus | None = None,
     runner_config: RunnerConfig | None = None,
     tracer=None,
     progress=None,
@@ -188,7 +186,7 @@ def run_check_parallel(
     if tracer is not None:
         root = tracer.begin("campaign:check", kernels=len(names),
                             faults=faults, seed=seed, jobs=config.jobs)
-    runner = Runner(config, bus=bus, journal=journal,
+    runner = Runner(config, journal=journal,
                     tracer=tracer, span_parent=root, progress=progress)
 
     try:

@@ -179,9 +179,9 @@ class Kernel(abc.ABC):
         """A prepared, unrun :class:`Machine` for one variant.
 
         The public entry point for observers: build the machine, attach
-        recorder readers or subscribe to ``machine.bus``, then drive it
-        yourself (used by ``repro profile`` / ``repro trace``,
-        :mod:`repro.obs.export` and the :mod:`repro.faults` campaigns).  *resilience* selects the failure
+        recorder readers, then drive it yourself (used by ``repro profile``
+        / ``repro trace``, :mod:`repro.obs.export` and the
+        :mod:`repro.faults` campaigns).  *resilience* selects the failure
         posture (:mod:`repro.resilience`); the attached controller inherits
         it.
         """

@@ -100,6 +100,3 @@ class CircuitBreaker:
     @property
     def open_slices(self) -> tuple[str, ...]:
         return tuple(sorted(self._open))
-
-    def consecutive_failures(self, slice: str) -> int:
-        return self._consecutive.get(slice, 0)

@@ -1,4 +1,4 @@
-"""The resilient campaign runner: retries, breakers, journal, telemetry.
+"""The resilient campaign runner: retries, breakers, journal, spans.
 
 :class:`Runner` drives a set of :class:`~repro.runner.tasks.TaskSpec` to
 *terminal* results — every submitted task ends as exactly one of ``ok``,
@@ -20,9 +20,11 @@ assignment and completion order never leak into a :class:`TaskResult`'s
 ``result`` payload, which is how a resumed ``--jobs 4`` campaign merges
 byte-identical to a serial one.
 
-Lifecycle telemetry goes to :attr:`Runner.bus` (an
-:class:`repro.obs.EventBus`): ``task_start``, ``task_retry``,
-``task_timeout``, ``breaker_open``, ``task_done``.
+The task lifecycle is recorded in three places: :class:`RunnerStats`
+counts attempts, retries, failures by reason and breaker trips; the
+journal holds one ``attempt`` record per failed attempt and one ``done``
+record per terminal task; and each :class:`TaskResult` carries its status,
+attempt count and last failure.
 
 Host-side wall-clock observability is opt-in and rides on top: pass a
 :class:`repro.obs.spans.SpanTracer` (plus an optional parent span) and the
@@ -44,14 +46,6 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.errors import RunnerError, RunnerInterrupted
-from repro.obs.events import (
-    BreakerOpenEvent,
-    EventBus,
-    TaskDoneEvent,
-    TaskRetryEvent,
-    TaskStartEvent,
-    TaskTimeoutEvent,
-)
 from repro.runner.journal import Journal
 from repro.runner.policy import CircuitBreaker, RetryPolicy
 from repro.runner.pool import PoolStartError, WorkerPool
@@ -113,19 +107,17 @@ class RunnerStats:
 
 
 class Runner:
-    """Resilient task execution with journaling and lifecycle telemetry."""
+    """Resilient task execution with journaling."""
 
     def __init__(
         self,
         config: RunnerConfig | None = None,
-        bus: EventBus | None = None,
         journal: Journal | None = None,
         tracer=None,
         span_parent=None,
         progress=None,
     ) -> None:
         self.config = config or RunnerConfig()
-        self.bus = bus or EventBus()
         self.journal = journal
         self.breaker = CircuitBreaker(self.config.breaker_threshold)
         self.stats = RunnerStats()
@@ -172,7 +164,6 @@ class Runner:
                 results[task.id] = result
                 self.stats.cached += 1
                 self.stats.ok += 1
-                self._emit_done(result)
             else:
                 fresh.append(task)
 
@@ -201,12 +192,6 @@ class Runner:
         return results
 
     # ---- shared terminal-result handling -------------------------------------
-
-    def _emit_done(self, result: TaskResult) -> None:
-        self.bus.emit("task_done", TaskDoneEvent(
-            task=result.task, status=result.status, attempts=result.attempts,
-            duration_s=result.duration_s, cached=result.cached,
-        ))
 
     def _slice_span(self, slice_name: str):
         span = self._slice_spans.get(slice_name)
@@ -269,7 +254,6 @@ class Runner:
                 getattr(self.stats, result.status) + 1)
         if self.journal is not None:
             self.journal.append(result.as_record())
-        self._emit_done(result)
         # Before the interrupt check: an interrupted campaign's already
         # terminal tasks still close their spans; open ones export aborted.
         self._finish_task_obs(result)
@@ -296,20 +280,12 @@ class Runner:
             })
         if self.breaker.record_failure(task.slice):
             self.stats.breaker_trips += 1
-            self.bus.emit("breaker_open", BreakerOpenEvent(
-                slice=task.slice,
-                failures=self.breaker.consecutive_failures(task.slice),
-            ))
         if not self.breaker.allow(task.slice):
             return True, 0.0
         if self.config.retry.exhausted(attempt):
             return True, 0.0
         delay = self.config.retry.delay(attempt, self._jitter)
         self.stats.retries += 1
-        self.bus.emit("task_retry", TaskRetryEvent(
-            task=task.id, attempt=attempt, reason=reason, detail=detail,
-            delay_s=delay,
-        ))
         return False, delay
 
     # ---- serial path ---------------------------------------------------------
@@ -328,9 +304,6 @@ class Runner:
             while True:
                 attempt += 1
                 self.stats.attempts += 1
-                self.bus.emit("task_start", TaskStartEvent(
-                    task=task.id, attempt=attempt, worker=-1,
-                ))
                 self._begin_task_span(task, attempt)
                 begun = time.perf_counter()
                 try:
@@ -427,10 +400,6 @@ class Runner:
                 attempts[task.id] += 1
                 self.stats.attempts += 1
                 pool.dispatch(handle, task, attempts[task.id])
-                self.bus.emit("task_start", TaskStartEvent(
-                    task=task.id, attempt=attempts[task.id],
-                    worker=handle.worker_id,
-                ))
                 self._begin_task_span(task, attempts[task.id])
 
             for task, attempt, status, payload, detail, duration in (
@@ -450,18 +419,5 @@ class Runner:
             now = time.monotonic()
             for handle, reason, detail in pool.sweep(
                     now, self.config.hang_timeout_s, self.config.timeout_s):
-                task, attempt = handle.task, handle.attempt
-                since_dispatch = now - handle.dispatched_at
-                if reason != "crash":
-                    seconds = (since_dispatch if reason == "timeout"
-                               else now - handle.last_beat)
-                    self._emit_timeout(task.id, attempt, reason, seconds,
-                                       handle.worker_id)
-                fail_attempt(task, attempt, reason, detail, since_dispatch)
-
-    def _emit_timeout(self, task: str, attempt: int, kind: str,
-                      seconds: float, worker: int) -> None:
-        self.bus.emit("task_timeout", TaskTimeoutEvent(
-            task=task, attempt=attempt, kind=kind, seconds=seconds,
-            worker=worker,
-        ))
+                fail_attempt(handle.task, handle.attempt, reason, detail,
+                             now - handle.dispatched_at)

@@ -53,7 +53,6 @@ from pathlib import Path
 
 from repro.errors import ServeRejected
 from repro.obs.events import (
-    EventBus,
     JobDegradedEvent,
     JobDoneEvent,
     JobRejectedEvent,
@@ -110,7 +109,7 @@ class ServeApp:
 
     def __init__(self, journal_dir: str | Path, host: str = "127.0.0.1",
                  port: int = 0, queue_depth: int = 8, max_tenants: int = 16,
-                 bus: EventBus | None = None, workers: int = 1,
+                 workers: int = 1,
                  jobs: int = 1, weights: dict[str, int] | None = None,
                  max_inflight: int = 0, hang_timeout_s: float = 10.0,
                  max_job_attempts: int = 3, compact_every: int = 0) -> None:
@@ -125,7 +124,6 @@ class ServeApp:
         self.store = ServeStore(journal_dir)
         self.queues = TenantQueues(queue_depth, max_tenants,
                                    weights=weights, max_inflight=max_inflight)
-        self.bus = bus or EventBus()
         self.draining = False
         self.drain_reason = ""
         self.counters = {
@@ -144,8 +142,6 @@ class ServeApp:
         self._events: list[dict] = []
         self._event_seq = 0
         self._events_dropped = 0
-        for topic in EVENT_TOPICS:
-            self.bus.subscribe(topic, self._make_recorder(topic))
         self._kick: asyncio.Event | None = None
         self._pool = WorkerPool(self.workers_n)
         self._last_compact_count = -1
@@ -156,19 +152,18 @@ class ServeApp:
 
     # ---- event ring ----------------------------------------------------------
 
-    def _make_recorder(self, topic: str):
-        def record(event) -> None:
-            self._event_seq += 1
-            self._events.append(
-                {"seq": self._event_seq, "topic": topic, **asdict(event)}
-            )
-            overflow = len(self._events) - EVENT_RING
-            if overflow > 0:
-                # The ring trims, but never silently: the drop count is on
-                # /v1/status and every /v1/events response's headers.
-                del self._events[:overflow]
-                self._events_dropped += overflow
-        return record
+    def _record(self, topic: str, event) -> None:
+        """Append *event* (a :mod:`repro.obs.events` record) under *topic*."""
+        self._event_seq += 1
+        self._events.append(
+            {"seq": self._event_seq, "topic": topic, **asdict(event)}
+        )
+        overflow = len(self._events) - EVENT_RING
+        if overflow > 0:
+            # The ring trims, but never silently: the drop count is on
+            # /v1/status and every /v1/events response's headers.
+            del self._events[:overflow]
+            self._events_dropped += overflow
 
     # ---- lifecycle -----------------------------------------------------------
 
@@ -219,7 +214,7 @@ class ServeApp:
         self.draining = True
         self.drain_reason = reason
         pending = self.queues.total() + len(self._running)
-        self.bus.emit("serve_drain", ServeDrainEvent(
+        self._record("serve_drain", ServeDrainEvent(
             pending=pending, reason=reason,
         ))
         self._pool.cancel_all()
@@ -267,7 +262,7 @@ class ServeApp:
                           "attempts")
                 self.store.record_done(spec.job, "failed", detail)
                 self.counters["failed"] += 1
-                self.bus.emit("job_done", JobDoneEvent(
+                self._record("job_done", JobDoneEvent(
                     job=spec.job, tenant=spec.tenant, status="failed",
                     duration_s=0.0,
                 ))
@@ -303,7 +298,7 @@ class ServeApp:
                 budget = calibrated_timeout_s(float(expected))
             except (TypeError, ValueError):
                 budget = None
-        self.bus.emit("job_started", JobStartedEvent(
+        self._record("job_started", JobStartedEvent(
             job=spec.job, tenant=spec.tenant, verb=spec.verb, resumed=resumed,
         ))
         self._pool.dispatch(handle, TaskSpec(
@@ -335,14 +330,14 @@ class ServeApp:
                           f"(last: {reason})")
                 self.store.record_done(spec.job, "failed", detail)
                 self.counters["failed"] += 1
-                self.bus.emit("job_done", JobDoneEvent(
+                self._record("job_done", JobDoneEvent(
                     job=spec.job, tenant=spec.tenant, status="failed",
                     duration_s=now - handle.dispatched_at,
                 ))
                 continue
             self.store.record_attempt(spec.job, attempt, reason)
             self.counters["requeued"] += 1
-            self.bus.emit("job_requeued", JobRequeuedEvent(
+            self._record("job_requeued", JobRequeuedEvent(
                 job=spec.job, tenant=spec.tenant, reason=reason,
                 attempt=attempt, max_attempts=self.max_job_attempts,
             ))
@@ -372,11 +367,11 @@ class ServeApp:
             self.counters[outcome.status] += 1
             if outcome.degraded:
                 self.counters["degraded"] += 1
-                self.bus.emit("job_degraded", JobDegradedEvent(
+                self._record("job_degraded", JobDegradedEvent(
                     job=spec.job, tenant=spec.tenant,
                     reason=outcome.degrade_reason, detail=outcome.detail,
                 ))
-        self.bus.emit("job_done", JobDoneEvent(
+        self._record("job_done", JobDoneEvent(
             job=spec.job, tenant=spec.tenant, status=outcome.status,
             duration_s=outcome.duration_s, degraded=outcome.degraded,
         ))
@@ -402,7 +397,7 @@ class ServeApp:
         stats = self.store.compact(reason=reason)
         self._last_compact_count = self.store.record_count
         self.counters["compactions"] += 1
-        self.bus.emit("serve_compact", ServeCompactEvent(
+        self._record("serve_compact", ServeCompactEvent(
             records_before=stats["records_before"],
             records_after=stats["records_after"],
             archived_terminals=stats["archived_terminals"],
@@ -559,7 +554,7 @@ class ServeApp:
     def _submit(self, request: Request) -> bytes:
         if self.draining:
             exc = ServeRejected("draining", self.retry_after_s())
-            self.bus.emit("job_rejected", JobRejectedEvent(
+            self._record("job_rejected", JobRejectedEvent(
                 tenant="", verb="", reason=exc.reason,
                 retry_after_s=exc.retry_after_s,
             ))
@@ -575,7 +570,7 @@ class ServeApp:
         try:
             self.queues.check(tenant, self.retry_after_s(tenant))
         except ServeRejected as exc:
-            self.bus.emit("job_rejected", JobRejectedEvent(
+            self._record("job_rejected", JobRejectedEvent(
                 tenant=tenant, verb=verb, reason=exc.reason,
                 retry_after_s=exc.retry_after_s,
             ))
@@ -590,7 +585,7 @@ class ServeApp:
         self.store.record_job(spec)
         depth = self.queues.requeue(spec)
         self.counters["submitted"] += 1
-        self.bus.emit("job_submitted", JobSubmittedEvent(
+        self._record("job_submitted", JobSubmittedEvent(
             job=spec.job, tenant=tenant, verb=verb, depth=depth,
         ))
         self._kick.set()
@@ -629,6 +624,9 @@ class ServeApp:
 
     def _events_body(self, request: Request) -> bytes:
         topic = request.query.get("topic")
+        if topic is not None and topic not in EVENT_TOPICS:
+            raise BadRequest(f"unknown topic {topic!r}; choose from "
+                             f"{list(EVENT_TOPICS)}")
         try:
             since = int(request.query.get("since", "0"))
         except ValueError as exc:

@@ -92,6 +92,56 @@ class TestRunCheck:
         assert result.clean_ok
 
 
+def _injection(monkeypatch, kernel_name, spec=None, watchdog_cycles=None):
+    """One DEGRADE :func:`run_one_injection` record, optionally with a fixed
+    *spec* and a watchdog of *watchdog_cycles*."""
+    import numpy as np
+
+    from repro.faults import campaign as campaign_module
+    from repro.faults.spec import FaultCampaign
+    from repro.kernels import make_kernel
+
+    kernel = make_kernel(kernel_name)
+    clean = kernel.machine("spu").run()
+    spu_clean = {"instructions": clean.instructions, "cycles": clean.cycles}
+    watchdog = {}
+    if watchdog_cycles is not None:
+        spu_clean["cycles"] = watchdog_cycles
+        watchdog = {"watchdog_factor": 1, "watchdog_slack": 0}
+    if spec is not None:
+        monkeypatch.setattr(campaign_module, "generate_spec",
+                            lambda *args: spec)
+    campaign = FaultCampaign(seed=0, faults=1, kinds=("register_bit",),
+                             resilience="degrade", **watchdog)
+    return campaign_module.run_one_injection(
+        campaign, 0, kernel, np.asarray(kernel.reference()), spu_clean)
+
+
+class TestEventCounts:
+    """Each record's ``events`` counts, for the two cases the committed
+    ``baselines/check-*.json`` campaigns never reach."""
+
+    def test_watchdog_abort_counts_one_fault(self, monkeypatch):
+        record = _injection(monkeypatch, "DotProduct", watchdog_cycles=20)
+        assert record["events"] == {"fault": 1, "degrade": 0, "recovery": 0}
+        assert record["error"].startswith("SimulationError: cycle budget")
+        assert record["outcome"] == "detected"
+        assert record["finished"] is False
+
+    def test_go_after_degrade_park_counts_one_recovery(self, monkeypatch):
+        from repro.faults.spec import FaultSpec
+
+        # Bit 12 of MatrixMultiply's context-0 entry word sends its next
+        # pointer to an undefined state: the controller parks at idle, and
+        # context 1's GO re-arms it.
+        spec = FaultSpec("control_word", 0, context=0, state_index=0,
+                         word_bit=12)
+        record = _injection(monkeypatch, "MatrixMultiply", spec=spec)
+        assert record["events"] == {"fault": 1, "degrade": 1, "recovery": 1}
+        assert record["fault_parks"] == 1
+        assert record["error"] is None
+
+
 class TestReport:
     def test_envelope_and_schema(self, small_check):
         report = check_report(small_check)

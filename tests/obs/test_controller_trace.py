@@ -135,17 +135,16 @@ def traced_run(machine, chunk_size=None):
     return trace, rows.rows, stats
 
 
-def assert_accounts(machine, trace, rows, stats, parked_steps=0, parked_routed=0):
+def assert_accounts(machine, trace, rows, stats):
     """The trace agrees with the controller's and the attachment's counters.
 
-    A step that selects an out-of-range next state is counted by the
-    controller before it parks, and records no row: *parked_steps* and
-    *parked_routed* are those steps and the routed ones among them.
+    A step that parks the controller completes nothing: it is neither
+    counted nor recorded.
     """
     controller = machine.spu.controller
     counted = controller.stats
-    assert trace.steps == len(rows) == counted.steps - parked_steps
-    assert trace.routed_steps == counted.routed_steps - parked_routed
+    assert trace.steps == len(rows) == counted.steps
+    assert trace.routed_steps == counted.routed_steps
     assert trace.idle_entries == counted.idle_entries
     assert trace.routed_instructions == stats.spu_routed
     assert sum(trace.routed_slots.values()) == machine.spu.stats.routed_operands
@@ -239,24 +238,36 @@ class TestAgainstIndependentCounters:
         assert trace.idle_entries == 1
         assert_accounts(machine, trace, rows, stats)
 
-    def test_degrade_park(self):
-        # The entry state's next1 is out of range: each activation's first
-        # step parks the controller, and the next GO re-arms it.
-        kernel = make_kernel("FIR12")
-        machine = kernel.machine("spu")
+    @staticmethod
+    def parked_run(next1):
+        """FIR12 on a DEGRADE controller whose entry state's next1 is *next1*."""
+        machine = make_kernel("FIR12").machine("spu")
         controller = machine.spu.controller
         controller.resilience = ResilienceMode.DEGRADE
         clone = clone_spu_program(controller.program(0))
         entry = clone.states[clone.entry]
         clone.states[clone.entry] = SPUState(
-            cntr=entry.cntr, routes=entry.routes, next0=entry.next0, next1=128)
+            cntr=entry.cntr, routes=entry.routes, next0=entry.next0, next1=next1)
         controller.inject_program(clone)
         trace, rows, stats = traced_run(machine)
         parks = controller.stats.fault_parks
         assert parks > 0
         assert trace.as_dict()["fault_parks"] == parks
-        assert_accounts(machine, trace, rows, stats, parked_steps=parks,
-                        parked_routed=parks if entry.routes else 0)
+        assert_accounts(machine, trace, rows, stats)
+        return rows, parks
+
+    def test_degrade_park(self):
+        # The entry state's next1 is out of range: each activation's first
+        # step parks the controller, and the next GO re-arms it.
+        rows, _ = self.parked_run(128)
+        assert rows == []
+
+    def test_degrade_park_on_undefined_state(self):
+        # next1 is in range but names no state: the entry step completes,
+        # and the step after it parks on the undefined state.
+        rows, parks = self.parked_run(100)
+        assert len(rows) == parks
+        assert {next_state for _, _, next_state, _, _, _ in rows} == {100}
 
     def test_traced_run_takes_translated_exits(self, monkeypatch):
         taken = []

@@ -65,7 +65,7 @@ class TestOnMachines:
     def test_detach_restores_zero_subscribers(self):
         machine = machine_of(LOOP)
         TraceProfiler().attach(machine).detach()
-        assert not machine.bus.has_subscribers()
+        assert machine.recorder is None
 
     def test_observation_is_transparent(self):
         baseline = machine_of(LOOP).run()

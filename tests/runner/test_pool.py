@@ -7,25 +7,26 @@ a shared marker file, crashes via ``os._exit``, hangs via ``SIGSTOP``.
 
 import pytest
 
-from repro.obs import EventBus
 from repro.runner import (
+    Journal,
     Runner,
     RunnerConfig,
     RetryPolicy,
     probe_task,
     runner_report,
 )
+from repro.runner.journal import load_journal
 from repro.runner.pool import PoolStartError, WorkerPool, worker_verdict
 
 
-def collect(bus: EventBus) -> dict[str, list]:
-    """Subscribe to every runner topic, returning the per-topic capture."""
-    seen: dict[str, list] = {}
-    for topic in ("task_start", "task_retry", "task_timeout", "breaker_open",
-                  "task_done"):
-        seen[topic] = []
-        bus.subscribe(topic, seen[topic].append)
-    return seen
+def fresh_journal(tmp_path) -> Journal:
+    return Journal(tmp_path / "journal.jsonl", {"test": "pool"})
+
+
+def records(journal: Journal, kind: str) -> list[dict]:
+    """The journal's ``attempt`` or ``done`` records, in append order."""
+    return [record for record in load_journal(journal.path).records
+            if record["type"] == kind]
 
 
 def fast_retry(max_attempts: int = 3) -> RetryPolicy:
@@ -34,18 +35,19 @@ def fast_retry(max_attempts: int = 3) -> RetryPolicy:
 
 
 class TestPooledExecution:
-    def test_all_tasks_reach_ok(self):
-        bus = EventBus()
-        seen = collect(bus)
-        runner = Runner(RunnerConfig(jobs=2, retry=fast_retry()), bus=bus)
+    def test_all_tasks_reach_ok(self, tmp_path):
+        log = fresh_journal(tmp_path)
+        runner = Runner(RunnerConfig(jobs=2, retry=fast_retry()), journal=log)
         tasks = [probe_task(f"t{i}", result={"i": i}) for i in range(6)]
         results = runner.run(tasks)
         assert len(results) == 6
         assert all(r.ok for r in results.values())
         assert {r.result["echo"]["i"] for r in results.values()} == set(range(6))
         assert runner.stats.ok == 6
-        assert len(seen["task_done"]) == 6
-        assert len(seen["task_start"]) == 6
+        assert runner.stats.attempts == 6
+        assert all(r.attempts == 1 for r in results.values())
+        assert sorted(r["task"] for r in records(log, "done")) == sorted(results)
+        assert records(log, "attempt") == []
 
     def test_tasks_actually_ran_in_workers(self):
         import os
@@ -56,9 +58,8 @@ class TestPooledExecution:
         assert os.getpid() not in pids
 
     def test_transient_failure_is_retried_to_success(self, tmp_path):
-        bus = EventBus()
-        seen = collect(bus)
-        runner = Runner(RunnerConfig(jobs=2, retry=fast_retry()), bus=bus)
+        log = fresh_journal(tmp_path)
+        runner = Runner(RunnerConfig(jobs=2, retry=fast_retry()), journal=log)
         marker = tmp_path / "flaky"
         results = runner.run([
             probe_task("flaky", fail_marker=str(marker), fail_times=1),
@@ -66,7 +67,9 @@ class TestPooledExecution:
         assert results["flaky"].ok
         assert results["flaky"].attempts == 2
         assert runner.stats.retries == 1
-        assert [e.reason for e in seen["task_retry"]] == ["error"]
+        assert runner.stats.errors == 1
+        assert [(r["task"], r["attempt"], r["status"])
+                for r in records(log, "attempt")] == [("flaky", 1, "error")]
 
     def test_worker_crash_is_retried_on_a_fresh_worker(self, tmp_path,
                                                        monkeypatch):
@@ -103,13 +106,12 @@ class TestPooledExecution:
         assert "always broken" in result.failure
         assert runner.stats.errors == 3
 
-    def test_wall_clock_timeout_kills_and_fails(self):
-        bus = EventBus()
-        seen = collect(bus)
+    def test_wall_clock_timeout_kills_and_fails(self, tmp_path):
+        log = fresh_journal(tmp_path)
         runner = Runner(
             RunnerConfig(jobs=2, retry=fast_retry(1), poll_s=0.02,
                          heartbeat_s=0.05, hang_timeout_s=30.0),
-            bus=bus,
+            journal=log,
         )
         results = runner.run([
             probe_task("slow", timeout_s=0.3, sleep_s=30.0),
@@ -117,28 +119,28 @@ class TestPooledExecution:
         assert results["slow"].status == "failed"
         assert results["slow"].failure.startswith("timeout")
         assert runner.stats.timeouts == 1
-        assert [e.kind for e in seen["task_timeout"]] == ["timeout"]
+        [attempt] = records(log, "attempt")
+        assert (attempt["status"], attempt["attempt"]) == ("timeout", 1)
+        assert attempt["duration_s"] >= 0.3
 
-    def test_frozen_worker_is_detected_as_hung(self):
-        bus = EventBus()
-        seen = collect(bus)
+    def test_frozen_worker_is_detected_as_hung(self, tmp_path):
+        log = fresh_journal(tmp_path)
         runner = Runner(
             RunnerConfig(jobs=2, retry=fast_retry(1), poll_s=0.02,
                          heartbeat_s=0.05, hang_timeout_s=0.4),
-            bus=bus,
+            journal=log,
         )
         results = runner.run([probe_task("frozen", freeze=True)])
         assert results["frozen"].status == "failed"
         assert results["frozen"].failure.startswith("hang")
         assert runner.stats.hangs == 1
-        assert [e.kind for e in seen["task_timeout"]] == ["hang"]
+        [attempt] = records(log, "attempt")
+        assert attempt["status"] == "hang"
+        assert attempt["detail"].startswith("no heartbeat for")
 
     def test_breaker_opens_and_skips_the_rest_of_the_slice(self):
-        bus = EventBus()
-        seen = collect(bus)
         runner = Runner(
             RunnerConfig(jobs=2, retry=fast_retry(1), breaker_threshold=2),
-            bus=bus,
         )
         tasks = [probe_task(f"s{i}", slice="kern/D", fail="nope")
                  for i in range(5)]
@@ -153,9 +155,9 @@ class TestPooledExecution:
         assert statuses.count("failed") + statuses.count("skipped") == 5
         assert results["other"].ok  # other slices unaffected
         assert runner.stats.breaker_trips == 1
-        assert len(seen["breaker_open"]) == 1
-        assert seen["breaker_open"][0].slice == "kern/D"
         assert runner.breaker.open_slices == ("kern/D",)
+        assert {results[f"s{i}"].failure for i in range(5)
+                if results[f"s{i}"].status == "skipped"} == {"breaker_open:kern/D"}
 
 
 class TestSerialPath:

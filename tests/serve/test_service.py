@@ -91,6 +91,18 @@ class TestApi:
         # since= pagination: everything already seen is excluded.
         assert client.events(since=done[-1]["seq"]) == []
 
+    def test_unknown_event_topic_is_a_400(self, serve):
+        from repro.serve.app import EVENT_TOPICS
+
+        _journal_dir, client, _proc = serve
+        status, _headers, raw = client._request("GET",
+                                                "/v1/events?topic=jobs_done")
+        assert status == 400
+        error = json.loads(raw)["data"]["error"]
+        assert "'jobs_done'" in error
+        assert all(topic in error for topic in EVENT_TOPICS)
+        assert client.events(topic="job_done") == []
+
     def test_unknown_job_and_bad_requests(self, serve):
         from repro.errors import ServeError
 
@@ -282,7 +294,7 @@ class TestEventsRing:
         app = ServeApp(tmp_path / "ring")
         try:
             for n in range(EVENT_RING + 25):
-                app.bus.emit("job_submitted", JobSubmittedEvent(
+                app._record("job_submitted", JobSubmittedEvent(
                     job=f"job-{n:06d}", tenant="t", verb="probe", depth=1,
                 ))
             status = app._status()
