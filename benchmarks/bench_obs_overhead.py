@@ -229,7 +229,7 @@ class PreBusMachine(Machine):
             if mmx_busy:
                 stats.mmx_busy_cycles += 1
 
-        self._fold_issue_counts(stats, uops, issue_counts, {})
+        self._fold_issue_counts(stats, issue_counts, {})
         stats.cycles = cycle
         stats.finished = state.halted
         return stats

@@ -93,9 +93,6 @@ class SPUController:
         #: "inherit from the machine at attach time", falling back to STRICT
         #: for standalone controllers.
         self.resilience = None if resilience is None else ResilienceMode.parse(resilience)
-        #: True after degrade mode parked the unit at idle because of a
-        #: fault; cleared (counting a park recovery) by the next go().
-        self.fault_parked = False
         self.num_states = num_states
         self._programs: list[SPUProgram | None] = [None] * contexts
         self.context = 0
@@ -105,6 +102,9 @@ class SPUController:
         # loop, run another context, and resume where it left off (§4).
         self._current_by_ctx: list[int] = [num_states - 1] * contexts
         self._counters_by_ctx: list[list[int]] = [[0, 0] for _ in range(contexts)]
+        #: Per context: degrade mode parked it at idle because of a fault;
+        #: cleared (counting a park recovery) by that context's next go().
+        self._parked_by_ctx: list[bool] = [False] * contexts
         # Per-context compile_steps() table of the installed program; None
         # until first use for a program installed by inject_program().
         self._tables: list[dict[int, tuple] | None] = [None] * contexts
@@ -124,6 +124,11 @@ class SPUController:
     def active(self) -> bool:
         """True while the state machine is running (not idle)."""
         return self._active
+
+    @property
+    def fault_parked(self) -> bool:
+        """True while the selected context is parked by a degrade-mode fault."""
+        return self._parked_by_ctx[self.context]
 
     @property
     def _current(self) -> int:
@@ -205,10 +210,10 @@ class SPUController:
         self._current = program.entry
         self._active = True
         self.stats.activations += 1
-        if self.fault_parked:
-            # Degrade mode parked the unit on a fault; GO re-arms it (§4's
-            # posture: idle-127 disables, the GO bit brings it back).
-            self.fault_parked = False
+        if self._parked_by_ctx[self.context]:
+            # Degrade mode parked this context on a fault; GO re-arms it
+            # (§4's posture: idle-127 disables, the GO bit brings it back).
+            self._parked_by_ctx[self.context] = False
             self.stats.park_recoveries += 1
 
     def stop(self) -> None:
@@ -333,7 +338,7 @@ class SPUController:
         if program is not None:
             self._counters = list(program.counter_init)
         self.stats.fault_parks += 1
-        self.fault_parked = True
+        self._parked_by_ctx[self.context] = True
         return None
 
     # ---- fault-injection hooks (repro.faults) ---------------------------------

@@ -45,18 +45,29 @@ instruction, so every cycle is still charged as the uop loop charges it:
   the block calls as the uop loop does.  A full chunk is flushed on
   entry, an issue-group head.
 
-Translations are keyed by what changes the generated code: whether an SPU
-is attached, ``issue_width``, ``memory_latency`` and whether the run is
-recorded (the unrecorded source has no recorder code at all).  Everything
-else that varies per machine (memory, predictor, mispredict penalty, the
-SPU itself) is passed in per run.  The block checks the identity of each of
-its instructions on entry, so a program edited in place is retranslated.
+An issue that raises inside a block leaves the state as the uop loop would
+and hands ``Machine.run`` the cycle and the issue's *fault exit* (the
+static counts of the issues before it on its path, plus the cycle a
+dropped issue costs), where the resilience policy applies as in the uop
+loop.
+
+Translations are keyed by the program's text (instructions and labels,
+under the active simd backend), so every
+:class:`~repro.isa.instructions.Program` with that text shares them, and
+by what changes the generated code: whether an SPU is attached,
+``issue_width``, ``memory_latency`` and whether the run is recorded (the
+unrecorded source has no recorder code at all).  Everything else that
+varies per machine (memory, predictor, mispredict penalty, the SPU itself)
+is passed in per run.  The block checks the identity of each of its
+instructions on entry: a program joining a shared table takes the table's
+instruction objects, and one edited in place moves to a private table.
 """
 
 from __future__ import annotations
 
 import struct
 from array import array
+from collections import OrderedDict
 
 from repro import simd
 from repro.cpu.executor import (
@@ -82,12 +93,16 @@ from repro.simd.lanes import WORD_MASK
 #: Entries of a leader before its block is translated.  Translating costs
 #: about 185 us per instruction (half of it compile()), and each translated
 #: issue saves about 2.2 us, so a block repays its translation after some
-#: 85 entries.  Many programs run exactly once (campaign clean checks,
-#: service jobs), and translating every block on sight made those slower:
-#: at 64 entries only loops that have already run 64 times are translated,
-#: they repay it within the run from about 150 iterations, and warm
-#: programs, whose entry counts persist, repay it over their later runs.
+#: 85 entries.  Translating every block on sight made cold runs slower: at
+#: 64 entries only loops that have already run 64 times are translated, and
+#: they repay it within the run from about 150 iterations.  Entry counts
+#: belong to the program's text, so a kernel rebuilt per campaign task or
+#: service job runs the blocks earlier runs of its text translated.
 HOT_ENTRIES = 64
+
+#: Program texts whose translation tables are kept, least recently used
+#: first out: room for all 14 kernels' MMX and SPU texts at both sizes.
+SHARED_TEXTS = 64
 
 #: A block is cut after the issue group that reaches this many
 #: instructions; the rest of the straight line is a block of its own, which
@@ -133,12 +148,15 @@ _CODECS = {
 #: Names the generated function unpacks from the per-run environment tuple
 #: built by :func:`run_env`.
 _ENV = ("state, m, s, fl, I, size, memory, data, l1, l2, l4, l8, "
-        "rr, stats, bc, cb, view, idle, slow, gather, put")
+        "rr, stats, bc, FX, cb, view, idle, slow, gather, put")
 #: What a recorded block unpacks after ``_ENV``: the recorder's stamp
 #: column, its append, the pc column's extend, its stall record, the chunk
 #: size, the flush and the step column's extend.
 _REC_ENV = "QS, QA, PX, RS, CH, FL, SX"
 
+
+#: A line outside every issue: an exception there has no fault exit.
+_NO_FAULT = 255
 
 #: The SPU controller's locals in a block, and their re-read
 #: (``AttachedSPU.block_view``).
@@ -166,7 +184,7 @@ class Exit:
 class Head:
     """A leader pc: its entry count, then its translated block."""
 
-    __slots__ = ("count", "fn", "span", "exits")
+    __slots__ = ("count", "fn", "span", "issues", "exits")
 
     def __init__(self) -> None:
         self.count = 0
@@ -176,20 +194,52 @@ class Head:
         #: Upper bound on the cycles from entry to the block's last issue
         #: group, for the watchdog test on entry (see ``Machine.run``).
         self.span = 0
+        #: Most issues on any path through the block, for the trigger test.
+        self.issues = 0
+        #: The ways out, then the fault exits (see :func:`translate`).
         self.exits: list[Exit] = []
+
+
+#: Program text -> (its canonical instruction tuple, its translation
+#: tables); see :func:`_text_tables`.
+_shared: OrderedDict = OrderedDict()
+
+
+def _text_tables(program: Program) -> dict:
+    """The translation tables of *program*'s text, shared on first use.
+
+    A program joining a text's tables takes the text's instruction objects
+    (equal, frozen), which its blocks check by identity.  One that has
+    already decoded an instruction keeps tables of its own, since its
+    micro-op cache checks the same identities.
+    """
+    instructions = tuple(program.instructions)
+    text = (simd.backend_name(), instructions, tuple(program.labels.items()))
+    entry = _shared.get(text)
+    if entry is None:
+        entry = _shared[text] = (instructions, {})
+        if len(_shared) > SHARED_TEXTS:
+            _shared.popitem(last=False)
+    elif program.__dict__.get("_uop_cache"):
+        return {}
+    else:
+        _shared.move_to_end(text)
+        program.instructions[:] = entry[0]
+    return entry[1]
 
 
 def block_heads(program: Program, spu: bool, issue_width: int,
                 memory_latency: int, recorded: bool = False) -> dict[int, Head]:
     """The leader table for one translation key, created on first use.
 
-    Lives on *program* next to its micro-op cache.  Leaders are the
-    program's branch targets; ``Machine.run`` adds the pc each run starts
-    at.
+    Shared by every program with the same text (see :func:`_text_tables`)
+    until ``Machine.run`` finds an instruction edited in place and gives
+    the program a private table.  Leaders are the program's branch targets;
+    ``Machine.run`` adds the pc each run starts at.
     """
     cache = program.__dict__.get("_block_cache")
     if cache is None:
-        cache = {}
+        cache = _text_tables(program)
         program._block_cache = cache
     key = (spu, issue_width, memory_latency, recorded)
     heads = cache.get(key)
@@ -205,10 +255,13 @@ def block_heads(program: Program, spu: bool, issue_width: int,
     return heads
 
 
-def run_env(machine, reg_ready: list[int], stats, recorder=None) -> tuple:
+def run_env(machine, reg_ready: list[int], stats, stops: list,
+            recorder=None) -> tuple:
     """The per-run values a translated block unpacks (see ``_ENV``).
 
-    A recorded run's blocks also unpack *recorder*'s columns (``_REC_ENV``).
+    A block whose issue raises appends ``(cycle, fault exit index)`` to
+    *stops*.  A recorded run's blocks also unpack *recorder*'s columns
+    (``_REC_ENV``).
     """
     state = machine.state
     memory = machine.memory
@@ -218,7 +271,7 @@ def run_env(machine, reg_ready: list[int], stats, recorder=None) -> tuple:
         state, state.mmx, state.scalar, state.flags,
         machine.program.instructions, len(machine.program.instructions),
         memory, memory.data, limit - 1, limit - 2, limit - 4, limit - 8,
-        reg_ready, stats, machine._branch_cost,
+        reg_ready, stats, machine._branch_cost, stops,
     ) + (spu.block_env() if spu is not None else (None,) * 6)
     if recorder is not None:
         env += (recorder.stamp, recorder.stamp.append, recorder.pc.extend,
@@ -238,6 +291,17 @@ def first_issue(exit: Exit, issue_counts: dict[int, int], reasons) -> None:
         issue_counts.setdefault(pc, 0)
     for reason in exit.reasons:
         reasons.setdefault(reason, 0)
+
+
+def before_trigger(head: Head, index: int, stats, tally: dict[Exit, int],
+                   issue_counts: dict[int, int]) -> bool:
+    """Whether no path through *head*'s block reaches the issue *index*.
+
+    Folds *tally* first, so ``stats.instructions`` is the run's live
+    issue count, which the uop loop's trigger test reads.
+    """
+    fold_exits(stats, tally, issue_counts)
+    return stats.instructions + head.issues <= index
 
 
 def fold_exits(stats, tally: dict[Exit, int], issue_counts: dict[int, int]) -> None:
@@ -276,6 +340,10 @@ class _Emitter:
         #: The instruction each line belongs to (see ``translate``'s handler).
         self.line_pcs: list[int] = []
         self.pc = pc
+        #: The fault exit of the issue being emitted (:data:`_NO_FAULT`
+        #: between issues), and each line's.
+        self.fault = _NO_FAULT
+        self.line_faults: list[int] = []
         self.depth = 2
         self.spu = spu
         #: Append each issue's stamp to the recorder (see ``_REC_ENV``).
@@ -287,6 +355,7 @@ class _Emitter:
     def line(self, text: str) -> None:
         self.lines.append("    " * self.depth + text)
         self.line_pcs.append(self.pc)
+        self.line_faults.append(self.fault)
 
     def const(self, name: str, value: object) -> str:
         self.names[name] = value
@@ -710,6 +779,7 @@ def translate(heads: dict[int, Head], program: Program, pc: int,
     groups, resume = _record(uops, pc, reg_ready, cycle, dual_issue, memory_latency)
     em = _Emitter(spu, pc, recorded)
     exits: list[Exit] = []
+    faults: list[Exit] = []
 
     def leave(counts: _Counts, last_pc: int, next_pc: int) -> None:
         if recorded:
@@ -728,7 +798,15 @@ def translate(heads: dict[int, Head], program: Program, pc: int,
                           tuple(counts.reasons), next_pc))
 
     def issue(at: int, counts: _Counts, follower: bool = False) -> None:
+        # The fault exit: the issues before this one on its path, plus the
+        # solo cycle (MMX-busy if a V issue's U op is MMX) the uop loop
+        # charges a dropped issue.
+        busy = follower and uops[at - 1 - pc].is_mmx
+        em.fault = len(faults)
+        faults.append(Exit(tuple(counts.pcs), counts.pair, counts.solo + 1,
+                           counts.busy + busy, tuple(counts.reasons), at + 1))
         em.issue(uops[at - pc], at, memory_latency, follower)
+        em.fault = _NO_FAULT
         counts.pcs.append(at)
 
     def finish(at: int, counts: _Counts, partner: DecodedOp | None) -> None:
@@ -858,22 +936,40 @@ def translate(heads: dict[int, Head], program: Program, pc: int,
         prologue += ["    rt = sp = 0", f"    {_VIEW}"]
     prologue.append("    try:")
     # On an exception the uop loop leaves state.pc at the faulting issue:
-    # the handler maps the line that raised back to its instruction.
+    # the handler maps the line that raised back to its instruction and
+    # hands Machine.run the cycle and that issue's fault exit (exits index
+    # len(exits) + x), whose issues it records and whose stalls and routed
+    # issues it counts.
     epilogue = [
         "    except BaseException as error:",
-        f"        state.pc = {pc} + LINE_OFFSETS[error.__traceback__.tb_lineno]",
+        "        n = error.__traceback__.tb_lineno",
+        f"        state.pc = {pc} + LINE_OFFSETS[n]",
         "        if fv >= 0:",
         "            fl.zero = fv == 0",
         "            fl.sign = fv > 2147483647",
     ]
     if spu:
         epilogue += ["        if sp:", "            put(sp)"]
+    epilogue += [
+        "        x = FAULTS[n]",
+        f"        if x != {_NO_FAULT}:",
+        f"            FX.append((cyc, {len(exits)} + x))",
+        "            stats.stall_cycles += st",
+    ]
+    if spu:
+        epilogue.append("            stats.spu_routed += rt")
+    if recorded:
+        em.const("FP", tuple(array("q", fault.pcs) for fault in faults))
+        epilogue.append("            PX(FP[x])")
     epilogue.append("        raise")
-    em.const("LINE_OFFSETS", bytes(len(prologue) + 1) + bytes(at - pc for at in em.line_pcs))
+    offset = bytes(len(prologue) + 1)
+    em.const("LINE_OFFSETS", offset + bytes(at - pc for at in em.line_pcs))
+    em.const("FAULTS", offset + bytes(em.line_faults))
     source = "\n".join(prologue + em.lines + epilogue) + "\n"
     namespace = em.names
     exec(compile(source, f"<block {program.name}@{pc}>", "exec"), namespace)
     head.fn = namespace["block"]
     head.span = (len(counts.pcs) + 1) * (1 + max(_MAX_LATENCY, memory_latency))
-    head.exits = exits
+    head.issues = max(len(exit.pcs) for exit in exits)
+    head.exits = exits + faults
     return head.fn

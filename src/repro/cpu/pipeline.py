@@ -124,7 +124,8 @@ class Machine:
         #: One-shot issue trigger ``(index, fn)``: ``fn()`` runs once, right
         #: after the issue with run-wide index *index* is counted and before
         #: the recorder and the scoreboard see it; the slot is cleared before
-        #: the call.  A run that starts armed stays on the per-uop path.
+        #: the call.  While it is armed, a run enters only translated blocks
+        #: that end before that issue, so the issue is on the per-uop path.
         self.trigger: tuple[int, Callable[[], None]] | None = None
         # Pairing decisions depend only on the two static instructions; the
         # program never changes under a machine, so memoize per pc pair.
@@ -200,10 +201,9 @@ class Machine:
             reg_ready[key] = cycle + latency
         return outcome
 
-    @staticmethod
     def _fold_issue_counts(
+        self,
         stats: RunStats,
-        uops: dict[int, DecodedOp],
         issue_counts: dict[int, int],
         tally: dict[blocks.Exit, int],
     ) -> None:
@@ -214,11 +214,18 @@ class Machine:
         maintains), but pays the Counter/enum hashing once per *static*
         instruction instead of once per dynamic instance.  Translated-block
         exits in *tally* are folded in first (their instructions count too).
+        A pc that issued only in blocks another program translated is
+        decoded here, as its first issue would have decoded it.
         """
         blocks.fold_exits(stats, tally, issue_counts)
+        program = self.program
+        instructions = program.instructions
+        uops = uop_table(program)
         by_class = stats.by_class
         for pc, count in issue_counts.items():
-            uop = uops[pc]
+            uop = uops.get(pc)
+            if uop is None or uop.instr is not instructions[pc]:
+                uop = cold_decode(uops, program, pc, instructions[pc], uop)
             by_class[uop.iclass] += count
             if uop.is_permute:
                 stats.permutes += count
@@ -284,12 +291,15 @@ class Machine:
         Raises :class:`SimulationError` on runaway execution (cycle budget
         exhausted) or on falling off the end of the program.
 
-        STRICT runs with no :attr:`trigger` armed at run start enter
-        translated blocks at hot block heads; see :mod:`repro.cpu.blocks`.
-        Every count and cycle is the same either way.  An attached
-        :attr:`recorder` does not keep a run out of blocks: the per-uop path
-        and the recorded variants of the blocks both append to its columns
-        (translations are keyed on whether the run is recorded).
+        Runs enter translated blocks at hot block heads; see
+        :mod:`repro.cpu.blocks`.  Every count and cycle is the same either
+        way.  While :attr:`trigger` is armed, only blocks that end before
+        its issue are entered.  An issue that raises inside a block gets
+        :meth:`_issue_fault_action` as in the per-uop loop, after the issues
+        before it are counted, so DEGRADE and HALT runs use blocks as well.
+        An attached :attr:`recorder` does not keep a run out of blocks: the
+        per-uop path and the recorded variants of the blocks both append to
+        its columns (translations are keyed on whether the run is recorded).
         """
         limit = max_cycles if max_cycles is not None else self.config.max_cycles
         stats = RunStats()
@@ -320,27 +330,27 @@ class Machine:
             rec.start(program.name, fill)
 
         heads = None
-        if (self._translate and self.resilience is ResilienceMode.STRICT
-                and self.trigger is None):
+        if self._translate:
             with_spu = self.spu is not None
             recorded = rec is not None
             heads = blocks.block_heads(program, with_spu, config.issue_width,
                                        config.memory_latency, recorded)
             heads.setdefault(pc, blocks.Head())  # the run's entry is a leader
             heads_get = heads.get
-            env = blocks.run_env(self, reg_ready, stats, rec)
+            stops: list[tuple[int, int]] = []
+            env = blocks.run_env(self, reg_ready, stats, stops, rec)
             hot = blocks.HOT_ENTRIES
             fail_reasons = stats.pair_fail_reasons
 
         while not state.halted:
             if cycle > limit:
-                self._fold_issue_counts(stats, uops, issue_counts, tally)
+                self._fold_issue_counts(stats, issue_counts, tally)
                 self._abort(
                     stats, cycle,
                     f"cycle budget exceeded ({limit}) in {program.name!r} at pc={pc}",
                 )
             if not 0 <= pc < size:
-                self._fold_issue_counts(stats, uops, issue_counts, tally)
+                self._fold_issue_counts(stats, issue_counts, tally)
                 self._abort(
                     stats, cycle,
                     f"fell off program {program.name!r} (pc={pc}); missing halt?",
@@ -356,10 +366,30 @@ class Machine:
                                 heads, program, pc, reg_ready, cycle, with_spu,
                                 dual_issue, config.memory_latency, recorded,
                             )
-                    # Enter only if the watchdog cannot fire inside the block,
-                    # so it fires here, at the same cycle and pc as unblocked.
-                    if block is not None and cycle + head.span <= limit:
-                        cycle, index = block(env, cycle)
+                    # Enter only if neither the watchdog nor the armed trigger
+                    # can fire inside the block, so each fires in the issue
+                    # loop, at the same cycle and issue as unblocked.
+                    trigger = self.trigger
+                    if block is not None and cycle + head.span <= limit and (
+                            trigger is None or blocks.before_trigger(
+                                head, trigger[0], stats, tally, issue_counts)):
+                        try:
+                            cycle, index = block(env, cycle)
+                        except RunnerInterrupted:
+                            raise
+                        except ReproError as error:
+                            if not stops:
+                                raise  # not raised by an issue
+                            cycle, index = stops.pop()
+                            action = self._issue_fault_action(error, stats)
+                            exit = head.exits[index]
+                            blocks.first_issue(exit, issue_counts, fail_reasons)
+                            blocks.fold_exits(stats, {exit: 1}, issue_counts)
+                            cycle += 1
+                            if action == "halt":
+                                break
+                            pc = exit.next_pc
+                            continue
                         if index >= 0:
                             exit = head.exits[index]
                             taken = tally_get(exit, 0)
@@ -367,8 +397,14 @@ class Machine:
                                 blocks.first_issue(exit, issue_counts, fail_reasons)
                             tally[exit] = taken + 1
                             pc = exit.next_pc
+                            if trigger is not None:  # keep the trigger's count live
+                                blocks.fold_exits(stats, tally, issue_counts)
                             continue
-                        head.fn = None  # edited in place: retranslate next entry
+                        # Edited in place: the program leaves the shared table.
+                        program._block_cache = {}
+                        heads = blocks.block_heads(program, with_spu, config.issue_width,
+                                                   config.memory_latency, recorded)
+                        heads_get = heads.get
             instr = instructions[pc]
             uop = uops_get(pc)
             if uop is None or uop.instr is not instr:
@@ -476,7 +512,7 @@ class Machine:
             if mmx_busy:
                 stats.mmx_busy_cycles += 1
 
-        self._fold_issue_counts(stats, uops, issue_counts, tally)
+        self._fold_issue_counts(stats, issue_counts, tally)
         stats.cycles = cycle
         stats.finished = state.halted
         if rec is not None:

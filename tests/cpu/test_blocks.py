@@ -12,7 +12,10 @@ through ``AttachedSPU._byte_path``), the per-uop loop on word plans, and
 translated blocks, which step the controller inline.
 """
 
+import dataclasses
 import json
+import random
+from collections import OrderedDict
 
 import pytest
 
@@ -31,11 +34,13 @@ from repro.core import CONFIGS as CROSSBARS
 from repro.core.mmio import emit_upload
 from repro.cpu import Machine, Memory, PipelineConfig, blocks
 from repro.errors import MemoryFault, RouteError, SimulationError, SPUProgramError
+from repro.faults import FAULT_KINDS, FaultInjector, generate_spec
 from repro.faults.injector import clone_spu_program, corrupt_route
 from repro.isa import MM, ProgramBuilder, assemble
 from repro.kernels.fft import FFTKernel
 from repro.kernels.registry import ALL_KERNELS, make_kernel
 from repro.obs import ControllerTrace, Reader, Recorder
+from repro.obs.export import variant_report
 from repro.resilience import ResilienceMode
 
 CONFIGS = {
@@ -79,7 +84,7 @@ def spu_snapshot(machine):
         "counters": [list(counters) for counters in controller._counters_by_ctx],
         "active": controller.active,
         "context": controller.context,
-        "fault_parked": controller.fault_parked,
+        "fault_parked": list(controller._parked_by_ctx),
     }
 
 
@@ -112,12 +117,49 @@ def assert_same(make_machine, runs=2):
         assert snapshot(machine, machine.run()) == expected
 
 
+def outcome(machine, **kwargs):
+    """The run's snapshot, or the error's text, pc and SPU snapshot."""
+    try:
+        return snapshot(machine, machine.run(**kwargs))
+    except (SimulationError, SPUProgramError, RouteError) as error:
+        return str(error), machine.state.pc, spu_snapshot(machine) if machine.spu else None
+
+
+def assert_same_outcome(make_machine, runs=2, **kwargs):
+    """:func:`assert_same` for runs that may raise."""
+    machine = make_machine()
+    expected = outcome(byte_path(machine), **kwargs)
+    if machine.spu is not None:
+        assert outcome(per_uop(make_machine()), **kwargs) == expected
+    for _ in range(runs):
+        assert outcome(make_machine(), **kwargs) == expected
+    return expected
+
+
 @pytest.fixture
 def hot(monkeypatch):
-    """Set the translation threshold for one test."""
+    """Set the translation threshold for one test, on fresh shared tables
+    (a text another test translated would be entered at once)."""
+    monkeypatch.setattr(blocks, "_shared", OrderedDict())
+
     def set_threshold(entries):
         monkeypatch.setattr(blocks, "HOT_ENTRIES", entries)
     return set_threshold
+
+
+@pytest.fixture
+def taken(monkeypatch):
+    """The translated-block exits runs take, each the first time per run
+    (and each time while a trigger is armed)."""
+    exits = []
+    first_issue = blocks.first_issue
+
+    def spy(exit, issue_counts, reasons):
+        exits.append(exit)
+        first_issue(exit, issue_counts, reasons)
+
+    monkeypatch.setattr(blocks, "first_issue", spy)
+    return exits
 
 
 class TestKernels:
@@ -521,10 +563,18 @@ class TestEdges:
 
     def test_instruction_edited_in_place(self, hot):
         hot(4)
-        program = assemble(LOOP)
+        program, other = assemble(LOOP), assemble(LOOP)
         Machine(program).run()  # translated
+        other_stats = Machine(other).run().as_dict()  # in program's blocks
+        heads = other._block_cache[(False, 2, 1, False)]
+        fns = {pc: head.fn for pc, head in heads.items()}
         program.instructions[2] = assemble("add r2, 3").instructions[0]
         assert_same(lambda: Machine(program))
+        # The edited program left the shared table: the other program's
+        # blocks and counts are as they were.
+        assert program._block_cache is not other._block_cache
+        assert {pc: head.fn for pc, head in heads.items()} == fns
+        assert Machine(other).run().as_dict() == other_stats
 
     def test_mmio_go_store_activates_controller_mid_block(self, hot):
         hot(2)
@@ -588,3 +638,233 @@ class TestEdges:
         expected = outcome(per_uop(make()))
         for _ in range(2):
             assert outcome(make()) == expected
+
+
+class TestFaultRuns:
+    """DEGRADE and HALT runs enter blocks; a faulting issue inside a block
+    takes its fault exit, and the run goes on (or stops) as per-uop."""
+
+    @pytest.mark.parametrize("resilience", ["degrade", "halt"])
+    @pytest.mark.parametrize("kind", FAULT_KINDS)
+    def test_injection_inside_a_hot_block(self, kind, resilience, hot, taken):
+        hot(2)
+        kernel = build_kernel("FIR12")
+        clean = kernel.machine("spu").run()
+        spec = generate_spec(random.Random(kind), (kind,), clean.instructions,
+                             kernel.spu_programs()[1], kernel.config)
+        spec = dataclasses.replace(spec, trigger=clean.instructions // 2)
+        fired = []
+
+        def make():
+            machine = kernel.machine("spu", resilience=resilience)
+            injector = FaultInjector(machine, spec)
+            fired.append(injector)
+            return machine
+
+        watchdog = clean.cycles * 4 + 10_000
+        before = len(taken)
+        assert_same_outcome(make, max_cycles=watchdog)
+        assert all(injector.fired and injector.applied for injector in fired)
+        assert len(taken) > before  # the translated runs entered blocks
+
+    #: Loads walk r1 up through a 2 KiB memory; the load is the U op of a
+    #: pair with ``add r2`` and stalls on ``imul`` first.  Past the end
+    #: every load faults.
+    WALK = """
+            mov r1, 0
+            mov r6, 1
+            mov r0, 700
+    top:    mov r5, r1
+            imul r5, r6
+            ldw r3, [r5]
+            add r2, 1
+            paddw mm0, mm1
+            add r1, 4
+            loop r0, top
+            halt
+    """
+
+    @pytest.mark.parametrize("resilience", ["degrade", "halt"])
+    @pytest.mark.parametrize("fault", ["out_of_range", "misaligned"])
+    def test_memory_fault_on_a_u_op(self, fault, resilience, hot, taken):
+        # out_of_range: the walk leaves memory at iteration 512.
+        # misaligned: a trigger at iteration ~200 bumps r1 off alignment.
+        hot(4)
+        program = assemble(self.WALK)
+
+        def make():
+            machine = Machine(program, memory=Memory(
+                2048, require_alignment=fault == "misaligned"), resilience=resilience)
+            if fault == "misaligned":
+                machine.trigger = (1400, lambda: machine.state.scalar.__setitem__(
+                    1, machine.state.scalar[1] + 1))
+            return machine
+
+        before = len(taken)
+        shot = assert_same_outcome(make, runs=3)
+        stats = json.loads(shot["stats"])
+        assert stats["faults"] == (1 if resilience == "halt" else stats["degraded_issues"])
+        assert stats["faults"] >= 1 and len(taken) > before
+
+    @pytest.mark.parametrize("resilience", ["degrade", "halt"])
+    def test_controller_fault_on_a_paired_v_op(self, resilience, hot, taken):
+        # V ops cannot touch memory, so the V-pipe fault is the step's:
+        # mid-run, the route of the state ``paddw mm3, mm2`` (V, paired
+        # with the MMX U op ``paddw mm0, mm1``) turns illegal, and the
+        # STRICT controller raises on every later step of it.
+        hot(4)
+        program = assemble(f"""
+                mov r3, {DEFAULT_MMIO_BASE}
+                mov r4, 1
+                mov r0, 300
+                stw [r3], r4
+        top:    paddw mm0, mm1
+                paddw mm3, mm2
+                add r5, 1
+                loop r0, top
+                halt
+        """)
+        builder = SPUProgramBuilder()
+        first = builder.loop(
+            [None, {1: halfword_route([(2, 3), (2, 2), (2, 1), (2, 0)])}, None, None], 300)
+        spu_program = builder.build()
+
+        def make():
+            machine = Machine(program, config=PipelineConfig(extra_stage=True),
+                              resilience=resilience)
+            machine.state.write(MM[2], 0x0004_0003_0002_0001)
+            controller = SPUController(resilience="strict")
+            controller.load_program(spu_program)
+            attach_spu(machine, controller)
+
+            def corrupt():
+                controller.inject_program(corrupt_route(
+                    controller.program(0), first + 1, 1, 0, 99))
+            machine.trigger = (500, corrupt)
+            return machine
+
+        before = len(taken)
+        shot = assert_same_outcome(make, runs=3)
+        stats = json.loads(shot["stats"])
+        assert stats["faults"] == (1 if resilience == "halt" else stats["degraded_issues"])
+        assert stats["faults"] >= 1 and len(taken) > before
+
+
+#: Six issues per iteration, all in the block at ``top``.
+SIX = """
+        mov r0, 100
+top:    add r1, 1
+        add r2, r1
+        imul r3, r1
+        movd mm0, r3
+        paddw mm1, mm0
+        loop r0, top
+        halt
+"""
+
+
+class TestTrigger:
+    """An armed trigger bounds which blocks a run enters."""
+
+    def make(self, program, index, issued):
+        machine = Machine(program)
+        issue = machine._issue_uop
+
+        def counted(*args):
+            issued.append(1)
+            return issue(*args)
+
+        def fire():
+            fired.append(len(issued))
+            machine.state.scalar[1] += 5  # r1 feeds every later result
+
+        fired = []
+        machine._issue_uop = counted
+        machine.trigger = (index, fire)
+        machine.fired = fired
+        return machine
+
+    # Iteration 40 issues run-wide indices 241..246; 246 is the last issue
+    # of its block.
+    # 601 is ``halt``, which follows the last iteration's block by its
+    # fall-through exit.
+    @pytest.mark.parametrize("index, per_uop_issues",
+                             [(245, 5), (246, 6), (247, 1), (601, 1)])
+    def test_trigger_around_a_blocks_last_issue(self, index, per_uop_issues, hot):
+        hot(2)
+        program = assemble(SIX)
+        issued = []
+        assert_same(lambda: self.make(program, index, issued))
+        # Warm: ``mov`` and iteration 0 run in the entry pc's block, and
+        # every later iteration whose block ends before the trigger's issue
+        # runs in the loop's block; the issue loop runs the rest of the
+        # trigger's iteration up to that issue.
+        issued.clear()
+        machine = self.make(program, index, issued)
+        machine.run()
+        assert machine.fired == [per_uop_issues]
+
+    def test_trigger_fires_mid_loop_then_blocks(self, hot):
+        hot(4)
+        program = assemble(SIX)
+        issued = []
+        assert_same(lambda: self.make(program, 300, issued))
+        issued.clear()
+        machine = self.make(program, 300, issued)
+        machine.run()
+        # Of 602 issues, the issue loop runs only a few around the trigger's
+        # (and the rest of an iteration after a guard exit): blocks run
+        # before the trigger fires and after it.
+        assert machine.fired[0] < 20 and len(issued) - machine.fired[0] < 20
+
+
+class TestSharing:
+    """Programs with the same text share one translation table."""
+
+    KEY = (False, 2, 1, False)
+
+    def test_same_text_shares_one_translation(self, hot, taken):
+        hot(4)
+        first, second = assemble(LOOP), assemble(LOOP)
+        expected = per_uop(Machine(assemble(LOOP))).run().as_dict()
+        Machine(first).run()
+        heads = first._block_cache[self.KEY]
+        fns = {pc: head.fn for pc, head in heads.items() if head.fn is not None}
+        assert fns
+        before = len(taken)
+        machine = Machine(second)
+        stats = machine.run()
+        assert second._block_cache is first._block_cache
+        assert all(a is b for a, b in zip(second.instructions, first.instructions))
+        assert {pc: head.fn for pc, head in heads.items() if head.fn is not None} == fns
+        assert len(taken) > before
+        assert stats.as_dict() == expected
+
+    def test_registry_bound_evicts_without_changing_counts(self, hot, monkeypatch):
+        hot(4)
+        monkeypatch.setattr(blocks, "SHARED_TEXTS", 2)
+        texts = [LOOP.replace("5000", str(n)) for n in (300, 301, 302)]
+        expected = [snapshot(m, m.run()) for m in
+                    (per_uop(Machine(assemble(text))) for text in texts)]
+        tables = []
+        # Texts 0, 1, 2 (2 evicts 0), then 2 and 1 (both shared), then 0
+        # (a fresh table, evicting 2, the least recently used).
+        for which in (0, 1, 2, 2, 1, 0, 2):
+            program = assemble(texts[which])
+            machine = Machine(program)
+            assert snapshot(machine, machine.run()) == expected[which]
+            tables.append(program._block_cache)
+        assert len(blocks._shared) == 2
+        assert tables[3] is tables[2] and tables[4] is tables[1]
+        assert tables[5] is not tables[0] and tables[6] is not tables[2]
+
+    @pytest.mark.parametrize("variant", ["mmx", "spu"])
+    def test_profile_of_a_warmed_text_keeps_uop_cache_numbers(self, variant, hot):
+        hot(64)
+        # The last profile's loops run in recorded blocks from their first
+        # entry, so its program decodes their pcs only when it folds them.
+        cold = variant_report(build_kernel("FIR12"), variant)
+        warm = build_kernel("FIR12")
+        for _ in range(2):
+            variant_report(warm, variant)
+        assert variant_report(build_kernel("FIR12"), variant) == cold

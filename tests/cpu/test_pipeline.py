@@ -1,5 +1,7 @@
 """Cycle-model tests: issue pairing, latency stalls, branch penalties."""
 
+from collections import OrderedDict
+
 import pytest
 
 from repro import simd
@@ -210,9 +212,12 @@ class TestIssueTrigger:
         assert stats.instructions < 10_000 and not calls
         assert machine.trigger is not None
 
-    def test_armed_trigger_keeps_the_run_out_of_blocks(self, monkeypatch):
-        """The gate is read once, at run start: a run whose trigger fires
-        early still finishes on the per-uop path, with the same counts."""
+    def test_armed_run_enters_blocks_around_the_trigger(self, monkeypatch):
+        """Blocks that end before the armed trigger's issue are entered, that
+        issue runs in the issue loop, and once the trigger has fired the run
+        enters blocks again: the callback sees the state the per-uop loop
+        shows it, and every count is the same."""
+        monkeypatch.setattr(blocks, "_shared", OrderedDict())
         monkeypatch.setattr(blocks, "HOT_ENTRIES", 1)
         taken = []
         first_issue = blocks.first_issue
@@ -224,10 +229,17 @@ class TestIssueTrigger:
         monkeypatch.setattr(blocks, "first_issue", spy)
         source = "mov r0, 200\ntop: paddw mm0, mm1\npsubw mm2, mm3\nloop r0, top\nhalt"
         program = assemble(source)
-        armed = Machine(program)
-        armed.trigger = (0, lambda: None)
-        armed_stats = armed.run()
-        assert not taken and armed.trigger is None
-        plain_stats = Machine(program).run()
-        assert taken
-        assert armed_stats.as_dict() == plain_stats.as_dict()
+
+        def armed_run(machine):
+            seen = []
+            machine.trigger = (100, lambda: seen.append(
+                (list(machine.state.scalar), machine.state.pc, len(taken))))
+            return machine.run().as_dict(), seen
+
+        per_uop = Machine(program)
+        per_uop._translate = False
+        expected, [(scalar, pc, _)] = armed_run(per_uop)
+        assert not taken
+        stats, [(armed_scalar, armed_pc, before)] = armed_run(Machine(program))
+        assert (stats, armed_scalar, armed_pc) == (expected, scalar, pc)
+        assert 0 < before < len(taken)

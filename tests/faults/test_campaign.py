@@ -128,18 +128,59 @@ class TestEventCounts:
         assert record["outcome"] == "detected"
         assert record["finished"] is False
 
-    def test_go_after_degrade_park_counts_one_recovery(self, monkeypatch):
+    def test_go_of_another_context_counts_no_recovery(self, monkeypatch):
         from repro.faults.spec import FaultSpec
 
         # Bit 12 of MatrixMultiply's context-0 entry word sends its next
-        # pointer to an undefined state: the controller parks at idle, and
-        # context 1's GO re-arms it.
+        # pointer to an undefined state: the controller parks context 0 at
+        # idle, and context 1's GO re-arms context 1, not the parked one.
         spec = FaultSpec("control_word", 0, context=0, state_index=0,
                          word_bit=12)
         record = _injection(monkeypatch, "MatrixMultiply", spec=spec)
-        assert record["events"] == {"fault": 1, "degrade": 1, "recovery": 1}
+        assert record["events"] == {"fault": 1, "degrade": 1, "recovery": 0}
         assert record["fault_parks"] == 1
         assert record["error"] is None
+
+    def test_go_of_the_parked_context_counts_one_recovery(self):
+        from repro.core import (DEFAULT_MMIO_BASE, SPUController,
+                                SPUProgramBuilder, SPUState, attach_spu,
+                                halfword_route)
+        from repro.cpu import Machine, PipelineConfig
+        from repro.faults.campaign import _event_counts
+        from repro.faults.injector import clone_spu_program
+        from repro.isa import assemble
+
+        # Context 0's loop runs twice, each time after a GO; its entry
+        # state's next1 is undefined, so each run parks at the second
+        # step, and the second GO re-arms the parked context.
+        program = assemble(f"""
+                mov r3, {DEFAULT_MMIO_BASE}
+                mov r4, 1
+                mov r1, 2
+        outer:  stw [r3], r4
+                mov r0, 8
+        top:    paddw mm0, mm1
+                paddw mm2, mm1
+                loop r0, top
+                loop r1, outer
+                halt
+        """)
+        builder = SPUProgramBuilder()
+        builder.loop([{1: halfword_route([(1, 1), (1, 0), (1, 3), (1, 2)])}, None], 8)
+        good = builder.build()
+        broken = clone_spu_program(good)
+        entry = broken.states[broken.entry]
+        broken.states[broken.entry] = SPUState(
+            cntr=entry.cntr, routes=entry.routes, next0=entry.next0, next1=50)
+        machine = Machine(program, config=PipelineConfig(extra_stage=True),
+                          resilience="degrade")
+        controller = SPUController()
+        controller.load_program(good)
+        attach_spu(machine, controller)
+        controller.inject_program(broken)
+        stats = machine.run()
+        assert _event_counts(machine, stats, None) == {
+            "fault": 2, "degrade": 2, "recovery": 1}
 
 
 class TestReport:

@@ -15,18 +15,20 @@ what the per-uop issue loop records (``Machine._translate = False``: its
 
 The reference side records with one reader and the default chunk size on
 the per-uop path; the recorded side adds the profiler and the timeline and
-enters blocks wherever the run is STRICT.  (The ``..._bus_subscribers`` and
-``..._issue_events`` test names date from when the reference side was a set
-of event-bus callbacks.)
+enters blocks.  (The ``..._bus_subscribers`` and ``..._issue_events`` test
+names date from when the reference side was a set of event-bus callbacks,
+and ``test_degrade_run_records_on_the_per_uop_path`` from when DEGRADE runs
+never entered blocks.)
 """
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any
 
 import pytest
 
 from repro.analysis import profile
-from repro.cpu import Machine, blocks, trace_run
+from repro.cpu import Machine, Memory, blocks, trace_run
 from repro.errors import SimulationError
 from repro.faults import FaultInjector, FaultSpec
 from repro.isa import assemble
@@ -230,7 +232,7 @@ def observe(machine, recorded, max_body=4096, chunk_size=None, max_cycles=None):
     """Run *machine* observed; ``(stats or error, events, profiler, timeline)``.
 
     *recorded* attaches the profiler and the timeline beside the record log
-    and lets a STRICT run enter translated blocks; otherwise the record log
+    and lets the run enter translated blocks; otherwise the record log
     alone reads the per-uop path's recording (the reference).
     """
     log = EventLog(machine)
@@ -280,6 +282,13 @@ def assert_same(recorded, reference, max_body=4096):
     assert not timeline.truncated
 
 
+def translate_at(monkeypatch, entries: int) -> None:
+    """Translate a leader on its *entries*-th entry, from fresh shared
+    tables (a text an earlier test translated would be entered at once)."""
+    monkeypatch.setattr(blocks, "_shared", OrderedDict())
+    monkeypatch.setattr(blocks, "HOT_ENTRIES", entries)
+
+
 def translated_exits(monkeypatch) -> list:
     """Count the translated-block exits runs take for the first time."""
     taken = []
@@ -311,7 +320,7 @@ def test_recorded_run_matches_bus_subscribers(name, variant, backend):
 @pytest.mark.parametrize("name", ("FIR12", "IIR", "Viterbi", "MatrixTranspose"))
 def test_chunk_boundaries_and_truncation(name, monkeypatch):
     """Tiny chunks and bodies: traces and timelines carry across chunks."""
-    monkeypatch.setattr(blocks, "HOT_ENTRIES", 1)
+    translate_at(monkeypatch, 1)
     kernel = build_kernel(name)
     for variant in ("mmx", "spu"):
         reference = observe(kernel.machine(variant), recorded=False)
@@ -324,7 +333,7 @@ def test_chunk_boundaries_and_truncation(name, monkeypatch):
 
 def test_every_block_translated(monkeypatch):
     """HOT_ENTRIES=1: every leader is translated on first sight."""
-    monkeypatch.setattr(blocks, "HOT_ENTRIES", 1)
+    translate_at(monkeypatch, 1)
     taken = translated_exits(monkeypatch)
     for name in sorted(ALL_KERNELS):
         kernel = build_kernel(name)
@@ -337,7 +346,7 @@ def test_every_block_translated(monkeypatch):
 
 
 def test_watchdog_abort_closes_the_recording(monkeypatch):
-    monkeypatch.setattr(blocks, "HOT_ENTRIES", 1)
+    translate_at(monkeypatch, 1)
     kernel = build_kernel("FFT128")
     full = kernel.run_spu()[0].cycles
     reference = observe(kernel.machine("spu"), recorded=False, max_cycles=full // 2)
@@ -371,6 +380,34 @@ def test_stall_before_a_faulting_issue(resilience):
     assert any(isinstance(event, Stall) for event in sides[1][1])
     assert sides[1][0].faults == 1
     assert_same(sides[1], sides[0])
+
+
+@pytest.mark.parametrize("resilience", ("degrade", "halt"))
+def test_fault_exits_record_their_issues(resilience, monkeypatch):
+    """Loads walk off a 2 KiB memory inside a hot loop: each faulting load
+    leaves its recorded block by a fault exit, which records the issues
+    before it (and the load's stall), as the per-uop loop records them."""
+    translate_at(monkeypatch, 2)
+    taken = translated_exits(monkeypatch)
+    source = """
+            mov r1, 0
+            mov r6, 1
+            mov r0, 700
+    top:    mov r5, r1
+            imul r5, r6
+            ldw r3, [r5]
+            add r2, 1
+            paddw mm0, mm1
+            add r1, 4
+            loop r0, top
+            halt
+    """
+    program = assemble(source)
+    sides = [observe(Machine(program, memory=Memory(2048), resilience=resilience),
+                     recorded=recorded, max_body=8)
+             for recorded in (False, True)]
+    assert taken and sides[1][0].faults >= 1
+    assert_same(sides[1], sides[0], max_body=8)
 
 
 def test_recorded_fft1024_takes_translated_exits(monkeypatch):
