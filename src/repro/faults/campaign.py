@@ -108,7 +108,7 @@ def _event_counts(machine, stats, error) -> dict[str, int]:
     serialized crossbar operand, a controller park or raise, or a
     watchdog/runaway abort (the only raise that carries partial stats).
     Each absorbed fault is also one degradation; a GO that re-arms a parked
-    controller is a recovery.
+    context is a recovery.
     """
     controller = machine.spu.controller.stats
     serialized = machine.spu.stats.serialized_operands

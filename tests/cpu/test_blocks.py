@@ -321,16 +321,7 @@ class TestSPUPaths:
             controller.inject_program(clone)
             return machine
 
-        def outcome(machine):
-            try:
-                return snapshot(machine, machine.run())
-            except SPUProgramError as error:
-                return str(error), machine.state.pc, spu_snapshot(machine)
-
-        expected = outcome(byte_path(make()))
-        assert outcome(per_uop(make())) == expected
-        for _ in range(2):
-            assert outcome(make()) == expected
+        assert_same_outcome(make)
         machine = make()
         if resilience == "strict":
             with pytest.raises(SPUProgramError, match="outside K"):
@@ -414,9 +405,9 @@ class TestSPUPaths:
 
     @pytest.mark.parametrize("where", ["machine", "controller"])
     def test_degrade_serializes_illegal_route(self, where):
-        # A DEGRADE machine keeps the per-uop loop; a STRICT machine whose
-        # controller degrades runs translated, stepping such states through
-        # routes_for.
+        # A DEGRADE machine (whose controller inherits DEGRADE) and a
+        # STRICT machine whose controller degrades both run translated,
+        # stepping such states through routes_for.
         kernel = build_kernel("FIR12")
         if where == "machine":
             assert_same(lambda: self.corrupted(kernel, resilience="degrade"))
