@@ -1,22 +1,21 @@
-"""Shared fixtures for the benchmark harness.
+"""Shared helper for the host-time benchmarks.
 
-Every bench regenerates one paper table/figure.  :func:`emit` persists each
-result twice: the rendered text under ``benchmarks/results/<name>.txt`` (for
-humans and git diffs) and a schema-versioned, machine-readable document under
+The paper's tables and the ablations are generated by ``repro report``
+(REPORT.md); the benches here time the simulator itself: simulated
+cycles/s (``bench_simspeed``), the cost of unobserved telemetry
+(``bench_obs_overhead``) and the ``repro serve`` job round trip
+(``bench_serve``).  :func:`emit` persists each result twice: the rendered
+text under ``benchmarks/results/<name>.txt`` (for humans and git diffs) and
+a schema-versioned, machine-readable document under
 ``benchmarks/results/BENCH_<name>.json`` (``kind: "benchmark"``, see
-``docs/observability.md``).  Pass ``headers``/``rows`` — or an ``Experiment``
-via :func:`emit_experiment` — so downstream tooling gets structured values
-rather than re-parsing tables.  The full (paper-faithful) workload sizes are
-used; the experiment suite is built once per session.
+``docs/observability.md``).  Pass ``headers``/``rows`` so downstream
+tooling gets structured values rather than re-parsing tables.
 """
 
 from __future__ import annotations
 
 import pathlib
 
-import pytest
-
-from repro.experiments import ExperimentSuite
 from repro.obs.export import envelope, write_json
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
@@ -29,7 +28,7 @@ def emit(
     rows: list | None = None,
     data: dict | None = None,
 ) -> None:
-    """Print a regenerated table and persist it under benchmarks/results/."""
+    """Print a benchmark's table and persist it under benchmarks/results/."""
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
     body: dict = {"name": name, "text": text}
@@ -41,21 +40,3 @@ def emit(
         body.update(data)
     write_json(RESULTS_DIR / f"BENCH_{name}.json", envelope("benchmark", body))
     print("\n" + text)
-
-
-def emit_experiment(name: str, experiment, extra_text: str = "",
-                    data: dict | None = None) -> None:
-    """:func:`emit` an ``Experiment`` with its headers/rows carried along."""
-    emit(
-        name,
-        experiment.text + extra_text,
-        headers=experiment.headers,
-        rows=experiment.rows,
-        data=data,
-    )
-
-
-@pytest.fixture(scope="session")
-def suite() -> ExperimentSuite:
-    """Full-size experiment suite (FFT1024 at its real length)."""
-    return ExperimentSuite(fast=False)

@@ -1,8 +1,8 @@
 """Plain-text table rendering for experiment output.
 
-Every benchmark prints its paper-vs-measured comparison through these
-helpers so the console output of ``pytest benchmarks/`` reads like the
-paper's tables.
+Every experiment renders its paper-vs-measured comparison through these
+helpers, so REPORT.md (``repro report``) and ``repro table1|table2|table3|
+fig9`` read like the paper's tables.
 """
 
 from __future__ import annotations

@@ -85,23 +85,13 @@ import sys
 from repro.analysis import format_table, pct, ratio
 from repro.core import get_config
 from repro.errors import KernelError
-from repro.experiments import ExperimentSuite, fig9, table1, table2, table3
+from repro.experiments import EXPERIMENTS, ExperimentSuite
 from repro.hw import spu_cost
 from repro.kernels import ALL_KERNELS, make_kernel
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    if args.command == "table1":
-        print(table1().text)
-        return 0
-    suite = ExperimentSuite(fast=args.fast)
-    runner = {"table2": table2, "table3": table3, "fig9": fig9}[args.command]
-    print(runner(suite).text)
-    if args.command == "fig9":
-        from repro.analysis import fig9_chart
-
-        print()
-        print(fig9_chart(suite.comparisons()))
+    print(EXPERIMENTS[args.command](ExperimentSuite(fast=args.fast)).text)
     return 0
 
 
@@ -214,7 +204,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     # Sweep: one suite cell per kernel on the campaign runner.
     from repro.errors import RunnerInterrupted
-    from repro.experiments import ExperimentSuite
     from repro.runner import RunnerConfig, clean_interrupts, runner_report
     from repro.obs.export import write_json
 

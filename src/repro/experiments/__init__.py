@@ -8,6 +8,7 @@ from repro.experiments.suite import (
     run_suite_cell,
 )
 from repro.experiments.tables import Experiment, fig9, table1, table2, table3
+from repro.experiments.report import EXPERIMENTS, SECTIONS, generate_report, write_report
 
 __all__ = [
     "paper_data",
@@ -20,8 +21,8 @@ __all__ = [
     "table1",
     "table2",
     "table3",
+    "EXPERIMENTS",
+    "SECTIONS",
+    "generate_report",
+    "write_report",
 ]
-
-from repro.experiments.report import generate_report, write_report
-
-__all__ += ["generate_report", "write_report"]

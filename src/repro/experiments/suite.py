@@ -1,9 +1,10 @@
 """Experiment suite: run each benchmark once, derive every table from it.
 
-Tables 2, 3 and Figure 9 all consume the same pair of runs per kernel
-(MMX-only and MMX+SPU), so the suite runs and caches them.  ``fast=True``
-shrinks the two slowest workloads (FFT1024 → FFT256, full-length otherwise)
-for test-time use; benchmarks run the paper-faithful sizes.
+Tables 2, 3, Figure 9 and the ablations at the paper's design point all
+consume the same pair of runs per kernel (MMX-only and MMX+SPU), so the
+suite runs and caches them.  ``fast=True`` shrinks the slowest workload
+(FFT1024 → FFT256) for quick runs; ``repro report`` and the tier-1 report
+test run the paper-faithful sizes.
 
 :meth:`ExperimentSuite.prefetch` computes the cells on the resilient
 campaign runner (:mod:`repro.runner`) instead of serially: one
