@@ -85,10 +85,9 @@ class AlphaBlendKernel(Kernel):
 
 def main() -> None:
     kernel = AlphaBlendKernel()
-    kernel.verify()
+    comparison = kernel.verify()
     print("AlphaBlend: MMX and MMX+SPU match the NumPy mirror bit-exactly.")
 
-    comparison = kernel.compare()
     print(f"cycles: MMX {comparison.mmx.cycles} -> SPU {comparison.spu.cycles} "
           f"(speedup {comparison.speedup:.3f}x, "
           f"{comparison.removed_permutes} permutes off-loaded automatically)")

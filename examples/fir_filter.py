@@ -43,8 +43,7 @@ def main() -> None:
     kernel.x = signal
     kernel.coeffs = design_lowpass(12, cutoff=0.06)
 
-    kernel.verify()
-    comparison = kernel.compare()
+    comparison = kernel.verify()
 
     # Noise attenuation: compare against the same filter applied to the
     # clean signal, so only the noise path differs.

@@ -15,7 +15,7 @@ from repro.kernels import TransposeKernel
 
 def main() -> None:
     kernel = TransposeKernel(n=16)
-    kernel.verify()
+    comparison = kernel.verify()
 
     print("Figure 3's tile transpose: eight merge instructions per 4x4 tile")
     print("(plus the movq copies the destructive two-operand forms force):\n")
@@ -23,7 +23,6 @@ def main() -> None:
     loop_at = next(i for i, line in enumerate(body) if line.startswith("loop:"))
     print("\n".join(body[loop_at : loop_at + 24]))
 
-    comparison = kernel.compare()
     print(f"\nWith the SPU, routed stores gather each column directly from the "
           f"unified register\n(inter-word restriction gone, §2.2): "
           f"{comparison.removed_permutes} permutes off-loaded per program.")

@@ -38,10 +38,9 @@ def main() -> None:
           f"CNTR0 = {report.spu_program.counter_init[0]} dynamic instructions")
 
     # Verify both variants against the NumPy fixed-point reference.
-    kernel.verify()
+    comparison = kernel.verify()
     print("\nBit-exact: MMX and MMX+SPU outputs match the NumPy reference.")
 
-    comparison = kernel.compare()
     rows = [
         ["cycles", comparison.mmx.cycles, comparison.spu.cycles],
         ["instructions", comparison.mmx.instructions, comparison.spu.instructions],

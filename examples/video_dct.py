@@ -30,7 +30,7 @@ def make_residual_blocks(blocks: int = 8) -> np.ndarray:
 def main() -> None:
     kernel = DCTKernel(blocks=8)
     kernel.block = make_residual_blocks(8)
-    kernel.verify()
+    comparison = kernel.verify()
 
     _, coefficients = kernel.run_mmx()
     energy_total = float(np.sum(coefficients.astype(np.int64) ** 2))
@@ -41,7 +41,6 @@ def main() -> None:
           f"{energy_low / energy_total:.1%} of total "
           "(energy compaction: the property codecs quantize against)")
 
-    comparison = kernel.compare()
     rows = [[
         "DCT",
         comparison.mmx.cycles,

@@ -12,8 +12,7 @@ Quick start::
 
     from repro import DotProductKernel
     kernel = DotProductKernel()
-    kernel.verify()                      # MMX and MMX+SPU match the reference
-    comparison = kernel.compare()
+    comparison = kernel.verify()         # MMX and MMX+SPU match the reference
     print(comparison.speedup)            # the Figure 9 quantity
 
 Sub-packages: :mod:`repro.simd` (packed arithmetic), :mod:`repro.isa`

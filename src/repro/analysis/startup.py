@@ -18,7 +18,7 @@ from repro.core import DEFAULT_MMIO_BASE, SPUController, attach_spu
 from repro.core.mmio import emit_upload
 from repro.cpu import Machine
 from repro.isa import ProgramBuilder
-from repro.kernels.base import Kernel
+from repro.kernels.base import Kernel, KernelComparison
 
 
 @dataclass(frozen=True)
@@ -39,8 +39,13 @@ class StartupCost:
         return self.upload_cycles / self.cycles_saved_per_invocation
 
 
-def measure_startup_cost(kernel: Kernel) -> StartupCost:
-    """Generate, run and price the MMIO upload for *kernel*'s SPU programs."""
+def measure_startup_cost(kernel: Kernel,
+                         comparison: KernelComparison) -> StartupCost:
+    """Generate, run and price the MMIO upload for *kernel*'s SPU programs.
+
+    *comparison* is *kernel*'s MMX vs MMX+SPU run (:meth:`Kernel.compare`);
+    its cycle saving is the per-invocation benefit.
+    """
     _, controller_programs = kernel.spu_programs()
     builder = ProgramBuilder(f"{kernel.name.lower()}-upload")
     builder.mov("r14", DEFAULT_MMIO_BASE)
@@ -60,8 +65,6 @@ def measure_startup_cost(kernel: Kernel) -> StartupCost:
     )
     attach_spu(machine, controller)
     stats = machine.run()
-
-    comparison = kernel.compare()
     return StartupCost(
         name=kernel.name,
         state_words=state_words,

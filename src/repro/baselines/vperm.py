@@ -20,12 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.errors import KernelError
 from repro.cpu import Machine, PipelineConfig, RunStats
 from repro.isa import Program, ProgramBuilder, program_size
-from repro.kernels import DotProductKernel, TransposeKernel
+from repro.kernels import DotProductKernel, TransposeKernel, mismatching_elements
 from repro.kernels.base import INPUT_BASE, OUTPUT_BASE, TABLE_BASE
 
 
@@ -151,9 +149,7 @@ def _run_vperm(kernel, program: Program) -> RunStats:
     machine = Machine(program, config=PipelineConfig())
     kernel.prepare(machine)
     stats = machine.run()
-    output = kernel.extract(machine)
-    reference = kernel.reference()
-    if not np.array_equal(np.asarray(output), np.asarray(reference)):
+    if mismatching_elements(kernel.extract(machine), kernel.reference()):
         raise KernelError(f"vperm variant of {kernel.name} diverges from reference")
     return stats
 
@@ -170,15 +166,14 @@ def compare_baselines(kernel_name: str) -> BaselineResult:
         raise KernelError(
             f"no vperm baseline for {kernel_name!r} (have DotProduct, MatrixTranspose)"
         )
-    mmx_stats, _ = kernel.run_mmx()
-    spu_stats, _ = kernel.run_spu()
+    comparison = kernel.verify()
     vperm_stats = _run_vperm(kernel, vperm_program)
     spu_program, _ = kernel.spu_programs()
     return BaselineResult(
         name=kernel.name,
-        mmx=mmx_stats,
+        mmx=comparison.mmx,
         vperm=vperm_stats,
-        spu=spu_stats,
+        spu=comparison.spu,
         mmx_bytes=program_size(kernel.mmx_program()),
         vperm_bytes=program_size(vperm_program),
         spu_bytes=program_size(spu_program),

@@ -8,10 +8,11 @@ Commands
     measured-vs-published comparison (``--fast`` shrinks FFT1024).
 ``run KERNEL [KERNEL ...] | --all [--jobs N] [--resume PATH]``
     Verify kernels and print their MMX vs MMX+SPU comparisons.  One kernel
-    runs in-process exactly as before; several (or ``--all``) run as a
-    sweep on the resilient campaign runner — ``--jobs N`` workers,
-    per-task timeouts, retries, circuit breaker, and a crash-consistent
-    ``--resume`` journal (docs/robustness.md, "Campaign orchestration").
+    runs in-process; several (or ``--all``) run ``repro check``'s clean-check
+    tasks as a sweep on the resilient campaign runner — ``--jobs N``
+    workers, per-task timeouts, retries, circuit breaker, and a
+    crash-consistent ``--resume`` journal (docs/robustness.md, "Campaign
+    orchestration").
 ``list``
     List the available kernels with their Table 2 descriptions.
 ``cost [--config X]``
@@ -98,9 +99,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
 def _run_one_kernel(name: str) -> int:
     kernel = make_kernel(name)
     print(f"Verifying {kernel.name} ({kernel.description}) ...")
-    kernel.verify()
+    comparison = kernel.verify()
     print("  both variants match the fixed-point reference bit-exactly")
-    comparison = kernel.compare()
     rows = [
         ["cycles", comparison.mmx.cycles, comparison.spu.cycles],
         ["instructions", comparison.mmx.instructions, comparison.spu.instructions],
@@ -202,32 +202,46 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if len(names) == 1 and args.jobs <= 1 and args.resume is None:
         return _run_one_kernel(names[0])
 
-    # Sweep: one suite cell per kernel on the campaign runner.
+    # Sweep: one clean_check task per kernel on the campaign runner (the
+    # tasks of `repro check`'s clean phase).
     from repro.errors import RunnerInterrupted
-    from repro.runner import RunnerConfig, clean_interrupts, runner_report
+    from repro.faults.parallel import clean_tasks
+    from repro.runner import (
+        Journal, Runner, RunnerConfig, clean_interrupts, runner_report,
+    )
     from repro.obs.export import write_json
 
-    suite = ExperimentSuite(fast=args.fast, kernel_names=tuple(names))
     config = RunnerConfig(jobs=args.jobs,
                           interrupt_after=args.interrupt_after)
-    tracer = None
+    journal = None
+    if args.resume is not None:
+        fingerprint = {"verb": "run", "kernels": names, "fast": args.fast}
+        journal = Journal(args.resume, fingerprint,
+                          fsync_every=config.fsync_every)
+    tracer = root = None
     if args.spans is not None:
         from repro.obs.spans import SpanTracer
 
         tracer = SpanTracer()
+        root = tracer.begin("campaign:run", kernels=len(names),
+                            fast=args.fast, jobs=config.jobs)
+    runner = Runner(config, journal=journal, tracer=tracer, span_parent=root,
+                    progress=sys.stderr if args.progress else None)
     try:
         try:
             # SIGINT/SIGTERM take the same clean path as --interrupt-after:
             # journal flushed, spans exported as aborted, exit 3, resumable.
             with clean_interrupts():
-                runner, results = suite.prefetch(
-                    jobs=args.jobs, journal_path=args.resume,
-                    runner_config=config, tracer=tracer,
-                    progress=sys.stderr if args.progress else None,
-                )
+                results = runner.run(clean_tasks(tuple(names), args.fast))
         except RunnerInterrupted as exc:
             print(f"repro run: {exc}", file=sys.stderr)
             return 3
+        finally:
+            if journal is not None:
+                journal.close()
+        # Success only: an interrupt leaves the root open (exported aborted).
+        if root is not None:
+            tracer.end(root)
     finally:
         if tracer is not None:
             target = tracer.write(args.spans)
@@ -237,20 +251,19 @@ def _cmd_run(args: argparse.Namespace) -> int:
     rows = []
     failed = 0
     for name in names:
-        result = results[f"cell:{name}"]
+        result = results[f"clean:{name}"]
         if result.ok:
-            record = result.result
-            verified = record.get("verified", True)
+            variants = result.result["record"]["variants"]
+            mmx, spu = variants["mmx"]["cycles"], variants["spu"]["cycles"]
+            verified = all(variant["match"] for variant in variants.values())
             failed += 0 if verified else 1
-            speedup = (record["mmx"]["cycles"] / record["spu"]["cycles"]
-                       if record["spu"]["cycles"] else 0.0)
             rows.append([
                 name,
                 "ok" if verified else "MISMATCH",
-                record["mmx"]["cycles"],
-                record["spu"]["cycles"],
-                f"{ratio(speedup)}x",
-                record["removed_permutes"],
+                mmx,
+                spu,
+                f"{ratio(mmx / spu if spu else 0.0)}x",
+                result.result["removed_permutes"],
                 "cached" if result.cached else f"{result.attempts} attempt(s)",
             ])
         else:

@@ -1,21 +1,13 @@
 """Experiment harness: paper data, cached suite, table/figure runners."""
 
 from repro.experiments import paper_data
-from repro.experiments.suite import (
-    ExperimentSuite,
-    comparison_from_record,
-    comparison_record,
-    run_suite_cell,
-)
+from repro.experiments.suite import ExperimentSuite
 from repro.experiments.tables import Experiment, fig9, table1, table2, table3
 from repro.experiments.report import EXPERIMENTS, SECTIONS, generate_report, write_report
 
 __all__ = [
     "paper_data",
     "ExperimentSuite",
-    "comparison_from_record",
-    "comparison_record",
-    "run_suite_cell",
     "Experiment",
     "fig9",
     "table1",

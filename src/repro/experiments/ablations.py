@@ -4,18 +4,20 @@ Each runner takes the shared :class:`ExperimentSuite` and returns an
 :class:`Experiment`; REPORT.md renders them under "Ablations and
 extensions".  Kernels come from :meth:`ExperimentSuite.kernel`, and a run at
 the paper's design point (configuration D, default pipeline) is the suite's
-cached comparison, so the report pays for each such run once.
+cached comparison, so the report pays for each such run once.  Every run's
+output is checked exactly against the kernel's reference: a mismatch raises
+:class:`~repro.errors.KernelError` instead of reaching a table.
 """
 
 from __future__ import annotations
 
 from repro.analysis import format_table, pct, ratio
 from repro.core import CONFIG_A, CONFIG_B, CONFIG_D, CONFIGS, CrossbarConfig
-from repro.cpu import PipelineConfig, make_predictor
+from repro.cpu import PipelineConfig, RunStats, make_predictor
 from repro.experiments.suite import ExperimentSuite
 from repro.experiments.tables import Experiment
 from repro.hw import control_memory_area_mm2, control_memory_bits, design_options, spu_cost
-from repro.kernels import KernelComparison, make_kernel
+from repro.kernels import Kernel, KernelComparison, make_kernel, mismatching_elements
 
 #: Half-word kernels the configuration, pairing and pipeline studies sweep.
 HALF_WORD = ("DotProduct", "MatrixTranspose", "FIR12", "DCT")
@@ -28,7 +30,14 @@ def _compare(suite: ExperimentSuite, name: str, config: CrossbarConfig = CONFIG_
     if config == CONFIG_D and mmx == PipelineConfig():
         return suite.comparison(name)
     kernel = suite.kernel(name) if config == CONFIG_D else make_kernel(name, config=config)
-    return kernel.compare(mmx, PipelineConfig(extra_stage=True, **pipeline))
+    return kernel.verify(mmx, PipelineConfig(extra_stage=True, **pipeline))
+
+
+def _checked(kernel: Kernel, label: str, run: tuple[RunStats, object]) -> RunStats:
+    """The stats of a ``(stats, output)`` *run* whose output is exact."""
+    stats, output = run
+    kernel.check(label, mismatching_elements(output, kernel.reference()))
+    return stats
 
 
 def ablation_configs(suite: ExperimentSuite) -> Experiment:
@@ -125,7 +134,8 @@ def ablation_pipe_stage(suite: ExperimentSuite) -> Experiment:
     """SPU cycles with and without the interconnect's extra stage (§5.1.1)."""
     results = {
         name: (suite.comparison(name).spu,
-               suite.kernel(name).run_spu(PipelineConfig(extra_stage=False))[0])
+               _checked(suite.kernel(name), "MMX+SPU",
+                        suite.kernel(name).run_spu(PipelineConfig(extra_stage=False))))
         for name in HALF_WORD
     }
     headers = ["Kernel", "SPU cycles (no stage)", "SPU cycles (+stage)",
@@ -148,10 +158,12 @@ def ablation_predictor(suite: ExperimentSuite) -> Experiment:
     """Table 2's MMX runs under four branch predictors."""
     results = {}
     for name in PREDICTOR_KERNELS:
+        kernel = suite.kernel(name)
         for predictor in PREDICTORS:
-            machine = suite.kernel(name).machine()
+            machine = kernel.machine()
             machine.predictor = make_predictor(predictor)
-            results[(name, predictor)] = machine.run()
+            results[(name, predictor)] = _checked(
+                kernel, "MMX", (machine.run(), kernel.extract(machine)))
     headers = ["Kernel", "Predictor", "Branches", "Missed", "Missed%"]
     rows = [
         [name, predictor, stats.branches, stats.mispredicts,
@@ -170,7 +182,9 @@ def ablation_tuned(suite: ExperimentSuite) -> Experiment:
     route-swapped ``paddd`` and lands on the paper's ~8% FIR number; the
     conservative automatic pass gets ~6%.
     """
-    results = {name: (suite.comparison(name), suite.kernel(name).run_spu_tuned()[0])
+    results = {name: (suite.comparison(name),
+                      _checked(suite.kernel(name), "hand-tuned MMX+SPU",
+                               suite.kernel(name).run_spu_tuned()))
                for name in ("FIR12", "FIR22", "MatrixMultiply")}
     headers = ["Kernel", "MMX", "SPU (auto off-load)", "SPU (hand-tuned)",
                "auto speedup", "tuned speedup"]

@@ -189,7 +189,7 @@ def startup_cost(suite: ExperimentSuite) -> Experiment:
     """MMIO upload cost of each kernel's SPU programs vs its per-run saving."""
     headers = ["Kernel", "State words", "Upload cycles", "Saved/invocation",
                "Break-even"]
-    costs = {name: measure_startup_cost(suite.kernel(name))
+    costs = {name: measure_startup_cost(suite.kernel(name), suite.comparison(name))
              for name in suite.kernel_names}
     rows = [
         [name, cost.state_words, cost.upload_cycles,
@@ -203,7 +203,7 @@ def startup_cost(suite: ExperimentSuite) -> Experiment:
 def energy(suite: ExperimentSuite) -> Experiment:
     """Fetch/decode energy saved by off-loading vs the SPU's routing energy."""
     headers = ["Kernel", "MMX nJ", "MMX+SPU nJ", "Savings"]
-    energies = {name: kernel_energy(suite.kernel(name))
+    energies = {name: kernel_energy(suite.kernel(name), suite.comparison(name))
                 for name in suite.kernel_names}
     rows = [
         [name, ratio(result.mmx.total_pj / 1e3, 1),

@@ -124,36 +124,14 @@ def _event_counts(machine, stats, error) -> dict[str, int]:
     }
 
 
-def _check_output(kernel, machine, reference) -> tuple[bool, int]:
-    """Exact comparison against the golden reference: (match, mismatches)."""
-    output = np.asarray(kernel.extract(machine))
-    if output.shape != reference.shape:
-        return False, -1
-    if np.array_equal(output, reference):
-        return True, 0
-    return False, int(np.sum(output != reference))
-
-
-def _make_kernel(name: str, fast: bool):
-    if fast and name == "FFT1024":
-        # same shrink ExperimentSuite(fast=True) uses: the row stays present
-        # at a test-friendly size
-        from repro.kernels.fft import FFTKernel
-
-        kernel = FFTKernel(n=256)
-        kernel.name = "FFT1024"
-        return kernel
-    from repro.kernels import make_kernel
-
-    return make_kernel(name)
-
-
 def _clean_check(kernel, reference, tracer=None, parent=None) -> dict:
     """Run both variants clean; returns the per-kernel clean record.
 
     *tracer*/*parent* add ``run:<variant>`` and ``phase:compare`` spans
     (serial ``--spans`` path; the record itself carries no wall-clock).
     """
+    from repro.kernels import mismatching_elements
+
     variants: dict[str, dict] = {}
     for variant in ("mmx", "spu"):
         machine = kernel.machine(variant)
@@ -162,9 +140,10 @@ def _clean_check(kernel, reference, tracer=None, parent=None) -> dict:
             stats = machine.run()
         with maybe_span(tracer, "phase:compare", parent=parent,
                         kernel=kernel.name, variant=variant):
-            match, mismatches = _check_output(kernel, machine, reference)
+            mismatches = mismatching_elements(kernel.extract(machine),
+                                              reference)
         variants[variant] = {
-            "match": match,
+            "match": mismatches == 0,
             "mismatching_elements": mismatches,
             "cycles": stats.cycles,
             "instructions": stats.instructions,
@@ -231,7 +210,10 @@ def run_one_injection(
     output_matches = None
     mismatches = None
     if error is None and stats is not None and stats.finished:
-        output_matches, mismatches = _check_output(kernel, machine, reference)
+        from repro.kernels import mismatching_elements
+
+        mismatches = mismatching_elements(kernel.extract(machine), reference)
+        output_matches = mismatches == 0
     event_counts = _event_counts(machine, stats, error)
     outcome = classify_injection(stats, error, output_matches, event_counts)
 
@@ -327,10 +309,10 @@ def run_check(
     under the same slice as its clean check.  The tracer only observes;
     the returned :class:`CheckResult` is identical with or without it.
     """
-    from repro.kernels import ALL_KERNELS
+    from repro.kernels import ALL_KERNELS, make_sized_kernel
 
     names = tuple(kernels) if kernels else tuple(sorted(ALL_KERNELS))
-    instances = {name: _make_kernel(name, fast) for name in names}
+    instances = {name: make_sized_kernel(name, fast) for name in names}
     references = {
         name: np.asarray(instances[name].reference()) for name in names
     }

@@ -24,12 +24,7 @@ import time
 import numpy as np
 
 from repro.errors import RunnerError
-from repro.faults.campaign import (
-    CheckResult,
-    _clean_check,
-    _make_kernel,
-    run_one_injection,
-)
+from repro.faults.campaign import CheckResult, _clean_check, run_one_injection
 from repro.faults.spec import FAULT_KINDS, FaultCampaign
 from repro.resilience import ResilienceMode
 from repro.runner import Journal, Runner, RunnerConfig, TaskSpec
@@ -49,16 +44,25 @@ CLEAN_TIMEOUT_S = 300.0
 
 
 def run_clean_task(payload: dict) -> dict:
-    """Executor for ``clean_check`` tasks: one kernel, both variants."""
+    """Executor for ``clean_check`` tasks: one kernel, both variants.
+
+    Besides the byte-stable clean *record*, the result carries the static
+    ``removed_permutes`` count for the ``repro run`` sweep table.
+    """
+    from repro.kernels import make_sized_kernel
+
     started = time.perf_counter()
-    kernel = _make_kernel(payload["kernel"], payload["fast"])
+    kernel = make_sized_kernel(payload["kernel"], payload["fast"])
     reference = np.asarray(kernel.reference())
     record = _clean_check(kernel, reference)
-    return {"record": record, "duration_s": time.perf_counter() - started}
+    return {"record": record, "removed_permutes": kernel.removed_permutes,
+            "duration_s": time.perf_counter() - started}
 
 
 def run_injection_task(payload: dict) -> dict:
     """Executor for ``campaign_injection`` tasks: one injection record."""
+    from repro.kernels import make_sized_kernel
+
     campaign = FaultCampaign(
         seed=payload["seed"],
         faults=payload["faults"],
@@ -68,7 +72,7 @@ def run_injection_task(payload: dict) -> dict:
         watchdog_factor=payload["watchdog_factor"],
         watchdog_slack=payload["watchdog_slack"],
     )
-    kernel = _make_kernel(payload["kernel"], payload["fast"])
+    kernel = make_sized_kernel(payload["kernel"], payload["fast"])
     reference = np.asarray(kernel.reference())
     spu_clean = {
         "instructions": payload["clean_instructions"],
@@ -80,6 +84,26 @@ def run_injection_task(payload: dict) -> dict:
 
 
 # ---- orchestration (runs in the parent) --------------------------------------
+
+
+def clean_tasks(names: tuple[str, ...], fast: bool) -> list[TaskSpec]:
+    """One ``clean_check`` task per kernel, ids ``clean:<name>``.
+
+    Phase 1 of :func:`run_check_parallel` and the whole ``repro run``
+    sweep.
+    """
+    from repro.kernels import make_sized_kernel
+
+    return [
+        TaskSpec(
+            id=f"clean:{name}",
+            kind="clean_check",
+            payload={"kernel": name, "fast": fast},
+            slice=f"{name}/{make_sized_kernel(name, fast).config.name}",
+            timeout_s=CLEAN_TIMEOUT_S,
+        )
+        for name in names
+    ]
 
 
 def _skipped_injection_record(index: int, kernel: str, failure: str) -> dict:
@@ -191,18 +215,9 @@ def run_check_parallel(
 
     try:
         # Phase 1: clean differential checks (also the calibration data).
-        configs = {name: _make_kernel(name, fast).config.name for name in names}
-        clean_tasks = [
-            TaskSpec(
-                id=f"clean:{name}",
-                kind="clean_check",
-                payload={"kernel": name, "fast": fast},
-                slice=f"{name}/{configs[name]}",
-                timeout_s=CLEAN_TIMEOUT_S,
-            )
-            for name in names
-        ]
-        clean_results = runner.run(clean_tasks)
+        tasks = clean_tasks(names, fast)
+        slices = {task.payload["kernel"]: task.slice for task in tasks}
+        clean_results = runner.run(tasks)
         broken = [r for r in clean_results.values() if not r.ok]
         if broken:
             details = ", ".join(
@@ -248,7 +263,7 @@ def run_check_parallel(
                             clean_spu[name]["instructions"],
                         "clean_cycles": clean_spu[name]["cycles"],
                     },
-                    slice=f"{name}/{configs[name]}",
+                    slice=slices[name],
                     timeout_s=calibrated_timeout_s(
                         durations[name], TIMEOUT_FACTOR, TIMEOUT_SLACK_S
                     ),

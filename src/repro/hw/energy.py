@@ -128,9 +128,13 @@ class EnergyComparison:
         return 1.0 - self.spu.total_pj / self.mmx.total_pj
 
 
-def kernel_energy(kernel, model: EnergyModel = EnergyModel()) -> EnergyComparison:
-    """Energy comparison for a :class:`repro.kernels.Kernel`."""
-    comparison = kernel.compare()
+def kernel_energy(kernel, comparison,
+                  model: EnergyModel = EnergyModel()) -> EnergyComparison:
+    """Energy comparison for a :class:`repro.kernels.Kernel`.
+
+    *comparison* is the kernel's MMX vs MMX+SPU run
+    (:meth:`~repro.kernels.Kernel.compare`).
+    """
     # Controller steps = dynamic instructions seen while active; approximate
     # with the counter totals the kernel's loops program (exact for loops
     # that run to completion, which all kernels' do).

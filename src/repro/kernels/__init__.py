@@ -9,6 +9,7 @@ from repro.kernels.base import (
     TABLE_BASE,
     Kernel,
     KernelComparison,
+    mismatching_elements,
 )
 from repro.kernels.dct import DCTKernel, dct_matrix_q12
 from repro.kernels.dotprod import DotProductKernel
@@ -27,6 +28,7 @@ from repro.kernels.registry import (
     EXTENSION_KERNELS,
     TABLE2_KERNELS,
     make_kernel,
+    make_sized_kernel,
 )
 
 __all__ = [
@@ -38,6 +40,7 @@ __all__ = [
     "TABLE_BASE",
     "Kernel",
     "KernelComparison",
+    "mismatching_elements",
     "DCTKernel",
     "dct_matrix_q12",
     "DotProductKernel",
@@ -61,4 +64,5 @@ __all__ = [
     "convolutional_encode",
     "TABLE2_KERNELS",
     "make_kernel",
+    "make_sized_kernel",
 ]

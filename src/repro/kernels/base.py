@@ -47,6 +47,18 @@ SCRATCH_BASE = 0xC000
 MEMORY_SIZE = 1 << 20
 
 
+def mismatching_elements(output: np.ndarray, reference: np.ndarray) -> int:
+    """Elements of *output* that differ from *reference*.
+
+    0 means an exact match; -1 means the shapes differ.
+    """
+    output = np.asarray(output)
+    reference = np.asarray(reference)
+    if output.shape != reference.shape:
+        return -1
+    return int(np.count_nonzero(output != reference))
+
+
 @dataclass
 class KernelComparison:
     """Measured MMX-only vs MMX+SPU results for one kernel."""
@@ -57,6 +69,14 @@ class KernelComparison:
     removed_permutes: int
     #: Dynamic permute instructions executed by the MMX-only variant.
     mmx_dynamic_permutes: int
+    #: :func:`mismatching_elements` of each variant's output.
+    mmx_mismatches: int
+    spu_mismatches: int
+
+    @property
+    def verified(self) -> bool:
+        """Both variants matched the fixed-point reference exactly."""
+        return self.mmx_mismatches == 0 and self.spu_mismatches == 0
 
     @property
     def speedup(self) -> float:
@@ -217,32 +237,38 @@ class Kernel(abc.ABC):
 
     # ---- verification and comparison ------------------------------------------------
 
-    def verify(self) -> None:
-        """Check both variants against the fixed-point reference (exact)."""
-        reference = np.asarray(self.reference())
-        for label, runner in (("MMX", self.run_mmx), ("MMX+SPU", self.run_spu)):
-            _, output = runner()
-            output = np.asarray(output)
-            if output.shape != reference.shape or not np.array_equal(output, reference):
-                mismatch = (
-                    int(np.sum(output != reference))
-                    if output.shape == reference.shape
-                    else -1
-                )
-                raise KernelError(
-                    f"{self.name}: {label} output diverges from the reference "
-                    f"({mismatch} mismatching elements)"
-                )
+    def check(self, label: str, mismatches: int) -> None:
+        """Raise :class:`KernelError` unless *label*'s run matched exactly."""
+        if mismatches:
+            raise KernelError(
+                f"{self.name}: {label} output diverges from the reference "
+                f"({mismatches} mismatching elements)"
+            )
 
     def compare(self, pipeline_mmx: PipelineConfig | None = None,
                 pipeline_spu: PipelineConfig | None = None) -> KernelComparison:
-        """Run both variants and package the Figure 9 / Table 3 numbers."""
-        mmx_stats, _ = self.run_mmx(pipeline_mmx)
-        spu_stats, _ = self.run_spu(pipeline_spu)
+        """Run each variant once and check it against the reference (exact).
+
+        The result carries the Figure 9 / Table 3 numbers and each
+        variant's mismatch count; :meth:`verify` raises on a mismatch.
+        """
+        reference = self.reference()
+        mmx_stats, mmx_output = self.run_mmx(pipeline_mmx)
+        spu_stats, spu_output = self.run_spu(pipeline_spu)
         return KernelComparison(
             name=self.name,
             mmx=mmx_stats,
             spu=spu_stats,
             removed_permutes=self.removed_permutes,
             mmx_dynamic_permutes=mmx_stats.permutes,
+            mmx_mismatches=mismatching_elements(mmx_output, reference),
+            spu_mismatches=mismatching_elements(spu_output, reference),
         )
+
+    def verify(self, pipeline_mmx: PipelineConfig | None = None,
+               pipeline_spu: PipelineConfig | None = None) -> KernelComparison:
+        """:meth:`compare`, raising :class:`KernelError` on any mismatch."""
+        comparison = self.compare(pipeline_mmx, pipeline_spu)
+        self.check("MMX", comparison.mmx_mismatches)
+        self.check("MMX+SPU", comparison.spu_mismatches)
+        return comparison

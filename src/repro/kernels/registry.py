@@ -6,7 +6,7 @@ from repro.errors import KernelError
 from repro.kernels.base import Kernel
 from repro.kernels.dct import DCTKernel
 from repro.kernels.dotprod import DotProductKernel
-from repro.kernels.fft import FFT128Kernel, FFT1024Kernel
+from repro.kernels.fft import FFT128Kernel, FFT1024Kernel, FFTKernel
 from repro.kernels.fir import FIR12Kernel, FIR22Kernel
 from repro.kernels.iir import IIRKernel
 from repro.kernels.matmul import MatMulKernel
@@ -55,3 +55,16 @@ def make_kernel(name: str, **kwargs) -> Kernel:
             f"unknown kernel {name!r}; choose from {sorted(ALL_KERNELS)}"
         ) from exc
     return cls(**kwargs)
+
+
+def make_sized_kernel(name: str, fast: bool) -> Kernel:
+    """:func:`make_kernel`, except that *fast* shrinks FFT1024 to 256 points.
+
+    The shrunk kernel keeps the FFT1024 name, so its table row stays
+    present at a test-friendly size (``--fast``).
+    """
+    if fast and name == "FFT1024":
+        kernel = FFTKernel(n=256)
+        kernel.name = "FFT1024"
+        return kernel
+    return make_kernel(name)

@@ -21,7 +21,8 @@ class JobSubmittedEvent:
 
     job: str
     tenant: str
-    #: ``"check"``, ``"campaign"`` or ``"suite"``.
+    #: One of :data:`repro.serve.jobs.VERBS`: ``"check"``, ``"profile"``
+    #: or ``"probe"``.
     verb: str
     #: Queue depth for the tenant *after* admission.
     depth: int

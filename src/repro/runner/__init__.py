@@ -2,11 +2,10 @@
 
 The paper's controller keeps statically scheduled work flowing without
 per-instruction intervention; this package gives the evaluation layer the
-same decoupling at orchestration scale.  Fault-campaign injections
-(``repro check --jobs N``), experiment-suite cells
-(:meth:`repro.experiments.ExperimentSuite.prefetch`) and kernel sweeps
-(``repro run --all --jobs N``) become independent tasks on a worker pool
-(the same pool runs ``repro serve`` jobs) with:
+same decoupling at orchestration scale.  Fault campaigns (``repro check
+--jobs N``) and kernel sweeps (``repro run --all --jobs N``, which run
+``repro check``'s per-kernel clean tasks) become independent tasks on a
+worker pool (the same pool runs ``repro serve`` jobs) with:
 
 * per-task **wall-clock timeouts** (complementing the in-simulation cycle
   watchdog),
@@ -19,8 +18,8 @@ same decoupling at orchestration scale.  Fault-campaign injections
   results regardless of completion order or interruption point.
 
 See docs/robustness.md ("Campaign orchestration") for semantics and the
-journal format; lifecycle events (``task_start`` .. ``task_done``) ride the
-:mod:`repro.obs` event bus.
+journal format.  A task's lifecycle is recorded in the journal, in
+:class:`RunnerStats` and, when a tracer is attached, as spans.
 """
 
 from repro.runner.chaos import KILL_EXIT, KILL_POINTS, kill_point

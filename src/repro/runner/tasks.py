@@ -33,7 +33,6 @@ EXECUTORS: dict[str, str | Callable[[dict], dict]] = {
     "probe": "repro.runner.tasks:run_probe",
     "clean_check": "repro.faults.parallel:run_clean_task",
     "campaign_injection": "repro.faults.parallel:run_injection_task",
-    "suite_cell": "repro.experiments.suite:run_suite_cell",
     "serve_job": "repro.serve.jobs:run_serve_job",
 }
 

@@ -67,7 +67,8 @@ class TestEmitUpload:
 
 class TestStartupCost:
     def test_dotprod_cost(self):
-        cost = measure_startup_cost(DotProductKernel())
+        kernel = DotProductKernel()
+        cost = measure_startup_cost(kernel, kernel.verify())
         assert cost.state_words == 9
         assert cost.upload_cycles > 0
         assert cost.upload_instructions > cost.state_words

@@ -72,8 +72,7 @@ class TestConfigCKernels:
         from repro.kernels import make_kernel
 
         kernel = make_kernel(cls_name, config=CONFIG_C)
-        kernel.verify()
-        comparison = kernel.compare()
+        comparison = kernel.verify()
         assert comparison.speedup >= 0.999
 
     def test_config_c_matches_config_d_on_window_kernels(self):

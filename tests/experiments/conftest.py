@@ -1,13 +1,14 @@
 """Session-wide, full-size experiment suite (FFT1024 at its real length).
 
-The report test and the shape tests share it, so each kernel comparison the
+The report tests and the shape tests share it, so each kernel comparison the
 suite caches runs once per session; ``experiment(name)`` runs one entry of
-:data:`repro.experiments.EXPERIMENTS` on it, once.
+:data:`repro.experiments.EXPERIMENTS` on it, once, and ``report`` is the
+whole REPORT.md rendered from it, once.
 """
 
 import pytest
 
-from repro.experiments import EXPERIMENTS, ExperimentSuite
+from repro.experiments import EXPERIMENTS, ExperimentSuite, generate_report
 
 
 @pytest.fixture(scope="session")
@@ -25,3 +26,8 @@ def experiment(full_suite):
         return results[name]
 
     return run
+
+
+@pytest.fixture(scope="session")
+def report(full_suite):
+    return generate_report(suite=full_suite)

@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.core import CONFIG_A
+from repro.errors import KernelError
 from repro.experiments import ExperimentSuite, fig9, paper_data, table1, table2, table3
+from repro.kernels import TransposeKernel
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +58,20 @@ class TestSuite:
     def test_fast_suite_shrinks_fft1024(self, suite):
         kernel = suite.kernel("FFT1024")
         assert kernel.name == "FFT1024" and kernel.n == 256
+
+    def test_wrong_outputs_never_reach_a_table(self, monkeypatch):
+        from repro.experiments.ablations import _compare
+
+        extract = TransposeKernel.extract
+        monkeypatch.setattr(TransposeKernel, "extract",
+                            lambda self, machine: extract(self, machine) + 1)
+        suite = ExperimentSuite(fast=True)
+        with pytest.raises(KernelError, match="MatrixTranspose: MMX output"):
+            suite.comparison("MatrixTranspose")
+        with pytest.raises(KernelError, match="MatrixTranspose: MMX output"):
+            _compare(suite, "MatrixTranspose", CONFIG_A)
+        with pytest.raises(KernelError, match="MatrixTranspose: MMX output"):
+            _compare(suite, "MatrixTranspose", memory_latency=2)
 
 
 class TestTable2(object):
@@ -115,13 +132,9 @@ class TestFig9:
 
 
 class TestReport:
-    def test_generate_report_fast(self, tmp_path):
-        from repro.experiments import write_report
-
-        path = write_report(tmp_path / "R.md", fast=True)
-        text = path.read_text()
+    def test_report_names_every_claim(self, report):
         for heading in ("Table 1", "Table 2", "Table 3", "Figure 9",
                         "die-area claim", "start-up cost", "Energy", "Code size"):
-            assert heading in text
-        assert "0.91%" in text  # the <1% claim
-        assert "MatrixTranspose" in text
+            assert heading in report
+        assert "0.91%" in report  # the <1% claim
+        assert "MatrixTranspose" in report

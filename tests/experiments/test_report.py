@@ -2,13 +2,13 @@
 
 from pathlib import Path
 
-from repro.experiments import EXPERIMENTS, SECTIONS, generate_report
+from repro.experiments import EXPERIMENTS, SECTIONS
 
 REPORT = Path(__file__).resolve().parents[2] / "REPORT.md"
 
 
-def test_report_matches_committed_copy(full_suite):
-    assert generate_report(suite=full_suite) == REPORT.read_text()
+def test_report_matches_committed_copy(report):
+    assert report == REPORT.read_text()
 
 
 def test_every_listed_experiment_is_rendered(experiment):

@@ -80,10 +80,11 @@ class TestClaims:
     def test_dot_product(self):
         """DotProduct is no Table 2 kernel, so no report row carries it."""
         kernel = DotProductKernel()
-        startup = measure_startup_cost(kernel)
+        comparison = kernel.verify()
+        startup = measure_startup_cost(kernel, comparison)
         assert startup.break_even_invocations < 3
         assert startup.state_words <= 128 * 4
-        energy = kernel_energy(kernel)
+        energy = kernel_energy(kernel, comparison)
         assert energy.savings_fraction > 0.1
         assert energy.spu.total_pj <= energy.mmx.total_pj * 1.01
         spu_program, _ = kernel.spu_programs()

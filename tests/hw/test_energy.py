@@ -6,7 +6,7 @@ from repro.core import CONFIG_A, CONFIG_D
 from repro.cpu import Machine, RunStats
 from repro.hw import EnergyModel, kernel_energy, run_energy
 from repro.isa import assemble
-from repro.kernels import DotProductKernel, IIRKernel, TransposeKernel
+from repro.kernels import ALL_KERNELS, DotProductKernel, IIRKernel, TransposeKernel, make_kernel
 
 
 class TestRunEnergy:
@@ -55,7 +55,7 @@ class TestKernelEnergy:
     def test_permute_heavy_kernels_save_energy(self):
         """Deleted instructions stop paying fetch/decode — §7's argument."""
         for kernel in (DotProductKernel(), TransposeKernel()):
-            comparison = kernel_energy(kernel)
+            comparison = kernel_energy(kernel, kernel.verify())
             assert comparison.savings_fraction > 0.1, comparison.name
             # The added SPU energy is small next to the instruction savings.
             assert comparison.spu.crossbar_pj + comparison.spu.controller_pj < (
@@ -63,11 +63,27 @@ class TestKernelEnergy:
             )
 
     def test_low_offload_kernels_near_neutral(self):
-        comparison = kernel_energy(IIRKernel())
+        kernel = IIRKernel()
+        comparison = kernel_energy(kernel, kernel.verify())
         assert abs(comparison.savings_fraction) < 0.05
 
     def test_custom_model(self):
         expensive_crossbar = EnergyModel(crossbar_pj_per_kxp=10_000.0)
-        comparison = kernel_energy(DotProductKernel(), model=expensive_crossbar)
+        kernel = DotProductKernel()
+        comparison = kernel_energy(kernel, kernel.verify(),
+                                   model=expensive_crossbar)
         # With an absurd crossbar cost the SPU stops paying off.
         assert comparison.savings_fraction < 0
+
+
+@pytest.mark.parametrize("name", sorted(ALL_KERNELS))
+def test_counter_init_sum_is_the_controller_step_count(name):
+    """kernel_energy charges the controller by its counter-init sum; that is
+    exact because every off-loaded loop runs to completion."""
+    kernel = make_kernel(name)
+    _, controller_programs = kernel.spu_programs()
+    machine = kernel.machine("spu")
+    machine.run()
+    assert machine.spu.controller.stats.steps == sum(
+        program.counter_init[0] + program.counter_init[1]
+        for _, program in controller_programs)

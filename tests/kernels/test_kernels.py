@@ -23,6 +23,7 @@ from repro.kernels import (
     TransposeKernel,
     dct_matrix_q12,
     make_kernel,
+    mismatching_elements,
 )
 
 #: Fast kernel set for per-test verification (FFT1024 is bench-only here).
@@ -43,9 +44,8 @@ def comparisons():
     """Verify and compare each fast kernel once (cached per module)."""
     results = {}
     for cls in FAST_KERNELS:
-        kernel = cls()
-        kernel.verify()
-        results[kernel.name] = kernel.compare()
+        comparison = cls().verify()
+        results[comparison.name] = comparison
     return results
 
 
@@ -62,6 +62,41 @@ class TestCorrectness:
     @pytest.mark.parametrize("cls", FAST_KERNELS)
     def test_deterministic(self, cls):
         assert np.array_equal(cls(seed=9).reference(), cls(seed=9).reference())
+
+
+class TestCheckedComparison:
+    """compare() checks each variant's output; verify() raises on it."""
+
+    def test_mismatching_elements(self):
+        reference = np.arange(6).reshape(2, 3)
+        assert mismatching_elements(reference.copy(), reference) == 0
+        assert mismatching_elements(reference + (reference > 3), reference) == 2
+        assert mismatching_elements(reference.ravel(), reference) == -1
+
+    def test_exact_comparison_is_verified(self, comparisons):
+        for name, comparison in comparisons.items():
+            assert comparison.verified, name
+            assert comparison.mmx_mismatches == comparison.spu_mismatches == 0
+
+    def test_corrupted_output_is_counted_and_raises(self, monkeypatch):
+        extract = DotProductKernel.extract
+        monkeypatch.setattr(DotProductKernel, "extract",
+                            lambda self, machine: extract(self, machine) + 1)
+        kernel = DotProductKernel()
+        comparison = kernel.compare()
+        assert not comparison.verified
+        size = kernel.reference().size
+        assert comparison.mmx_mismatches == comparison.spu_mismatches == size
+        with pytest.raises(KernelError,
+                           match=rf"MMX output diverges .*\({size} mismatching"):
+            kernel.verify()
+
+    def test_shape_mismatch_counts_minus_one(self, monkeypatch):
+        extract = DotProductKernel.extract
+        monkeypatch.setattr(DotProductKernel, "extract",
+                            lambda self, machine: extract(self, machine)[:-1])
+        comparison = DotProductKernel().compare()
+        assert comparison.mmx_mismatches == comparison.spu_mismatches == -1
 
 
 class TestSpeedupShape:

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.cli import main
+from repro.errors import RunnerError
+from repro.kernels import DotProductKernel, make_kernel
 
 
 class TestCLI:
@@ -50,6 +52,63 @@ class TestCLI:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+def sweep_rows(out: str) -> dict[str, list[str]]:
+    """The `repro run` sweep table's cells, by kernel."""
+    rows = {}
+    for line in out.splitlines():
+        cells = [cell.strip() for cell in line.split("|")]
+        if len(cells) == 7 and cells[0] != "kernel":
+            rows[cells[0]] = cells[1:]
+    return rows
+
+
+@pytest.fixture
+def corrupted_dotproduct(monkeypatch):
+    extract = DotProductKernel.extract
+    monkeypatch.setattr(DotProductKernel, "extract",
+                        lambda self, machine: extract(self, machine) + 1)
+
+
+class TestRunSweep:
+    """Several kernels run as clean_check tasks on the campaign runner."""
+
+    def test_rows_match_compare(self, capsys):
+        assert main(["run", "DotProduct", "FIR12"]) == 0
+        rows = sweep_rows(capsys.readouterr().out)
+        assert list(rows) == ["DotProduct", "FIR12"]
+        for name, row in rows.items():
+            comparison = make_kernel(name).compare()
+            assert row[:3] == ["ok", str(comparison.mmx.cycles),
+                               str(comparison.spu.cycles)], name
+            assert row[4:] == [str(comparison.removed_permutes),
+                               "1 attempt(s)"], name
+
+    def test_mismatch_row_exits_1(self, capsys, corrupted_dotproduct):
+        assert main(["run", "DotProduct", "FIR12"]) == 1
+        rows = sweep_rows(capsys.readouterr().out)
+        assert rows["DotProduct"][0] == "MISMATCH"
+        assert rows["FIR12"][0] == "ok"
+
+    def test_resume_reads_the_journal(self, capsys, tmp_path):
+        argv = ["run", "DotProduct", "FIR12", "--resume", str(tmp_path / "j")]
+        assert main(argv) == 0
+        first = sweep_rows(capsys.readouterr().out)
+        assert main(argv) == 0
+        second = sweep_rows(capsys.readouterr().out)
+        for name in first:
+            assert second[name][-1] == "cached", name
+            assert second[name][:-1] == first[name][:-1], name
+
+    def test_journal_of_another_verb_is_rejected(self, tmp_path):
+        from repro.runner import Journal
+
+        path = tmp_path / "j"
+        Journal(path, {"verb": "suite", "kernels": ["DotProduct", "FIR12"],
+                       "fast": False}).close()
+        with pytest.raises(RunnerError, match="different campaign"):
+            main(["run", "DotProduct", "FIR12", "--resume", str(path)])
 
 
 class TestCompileCommand:
