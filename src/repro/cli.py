@@ -99,7 +99,11 @@ def _cmd_table(args: argparse.Namespace) -> int:
 def _run_one_kernel(name: str) -> int:
     kernel = make_kernel(name)
     print(f"Verifying {kernel.name} ({kernel.description}) ...")
-    comparison = kernel.verify()
+    try:
+        comparison = kernel.verify()
+    except KernelError as exc:
+        print(f"  MISMATCH: {exc}")
+        return 1
     print("  both variants match the fixed-point reference bit-exactly")
     rows = [
         ["cycles", comparison.mmx.cycles, comparison.spu.cycles],

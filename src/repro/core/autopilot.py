@@ -23,8 +23,9 @@ kernel's MMX+SPU variant is built this way.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.core.interconnect import CONFIG_D, CrossbarConfig
 from repro.core.mmio import DEFAULT_MMIO_BASE
@@ -246,6 +247,14 @@ def inject_plumbing(program: Program, loop_labels: Sequence[str]) -> Program:
     return _inject(program, insertions)
 
 
+#: Distinct (program text, crossbar config) compiles kept per process.
+COMPILED_TEXTS = 64
+
+#: (program name, instructions, labels, config) -> its compile, least
+#: recently used first; see :func:`offload_program`.
+_compiled: OrderedDict = OrderedDict()
+
+
 def offload_program(program: Program, config: CrossbarConfig = CONFIG_D) -> CompileResult:
     """Compile a plain MMX program into its SPU-accelerated form.
 
@@ -253,7 +262,39 @@ def offload_program(program: Program, config: CrossbarConfig = CONFIG_D) -> Comp
     for nothing); at most four loops are accelerated (the MMIO context field
     width).  Each loop is found again by label in the program as transformed
     so far, since earlier off-loads shift its indexes.
+
+    The compile is a function of the program's name, instructions and
+    labels and of *config* alone, so it is memoized per process on them
+    (the :data:`COMPILED_TEXTS` most recently used): pool workers inherit a
+    warm parent's compiles, and a ``repro serve`` worker keeps its own
+    across jobs.  Every call shares the memoized reports, certificates and
+    controller programs, which must not be edited in place (clone a
+    controller program with ``clone_spu_program`` before corrupting it).
+    ``program`` is always the caller's own: the caller's *program* when
+    nothing was accelerated, else a new copy of the transformed program,
+    since a :class:`Program` carries its decode cache (bound to the simd
+    backend at decode time, counted by ``repro profile``).
     """
+    key = (program.name, tuple(program.instructions),
+           tuple(program.labels.items()), config)
+    result = _compiled.get(key)
+    if result is None:
+        result = _compiled[key] = _compile(program, config)
+        if len(_compiled) > COMPILED_TEXTS:
+            _compiled.popitem(last=False)
+    else:
+        _compiled.move_to_end(key)
+    if not result.reports:
+        return replace(result, program=program)
+    compiled = result.program
+    return replace(result, program=Program(
+        instructions=list(compiled.instructions), labels=dict(compiled.labels),
+        name=compiled.name,
+    ))
+
+
+def _compile(program: Program, config: CrossbarConfig) -> CompileResult:
+    """The off-load pass behind :func:`offload_program`, uncached."""
     detected, skipped = detect_counted_loops(program)
 
     reports: list[tuple[int, OffloadReport]] = []

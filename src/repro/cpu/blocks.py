@@ -35,7 +35,8 @@ instruction, so every cycle is still charged as the uop loop charges it:
   each access that may reach MMIO;
 * per-class, pairing and issue counts are static per way out of the block
   ("exit"), so the run tallies exits and folds them into
-  :class:`~repro.cpu.stats.RunStats` at run end, in first-issue order;
+  :class:`~repro.cpu.stats.RunStats` at run end, in first-issue order
+  (while a trigger is armed, each exit as it is taken);
 * a recorded block (the run has a :class:`~repro.obs.recorder.Recorder`)
   appends only what is dynamic to its columns: each issue's cycle and
   routed flag (the pipe and MMX bits are constants), each stall's start
@@ -293,29 +294,23 @@ def first_issue(exit: Exit, issue_counts: dict[int, int], reasons) -> None:
         reasons.setdefault(reason, 0)
 
 
-def before_trigger(head: Head, index: int, stats, tally: dict[Exit, int],
-                   issue_counts: dict[int, int]) -> bool:
-    """Whether no path through *head*'s block reaches the issue *index*.
-
-    Folds *tally* first, so ``stats.instructions`` is the run's live
-    issue count, which the uop loop's trigger test reads.
-    """
-    fold_exits(stats, tally, issue_counts)
-    return stats.instructions + head.issues <= index
+def fold_exit(stats, exit: Exit, n: int, issue_counts: dict[int, int]) -> None:
+    """Add the static counts of *exit*, taken *n* times, to the run."""
+    reasons = stats.pair_fail_reasons
+    for pc in exit.pcs:
+        issue_counts[pc] += n
+    for reason in exit.reasons:
+        reasons[reason] += n
+    stats.instructions += n * len(exit.pcs)
+    stats.pair_cycles += n * exit.pair
+    stats.solo_cycles += n * exit.solo
+    stats.mmx_busy_cycles += n * exit.busy
 
 
 def fold_exits(stats, tally: dict[Exit, int], issue_counts: dict[int, int]) -> None:
-    """Add the static counts of every exit taken *n* times to the run."""
-    reasons = stats.pair_fail_reasons
+    """Fold every exit of *tally* (exit -> times taken) into the run."""
     for exit, n in tally.items():
-        for pc in exit.pcs:
-            issue_counts[pc] += n
-        for reason in exit.reasons:
-            reasons[reason] += n
-        stats.instructions += n * len(exit.pcs)
-        stats.pair_cycles += n * exit.pair
-        stats.solo_cycles += n * exit.solo
-        stats.mmx_busy_cycles += n * exit.busy
+        fold_exit(stats, exit, n, issue_counts)
     tally.clear()
 
 

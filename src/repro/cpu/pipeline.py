@@ -126,6 +126,9 @@ class Machine:
         #: the recorder and the scoreboard see it; the slot is cleared before
         #: the call.  While it is armed, a run enters only translated blocks
         #: that end before that issue, so the issue is on the per-uop path.
+        #: Arm it before a run (or again from its own callback): an armed
+        #: run folds each block exit as it is taken, so its issue count is
+        #: live.
         self.trigger: tuple[int, Callable[[], None]] | None = None
         # Pairing decisions depend only on the two static instructions; the
         # program never changes under a machine, so memoize per pc pair.
@@ -371,8 +374,8 @@ class Machine:
                     # loop, at the same cycle and issue as unblocked.
                     trigger = self.trigger
                     if block is not None and cycle + head.span <= limit and (
-                            trigger is None or blocks.before_trigger(
-                                head, trigger[0], stats, tally, issue_counts)):
+                            trigger is None
+                            or stats.instructions + head.issues <= trigger[0]):
                         try:
                             cycle, index = block(env, cycle)
                         except RunnerInterrupted:
@@ -384,7 +387,7 @@ class Machine:
                             action = self._issue_fault_action(error, stats)
                             exit = head.exits[index]
                             blocks.first_issue(exit, issue_counts, fail_reasons)
-                            blocks.fold_exits(stats, {exit: 1}, issue_counts)
+                            blocks.fold_exit(stats, exit, 1, issue_counts)
                             cycle += 1
                             if action == "halt":
                                 break
@@ -393,12 +396,17 @@ class Machine:
                         if index >= 0:
                             exit = head.exits[index]
                             taken = tally_get(exit, 0)
-                            if not taken:
+                            if not taken and exit not in tally:
                                 blocks.first_issue(exit, issue_counts, fail_reasons)
-                            tally[exit] = taken + 1
+                            if trigger is None:
+                                tally[exit] = taken + 1
+                            else:
+                                # Armed: fold at once, so stats.instructions
+                                # stays the live count the trigger tests; the
+                                # tally keeps 0 as the first-take mark.
+                                blocks.fold_exit(stats, exit, 1, issue_counts)
+                                tally[exit] = taken
                             pc = exit.next_pc
-                            if trigger is not None:  # keep the trigger's count live
-                                blocks.fold_exits(stats, tally, issue_counts)
                             continue
                         # Edited in place: the program leaves the shared table.
                         program._block_cache = {}

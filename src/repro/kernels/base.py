@@ -130,7 +130,14 @@ class Kernel(abc.ABC):
         return self._mmx_program
 
     def spu_programs(self) -> tuple[Program, list[tuple[int, SPUProgram]]]:
-        """Transformed program plus ``(context, controller program)`` pairs."""
+        """Transformed program plus ``(context, controller program)`` pairs.
+
+        The compile is :func:`offload_program`'s, shared with every kernel
+        of the same program text and config in the process.  The program
+        is this kernel's own (its :meth:`mmx_program` when no loop was
+        accelerated); the controller programs are shared, so clone one
+        (``clone_spu_program``) before corrupting it.
+        """
         if self._spu_build is None:
             self._compiled = offload_program(self.mmx_program(), self.config)
             self._spu_build = (

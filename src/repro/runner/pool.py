@@ -333,6 +333,13 @@ class WorkerPool:
             self.replace(handle)
         return suspects
 
+    def result_fileno(self) -> int:
+        """A descriptor of the result queue that turns readable when a
+        message waits, for a parent that waits in an event loop rather
+        than in :meth:`poll`."""
+        assert self.result_queue is not None
+        return self.result_queue._reader.fileno()
+
     def poll(self, timeout: float) -> list[tuple]:
         """Drain the result queue (waiting up to *timeout* for the first
         message) and return the finished attempts.

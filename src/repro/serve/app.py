@@ -95,7 +95,9 @@ RETRY_AFTER_PER_JOB_S = 2.0
 #: a requeued attempt's tracer must not collide with its predecessor's ids.
 ATTEMPT_SPAN_STRIDE = 100_000
 
-#: Supervisor poll period (result-queue drain + health checks).
+#: Supervisor health-check period.  A worker's message on the result
+#: queue wakes the supervisor at once, so a finished job is collected
+#: when it finishes, not on the next period.
 POLL_S = 0.05
 
 
@@ -171,9 +173,11 @@ class ServeApp:
         """Serve until drained; returns the process exit code (3)."""
         # Workers fork before the loop installs its signal handlers.
         self._pool.start()
+        loop = asyncio.get_running_loop()
+        results = self._pool.result_fileno()
         try:
-            loop = asyncio.get_running_loop()
             self._kick = asyncio.Event()
+            loop.add_reader(results, self._kick.set)
             for signum in (signal.SIGTERM, signal.SIGINT):
                 try:
                     loop.add_signal_handler(
@@ -197,6 +201,7 @@ class ServeApp:
             server.close()
             await server.wait_closed()
         finally:
+            loop.remove_reader(results)
             # On every exit path: the workers are not daemonic, so live
             # ones would keep the interpreter from exiting.
             self._pool.stop()
@@ -228,7 +233,8 @@ class ServeApp:
 
         Runs until a drain has been requested *and* every running job has
         finished (each cancelled job journals its own aborted state first).
-        Polls the pool without blocking: the event loop never waits on it.
+        Polls the pool without blocking: the event loop never waits on
+        it.  A result message on the pool's queue wakes the loop.
         """
         while True:
             for task, _, status, result, detail, _ in self._pool.poll(0):

@@ -149,8 +149,7 @@ def hot(monkeypatch):
 
 @pytest.fixture
 def taken(monkeypatch):
-    """The translated-block exits runs take, each the first time per run
-    (and each time while a trigger is armed)."""
+    """The translated-block exits runs take, each the first time per run."""
     exits = []
     first_issue = blocks.first_issue
 
@@ -807,6 +806,17 @@ class TestTrigger:
         # (and the rest of an iteration after a guard exit): blocks run
         # before the trigger fires and after it.
         assert machine.fired[0] < 20 and len(issued) - machine.fired[0] < 20
+
+    def test_armed_run_marks_each_exit_once(self, hot, taken):
+        # While armed, each exit is folded as it is taken (the trigger reads
+        # the live issue count), but its first-issue order is set once.
+        hot(2)
+        program = assemble(SIX)
+        issued = []
+        machine = self.make(program, 500, issued)
+        machine.run()
+        assert machine.fired and len(issued) < 100  # blocks ran while armed
+        assert taken and len(taken) == len({id(exit) for exit in taken})
 
 
 class TestSharing:

@@ -8,6 +8,8 @@ preserved and resumed by the next epoch).
 
 import json
 import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -18,6 +20,7 @@ from tests.serve.harness import (
     CHECK_PARAMS,
     LONG_CHECK_PARAMS,
     serial_report_bytes,
+    serve_env,
     start_serve,
 )
 
@@ -278,6 +281,32 @@ class TestMultiWorker:
             assert client.wait(job, timeout_s=30) == "done"
             client.drain()
             proc.wait(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+
+
+class TestSupervisorWake:
+    def test_finished_job_is_collected_before_the_next_period(self, tmp_path):
+        # The health-check period is stretched to a minute, so only the
+        # worker's result message can wake the supervisor in time.
+        journal_dir = tmp_path / "serve"
+        script = ("import sys; import repro.serve.app as app; "
+                  "app.POLL_S = 60.0; from repro.cli import main; "
+                  "sys.exit(main(sys.argv[1:]))")
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script, "serve",
+             "--journal-dir", str(journal_dir)],
+            env=serve_env(), stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL)
+        try:
+            host, port = read_endpoint(journal_dir, timeout_s=20)
+            client = ServeClient(host, port)
+            job = client.submit("probe", {"duration_s": 0.0})
+            assert client.wait(job, timeout_s=20, poll_s=0.02) == "done"
+            client.drain()
+            assert proc.wait(timeout=60) == 3
         finally:
             if proc.poll() is None:
                 proc.kill()

@@ -91,6 +91,11 @@ class TestRunSweep:
         assert rows["DotProduct"][0] == "MISMATCH"
         assert rows["FIR12"][0] == "ok"
 
+    def test_single_kernel_mismatch_exits_1(self, capsys, corrupted_dotproduct):
+        # `run K` alone runs in process, not as a sweep task, and fails alike.
+        assert main(["run", "DotProduct"]) == 1
+        assert "MISMATCH: DotProduct: MMX output diverges" in capsys.readouterr().out
+
     def test_resume_reads_the_journal(self, capsys, tmp_path):
         argv = ["run", "DotProduct", "FIR12", "--resume", str(tmp_path / "j")]
         assert main(argv) == 0
