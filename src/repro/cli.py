@@ -1,81 +1,17 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Commands
---------
+``python -m repro --help`` lists the commands and ``python -m repro
+<command> --help`` their flags; docs/ holds the schemas and methods behind
+them.  Every command that names kernels (``run``, ``offload``, ``profile``,
+``top``, ``trace``, ``check``, ``lint``, ``certify``, ``bench``) resolves the
+names forgivingly — ``dotprod`` finds ``DotProduct``: any case, or a unique
+prefix — and reports a name it cannot resolve as ``repro <command>: error:
+…`` with exit status 2.
 
-``table1`` / ``table2`` / ``table3`` / ``fig9``
-    Regenerate the corresponding paper table/figure and print the
-    measured-vs-published comparison (``--fast`` shrinks FFT1024).
-``run KERNEL [KERNEL ...] | --all [--jobs N] [--resume PATH]``
-    Verify kernels and print their MMX vs MMX+SPU comparisons.  One kernel
-    runs in-process; several (or ``--all``) run ``repro check``'s clean-check
-    tasks as a sweep on the resilient campaign runner — ``--jobs N``
-    workers, per-task timeouts, retries, circuit breaker, and a
-    crash-consistent ``--resume`` journal (docs/robustness.md, "Campaign
-    orchestration").
-``list``
-    List the available kernels with their Table 2 descriptions.
-``cost [--config X]``
-    Print the SPU hardware cost summary (Table 1 row + die fraction).
-``offload KERNEL``
-    Show the off-load pass's transformation for a kernel's first loop.
-``profile KERNEL [--json PATH]``
-    VTune-style dynamic profile: instruction mix, per-stage cycle
-    attribution and SPU controller occupancy (``--json -`` for stdout;
-    schema in docs/observability.md).
-``top KERNEL [--variant V] [--limit N] [--json PATH] [--fail-on STATE]``
-    Hot-trace profile: dynamic traces between backward control transfers,
-    ranked by cycles, with exact per-trace cycle/stall/pairing attribution
-    and fusibility verdicts — ``fusible: true`` requires a replay-checked
-    fusion certificate from the superop legality engine on top of the
-    dynamic conditions (stable schedule + clean agreement analysis); a
-    dynamically clean trace the certifier diagnosed reports state
-    ``uncertified`` instead.  The planning input for trace-level superop
-    compilation (ROADMAP item 1; schema ``repro.obs/2``).  ``--fail-on
-    uncertified`` exits 1 when a dynamically fusible trace lacks a
-    certificate; ``--fail-on not-fusible`` exits 1 when any trace is not
-    certified (nonzero-exit parity with ``repro lint``).
-``certify [KERNEL ...| --all] [--json PATH] [--fail-on CLASS]``
-    Superop legality cross-check: certify every loop region of every
-    kernel variant statically, reconcile against the dynamic trace
-    profile, and report per-region agreement classes (byte-stable
-    ``fusion-audit`` document, schema ``repro.analysis/2``).  Exits 1
-    on ``unexplained`` disagreements (always) or, with ``--fail-on
-    uncertified``, whenever a dynamically fusible loop lacks a
-    certificate.
-``trace KERNEL [--jsonl PATH]``
-    Issue-by-issue pipeline listing; ``--jsonl`` exports one record per
-    issued instruction behind a ``trace-header`` record naming the
-    kernel, variant and config.
-``check [KERNEL] [--faults N] [--seed S] [--json PATH] [--jobs N]
-[--resume PATH]``
-    Differential self-check: replay every kernel (or one) against the
-    NumPy fixed-point reference, optionally under a seeded fault
-    campaign classifying injections as masked/detected/silent
-    (schema in docs/robustness.md).  ``--swar-check`` additionally
-    sample-diffs the SWAR data path against the NumPy reference backend
-    (``summary.swar_mismatches``; opt-in so default reports stay
-    byte-stable).  ``--jobs N`` runs the campaign on
-    the worker pool; ``--resume PATH`` journals progress there and skips
-    already-completed tasks on re-invocation — the merged report is
-    byte-identical to a serial run either way.  ``--spans PATH`` writes an
-    OTLP-flavored span JSONL timeline (campaign → slice → task → run →
-    phase; wall-clock lives only there, never in the campaign report) and
-    ``--progress`` prints live per-slice progress lines to stderr.
-``lint [KERNEL ...| --all] [--json PATH] [--fail-on SEV]``
-    Static verifier: microprogram structure, kernel/controller schedule
-    agreement and off-load soundness certificates (rule catalog in
-    docs/static-analysis.md; schema ``repro.analysis/1``).  Exits 1 when
-    any unsuppressed finding reaches the ``--fail-on`` severity.
-``bench [KERNEL ...] [--rounds N] [--json PATH]``
-    Simulation throughput (simulated cycles/sec and instructions/sec):
-    the SWAR integer data path against the NumPy reference backend on
-    the hot kernels (methodology and schema ``repro.simspeed/1`` in
-    docs/performance.md; the tracked variant lives in
-    ``benchmarks/bench_simspeed.py``).
-
-``profile``, ``trace``, ``check``, ``lint`` and ``certify`` resolve kernel
-names forgivingly (``dotprod`` → ``DotProduct``).
+Three jobs are written once here: :func:`_kernels` selects kernels,
+:func:`_emit` writes every ``--json``, ``--jsonl``, ``--runner-json`` and
+``--spans`` file, and :func:`_campaign` drives ``repro run`` sweeps and
+``repro check`` (span tree, clean interrupts, fallback note, runner report).
 """
 
 from __future__ import annotations
@@ -91,13 +27,94 @@ from repro.hw import spu_cost
 from repro.kernels import ALL_KERNELS, make_kernel
 
 
+# ---- shared front end ----------------------------------------------------------
+
+
+def _kernels(args: argparse.Namespace) -> list[str]:
+    """The registry names of the kernels a command names; all for ``--all``.
+
+    Raises :class:`KernelError` (``repro <command>: error: …``, exit 2 via
+    :func:`main`) on a name :func:`resolve_kernel_name` cannot resolve, and
+    when a command that offers ``--all`` gets neither names nor ``--all``.
+    """
+    from repro.obs.export import resolve_kernel_name
+
+    if getattr(args, "all", False):
+        return sorted(ALL_KERNELS)
+    if not args.kernel and hasattr(args, "all"):
+        raise KernelError("name at least one kernel or pass --all")
+    return [resolve_kernel_name(name) for name in args.kernel]
+
+
+def _emit(path: str, document, detail: str = "", file=None) -> None:
+    """Write *document* to *path* (``-``: stdout) and say where it went.
+
+    A dict is one JSON document; anything else is a sequence of JSONL records.
+    """
+    from repro.obs.export import write_json, write_jsonl
+
+    write = write_json if isinstance(document, dict) else write_jsonl
+    target = write(path, document)
+    if target is not None:
+        print(f"wrote {target}{detail}", file=file)
+
+
+def _campaign(args: argparse.Namespace, work, report, **attributes) -> int:
+    """Drive a ``repro run`` sweep or a ``repro check`` campaign.
+
+    ``work(tracer, root)`` runs the campaign and returns ``(result,
+    runner)`` (``runner`` is None on the serial ``run_check`` path);
+    ``report(result)`` prints the result and returns the exit status.
+    Around them this owns the ``--spans`` tracer and its
+    ``campaign:<command>`` root span (opened with *attributes*, closed only
+    on success, so an interrupted campaign exports it as aborted); SIGINT,
+    SIGTERM and ``--interrupt-after`` as exit 3 with the journal resumable;
+    the span file, written on the interrupt path too; the pool-fallback
+    note on stderr; and ``--runner-json``.
+    """
+    from repro.errors import RunnerInterrupted
+    from repro.runner import clean_interrupts, runner_report
+
+    tracer = root = None
+    if args.spans is not None:
+        from repro.obs.spans import SpanTracer
+
+        tracer = SpanTracer()
+        root = tracer.begin(f"campaign:{args.command}", **attributes)
+    try:
+        try:
+            with clean_interrupts():
+                result, runner = work(tracer, root)
+        except RunnerInterrupted as exc:
+            print(f"repro {args.command}: {exc}", file=sys.stderr)
+            return 3
+        if root is not None:
+            tracer.end(root)
+    finally:
+        if tracer is not None:
+            _emit(args.spans, tracer.jsonl(), f" ({len(tracer.spans)} spans)",
+                  sys.stderr)
+    code = report(result)
+    if runner is not None and runner.fallback_reason:
+        print(f"note: pool unavailable, ran serially "
+              f"({runner.fallback_reason})", file=sys.stderr)
+    if runner is not None and args.runner_json is not None:
+        _emit(args.runner_json, runner_report(runner))
+    return code
+
+
+# ---- commands ------------------------------------------------------------------
+
+
 def _cmd_table(args: argparse.Namespace) -> int:
     print(EXPERIMENTS[args.command](ExperimentSuite(fast=args.fast)).text)
     return 0
 
 
-def _run_one_kernel(name: str) -> int:
-    kernel = make_kernel(name)
+def _run_one_kernel(name: str, fast: bool) -> int:
+    from repro.kernels import make_sized_kernel
+
+    kernel = make_sized_kernel(name, fast)
     print(f"Verifying {kernel.name} ({kernel.description}) ...")
     try:
         comparison = kernel.verify()
@@ -105,21 +122,79 @@ def _run_one_kernel(name: str) -> int:
         print(f"  MISMATCH: {exc}")
         return 1
     print("  both variants match the fixed-point reference bit-exactly")
+    mmx, spu = comparison.mmx, comparison.spu
     rows = [
-        ["cycles", comparison.mmx.cycles, comparison.spu.cycles],
-        ["instructions", comparison.mmx.instructions, comparison.spu.instructions],
-        ["alignment instructions", comparison.mmx.alignment_candidates,
-         comparison.spu.alignment_candidates],
-        ["branches / mispredicts",
-         f"{comparison.mmx.branches} / {comparison.mmx.mispredicts}",
-         f"{comparison.spu.branches} / {comparison.spu.mispredicts}"],
-        ["MMX busy", pct(comparison.mmx.mmx_busy_fraction, 1),
-         pct(comparison.spu.mmx_busy_fraction, 1)],
+        ["cycles", mmx.cycles, spu.cycles],
+        ["instructions", mmx.instructions, spu.instructions],
+        ["alignment instructions", mmx.alignment_candidates,
+         spu.alignment_candidates],
+        ["branches / mispredicts", f"{mmx.branches} / {mmx.mispredicts}",
+         f"{spu.branches} / {spu.mispredicts}"],
+        ["MMX busy", pct(mmx.mmx_busy_fraction, 1),
+         pct(spu.mmx_busy_fraction, 1)],
     ]
     print(format_table(["metric", "MMX only", "MMX + SPU"], rows))
     print(f"speedup: {ratio(comparison.speedup)}x "
           f"({comparison.removed_permutes} static permutes off-loaded)")
     return 0
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    names = _kernels(args)
+    if len(names) == 1 and args.jobs <= 1 and args.resume is None:
+        return _run_one_kernel(names[0], args.fast)
+
+    # Sweep: one clean_check task per kernel on the campaign runner (the
+    # tasks of `repro check`'s clean phase).
+    from repro.faults.parallel import clean_tasks
+    from repro.runner import Journal, Runner, RunnerConfig
+
+    config = RunnerConfig(jobs=args.jobs, interrupt_after=args.interrupt_after)
+
+    def work(tracer, root):
+        journal = None
+        if args.resume is not None:
+            fingerprint = {"verb": "run", "kernels": names, "fast": args.fast}
+            journal = Journal(args.resume, fingerprint,
+                              fsync_every=config.fsync_every)
+        runner = Runner(config, journal=journal, tracer=tracer,
+                        span_parent=root,
+                        progress=sys.stderr if args.progress else None)
+        try:
+            return runner.run(clean_tasks(tuple(names), args.fast)), runner
+        finally:
+            if journal is not None:
+                journal.close()
+
+    def report(results) -> int:
+        rows = []
+        failed = 0
+        for name in names:
+            result = results[f"clean:{name}"]
+            if not result.ok:
+                failed += 1
+                rows.append([name, result.status.upper(), "-", "-", "-", "-",
+                             result.failure or ""])
+                continue
+            variants = result.result["record"]["variants"]
+            mmx, spu = variants["mmx"]["cycles"], variants["spu"]["cycles"]
+            verified = all(variant["match"] for variant in variants.values())
+            failed += 0 if verified else 1
+            rows.append([
+                name, "ok" if verified else "MISMATCH", mmx, spu,
+                f"{ratio(mmx / spu if spu else 0.0)}x",
+                result.result["removed_permutes"],
+                "cached" if result.cached else f"{result.attempts} attempt(s)",
+            ])
+        print(format_table(
+            ["kernel", "reference", "MMX cycles", "SPU cycles", "speedup",
+             "permutes off-loaded", "runner"],
+            rows, title=f"Kernel sweep ({args.jobs} job(s))",
+        ))
+        return 1 if failed else 0
+
+    return _campaign(args, work, report, kernels=len(names), fast=args.fast,
+                     jobs=config.jobs)
 
 
 def _parse_tenant_weights(pairs: list[str]) -> dict[str, int]:
@@ -190,106 +265,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return 3
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    names = list(args.kernel)
-    if args.all:
-        names = sorted(ALL_KERNELS)
-    if not names:
-        print("repro run: name at least one kernel or pass --all",
-              file=sys.stderr)
-        raise SystemExit(2)
-    unknown = [name for name in names if name not in ALL_KERNELS]
-    if unknown:
-        print(f"repro run: error: invalid choice: {unknown} "
-              f"(choose from {sorted(ALL_KERNELS)})", file=sys.stderr)
-        raise SystemExit(2)
-    if len(names) == 1 and args.jobs <= 1 and args.resume is None:
-        return _run_one_kernel(names[0])
-
-    # Sweep: one clean_check task per kernel on the campaign runner (the
-    # tasks of `repro check`'s clean phase).
-    from repro.errors import RunnerInterrupted
-    from repro.faults.parallel import clean_tasks
-    from repro.runner import (
-        Journal, Runner, RunnerConfig, clean_interrupts, runner_report,
-    )
-    from repro.obs.export import write_json
-
-    config = RunnerConfig(jobs=args.jobs,
-                          interrupt_after=args.interrupt_after)
-    journal = None
-    if args.resume is not None:
-        fingerprint = {"verb": "run", "kernels": names, "fast": args.fast}
-        journal = Journal(args.resume, fingerprint,
-                          fsync_every=config.fsync_every)
-    tracer = root = None
-    if args.spans is not None:
-        from repro.obs.spans import SpanTracer
-
-        tracer = SpanTracer()
-        root = tracer.begin("campaign:run", kernels=len(names),
-                            fast=args.fast, jobs=config.jobs)
-    runner = Runner(config, journal=journal, tracer=tracer, span_parent=root,
-                    progress=sys.stderr if args.progress else None)
-    try:
-        try:
-            # SIGINT/SIGTERM take the same clean path as --interrupt-after:
-            # journal flushed, spans exported as aborted, exit 3, resumable.
-            with clean_interrupts():
-                results = runner.run(clean_tasks(tuple(names), args.fast))
-        except RunnerInterrupted as exc:
-            print(f"repro run: {exc}", file=sys.stderr)
-            return 3
-        finally:
-            if journal is not None:
-                journal.close()
-        # Success only: an interrupt leaves the root open (exported aborted).
-        if root is not None:
-            tracer.end(root)
-    finally:
-        if tracer is not None:
-            target = tracer.write(args.spans)
-            if target is not None:
-                print(f"wrote {target} ({len(tracer.spans)} spans)",
-                      file=sys.stderr)
-    rows = []
-    failed = 0
-    for name in names:
-        result = results[f"clean:{name}"]
-        if result.ok:
-            variants = result.result["record"]["variants"]
-            mmx, spu = variants["mmx"]["cycles"], variants["spu"]["cycles"]
-            verified = all(variant["match"] for variant in variants.values())
-            failed += 0 if verified else 1
-            rows.append([
-                name,
-                "ok" if verified else "MISMATCH",
-                mmx,
-                spu,
-                f"{ratio(mmx / spu if spu else 0.0)}x",
-                result.result["removed_permutes"],
-                "cached" if result.cached else f"{result.attempts} attempt(s)",
-            ])
-        else:
-            failed += 1
-            rows.append([name, result.status.upper(), "-", "-", "-", "-",
-                         result.failure or ""])
-    print(format_table(
-        ["kernel", "reference", "MMX cycles", "SPU cycles", "speedup",
-         "permutes off-loaded", "runner"],
-        rows,
-        title=f"Kernel sweep ({args.jobs} job(s))",
-    ))
-    if runner.fallback_reason:
-        print(f"note: pool unavailable, ran serially "
-              f"({runner.fallback_reason})")
-    if args.runner_json is not None:
-        target = write_json(args.runner_json, runner_report(runner))
-        if target is not None:
-            print(f"wrote {target}")
-    return 1 if failed else 0
-
-
 def _cmd_list(args: argparse.Namespace) -> int:
     rows = [[name, cls().description] for name, cls in ALL_KERNELS.items()]
     print(format_table(["kernel", "workload"], rows))
@@ -314,7 +289,8 @@ def _cmd_cost(args: argparse.Namespace) -> int:
 
 
 def _cmd_offload(args: argparse.Namespace) -> int:
-    result = make_kernel(args.kernel).compile_result()
+    [name] = _kernels(args)
+    result = make_kernel(name).compile_result()
     for context, report in result.reports:
         cert = report.certificate
         assert cert is not None
@@ -361,17 +337,18 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_profile(args: argparse.Namespace) -> int:
-    from repro.obs.export import kernel_profile_report, resolve_kernel_name, write_json
+def _variants(args: argparse.Namespace) -> tuple[str, ...]:
+    return ("mmx", "spu") if args.variant == "both" else (args.variant,)
 
-    name = resolve_kernel_name(args.kernel)
-    kernel = make_kernel(name)
-    variants = ("mmx", "spu") if args.variant == "both" else (args.variant,)
-    report = kernel_profile_report(kernel, variants)
+
+def _cmd_profile(args: argparse.Namespace) -> int:
+    from repro.obs.export import kernel_profile_report
+
+    [name] = _kernels(args)
+    variants = _variants(args)
+    report = kernel_profile_report(make_kernel(name), variants)
     if args.json is not None:
-        target = write_json(args.json, report)
-        if target is not None:
-            print(f"wrote {target}")
+        _emit(args.json, report)
         return 0
     # Human-readable rendering of the same data.
     body = report["data"]
@@ -379,7 +356,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     for variant in variants:
         section = body["variants"][variant]
         stats = section["stats"]
-        attribution = section["cycle_attribution"]
         print(f"\n[{variant}] {stats['cycles']} cycles, "
               f"{stats['instructions']} instructions, ipc {stats['ipc']:.2f}")
         rows = [[category, cycles, pct(cycles / stats["cycles"] if stats["cycles"] else 0.0, 1)]
@@ -408,7 +384,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
                       f" idle entries, {controller['fault_parks']} fault parks,"
                       f" {controller['park_recoveries']} park recoveries")
             print(format_table(["state", "steps"], [list(kv) for kv in hottest]))
-        del attribution
     comparison = body.get("comparison")
     if comparison:
         print(f"\nspeedup: {ratio(comparison['speedup'])}x "
@@ -417,31 +392,25 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_top(args: argparse.Namespace) -> int:
-    from repro.obs.export import resolve_kernel_name, trace_profile_report, write_json
+    from repro.obs.export import trace_profile_report
 
-    name = resolve_kernel_name(args.kernel)
-    kernel = make_kernel(name)
-    variants = ("mmx", "spu") if args.variant == "both" else (args.variant,)
-    report = trace_profile_report(kernel, variants)
+    [name] = _kernels(args)
+    variants = _variants(args)
+    report = trace_profile_report(make_kernel(name), variants)
     body = report["data"]
     # --fail-on uncertified is the soundness gate: a dynamically clean
     # trace whose fusion certificate was withheld.  --fail-on not-fusible
     # is the strict gate: any trace that is not certified fusible (which
     # includes structural prologue/epilogue traces, so it is only useful
     # for single-loop kernels).
-    failed = False
-    for variant in variants:
-        summary = body["variants"][variant]["summary"]
-        uncertified = summary.get("uncertified_traces", 0)
-        not_fusible = summary["traces"] - summary["fusible_traces"]
-        if args.fail_on == "uncertified" and uncertified:
-            failed = True
-        elif args.fail_on == "not-fusible" and not_fusible:
-            failed = True
+    summaries = [body["variants"][variant]["summary"] for variant in variants]
+    if args.fail_on == "uncertified":
+        failed = any(s.get("uncertified_traces", 0) for s in summaries)
+    else:
+        failed = args.fail_on == "not-fusible" and any(
+            s["traces"] > s["fusible_traces"] for s in summaries)
     if args.json is not None:
-        target = write_json(args.json, report)
-        if target is not None:
-            print(f"wrote {target}")
+        _emit(args.json, report)
         return 1 if failed else 0
     print(f"{body['kernel']} ({body['description']}), config {body['config']}")
     for variant in variants:
@@ -491,25 +460,15 @@ def _cmd_top(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from itertools import chain
-
     from repro.cpu import trace_run
-    from repro.obs.export import (
-        resolve_kernel_name,
-        trace_header,
-        trace_records,
-        write_jsonl,
-    )
+    from repro.obs.export import trace_header, trace_records
 
-    name = resolve_kernel_name(args.kernel)
+    [name] = _kernels(args)
     kernel = make_kernel(name)
-    machine = kernel.machine(args.variant)
-    trace = trace_run(machine, max_entries=args.max_entries)
+    trace = trace_run(kernel.machine(args.variant), max_entries=args.max_entries)
     if args.jsonl is not None:
-        records = chain([trace_header(kernel, args.variant)], trace_records(trace))
-        target = write_jsonl(args.jsonl, records)
-        if target is not None:
-            print(f"wrote {target} ({len(trace)} records)")
+        records = [trace_header(kernel, args.variant), *trace_records(trace)]
+        _emit(args.jsonl, records, f" ({len(trace)} records)")
         return 0
     print(trace.render(limit=args.limit))
     stats = trace.stats
@@ -519,104 +478,54 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    from repro.errors import RunnerInterrupted
-    from repro.faults import run_check
     from repro.faults.report import check_report, render_check
-    from repro.obs.export import resolve_kernel_name, write_json
-    from repro.runner import clean_interrupts
 
-    kernels = tuple(resolve_kernel_name(name) for name in args.kernel)
-    tracer = None
-    if args.spans is not None:
-        from repro.obs.spans import SpanTracer
+    kernels = tuple(_kernels(args))
+    # The serial run_check is the reference the pooled path is tested
+    # against; any runner flag selects the runner.
+    pooled = args.jobs > 1 or args.resume is not None or args.progress
+    options = dict(kernels=kernels, faults=args.faults, seed=args.seed,
+                   resilience=args.mode, fast=args.fast,
+                   swar_check=args.swar_check)
 
-        tracer = SpanTracer()
-    progress = sys.stderr if args.progress else None
-    runner = None
-    try:
-        try:
-            # SIGINT/SIGTERM take the same clean path as --interrupt-after:
-            # journal flushed, spans exported as aborted, exit 3, resumable.
-            with clean_interrupts():
-                if args.jobs > 1 or args.resume is not None:
-                    from repro.faults import run_check_parallel
-                    from repro.runner import RunnerConfig
+    def work(tracer, root):
+        if not pooled:
+            from repro.faults import run_check
 
-                    config = RunnerConfig(
-                        jobs=args.jobs, interrupt_after=args.interrupt_after)
-                    result, runner = run_check_parallel(
-                        kernels=kernels,
-                        faults=args.faults,
-                        seed=args.seed,
-                        resilience=args.mode,
-                        fast=args.fast,
-                        swar_check=args.swar_check,
-                        jobs=args.jobs,
-                        journal_path=args.resume,
-                        runner_config=config,
-                        tracer=tracer,
-                        progress=progress,
-                    )
-                else:
-                    result = run_check(
-                        kernels=kernels,
-                        faults=args.faults,
-                        seed=args.seed,
-                        resilience=args.mode,
-                        fast=args.fast,
-                        swar_check=args.swar_check,
-                        tracer=tracer,
-                    )
-        except RunnerInterrupted as exc:
-            print(f"repro check: {exc}", file=sys.stderr)
-            return 3
-    finally:
-        # Runs on the interrupt path too: an aborted campaign still writes
-        # its spans (open ones export with an aborted status).
-        if tracer is not None:
-            target = tracer.write(args.spans)
-            if target is not None:
-                print(f"wrote {target} ({len(tracer.spans)} spans)",
-                      file=sys.stderr)
-    if args.json is not None:
-        target = write_json(args.json, check_report(result))
-        if target is not None:
-            print(f"wrote {target}")
-    else:
-        print(render_check(result))
-    if runner is not None:
-        if runner.fallback_reason:
-            print(f"note: pool unavailable, ran serially "
-                  f"({runner.fallback_reason})", file=sys.stderr)
-        if args.runner_json is not None:
-            from repro.runner import runner_report
+            return run_check(**options, tracer=tracer, root=root), None
+        from repro.faults import run_check_parallel
+        from repro.runner import RunnerConfig
 
-            target = write_json(args.runner_json, runner_report(runner))
-            if target is not None:
-                print(f"wrote {target}")
-    # Injection outcomes are data, not failures; only a broken clean
-    # differential (simulator vs golden reference) fails the check.
-    return 0 if result.clean_ok else 1
+        return run_check_parallel(
+            **options, jobs=args.jobs, journal_path=args.resume,
+            runner_config=RunnerConfig(jobs=args.jobs,
+                                       interrupt_after=args.interrupt_after),
+            tracer=tracer, root=root,
+            progress=sys.stderr if args.progress else None,
+        )
+
+    def report(result) -> int:
+        if args.json is not None:
+            _emit(args.json, check_report(result))
+        else:
+            print(render_check(result))
+        # Injection outcomes are data, not failures; only a broken clean
+        # differential (simulator vs golden reference) fails the check.
+        return 0 if result.clean_ok else 1
+
+    attributes = dict(kernels=len(kernels or ALL_KERNELS), faults=args.faults,
+                      seed=args.seed)
+    if pooled:
+        attributes["jobs"] = args.jobs
+    return _campaign(args, work, report, **attributes)
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.analysis import exit_code, lint_all, lint_kernel, lint_report, render_lint
-    from repro.obs.export import resolve_kernel_name, write_json
+    from repro.analysis import exit_code, lint_kernel, lint_report, render_lint
 
-    if args.all:
-        results = lint_all()
-    elif args.kernel:
-        results = [
-            lint_kernel(resolve_kernel_name(name)) for name in args.kernel
-        ]
-    else:
-        print("repro lint: name at least one kernel or pass --all",
-              file=sys.stderr)
-        return 2
+    results = [lint_kernel(name) for name in _kernels(args)]
     if args.json is not None:
-        target = write_json(args.json, lint_report(results))
-        if target is not None:
-            print(f"wrote {target}")
+        _emit(args.json, lint_report(results))
     else:
         print(render_lint(results))
     return exit_code(results, args.fail_on)
@@ -624,17 +533,8 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 def _cmd_certify(args: argparse.Namespace) -> int:
     from repro.analysis.absint import fusion_audit_report
-    from repro.obs.export import resolve_kernel_name, write_json
 
-    if args.all:
-        names = None
-    elif args.kernel:
-        names = [resolve_kernel_name(name) for name in args.kernel]
-    else:
-        print("repro certify: name at least one kernel or pass --all",
-              file=sys.stderr)
-        return 2
-    report = fusion_audit_report(names)
+    report = fusion_audit_report(_kernels(args))
     body = report["data"]
     summary = body["summary"]
     uncertified = summary["by_agreement"].get("static-diagnosed", 0)
@@ -642,9 +542,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         args.fail_on == "uncertified" and uncertified > 0
     )
     if args.json is not None:
-        target = write_json(args.json, report)
-        if target is not None:
-            print(f"wrote {target}")
+        _emit(args.json, report)
         return 1 if failed else 0
     rows = [
         [
@@ -687,7 +585,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.obs.export import envelope, write_json
+    from repro.obs.export import envelope
     from repro.perf import (
         SIMSPEED_KERNELS,
         measure_simspeed,
@@ -696,26 +594,75 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     )
 
     cases = SIMSPEED_KERNELS
-    if args.kernel:
-        wanted = {name.lower() for name in args.kernel}
-        cases = tuple(
-            case for case in SIMSPEED_KERNELS if case[0].lower() in wanted
-        )
-        unknown = wanted - {case[0].lower() for case in cases}
+    wanted = set(_kernels(args))
+    if wanted:
+        cases = tuple(case for case in SIMSPEED_KERNELS if case[0] in wanted)
+        unknown = wanted - {case[0] for case in cases}
         if unknown:
-            choices = ", ".join(case[0] for case in SIMSPEED_KERNELS)
-            print(f"repro bench: error: invalid choice: {sorted(unknown)} "
-                  f"(choose from {choices})", file=sys.stderr)
-            return 2
+            raise KernelError(
+                f"no benchmark case for {sorted(unknown)}; choose from "
+                f"{[case[0] for case in SIMSPEED_KERNELS]}"
+            )
     results = measure_simspeed(rounds=args.rounds, cases=cases)
     if args.json is not None:
-        payload = envelope("benchmark", simspeed_report(results, args.rounds))
-        target = write_json(args.json, payload)
-        if target is not None:
-            print(f"wrote {target}")
+        _emit(args.json, envelope("benchmark",
+                                  simspeed_report(results, args.rounds)))
         return 0
     print(render_simspeed(results, args.rounds))
     return 0
+
+
+# ---- argument parser -----------------------------------------------------------
+
+
+def _add_kernels(parser: argparse.ArgumentParser, what: str | None = None,
+                 every: str | None = None) -> None:
+    """The kernel positional: one name, or names (*what*) and ``--all``."""
+    if what is None:
+        parser.add_argument("kernel", nargs=1, help="kernel name (forgiving match)")
+        return
+    parser.add_argument("kernel", nargs="*", help=f"{what} (forgiving match)")
+    if every is not None:
+        parser.add_argument("--all", action="store_true", help=every)
+
+
+def _add_output(parser: argparse.ArgumentParser, what: str,
+                flag: str = "--json") -> None:
+    parser.add_argument(flag, nargs="?", const="-", default=None,
+                        metavar="PATH",
+                        help=f"write {what} ('-' or no value: stdout)")
+
+
+def _add_fast(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--fast", action="store_true",
+                        help="shrink FFT1024 for quick runs")
+
+
+def _add_runner_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--jobs", type=int, default=1, metavar="N",
+                        help="worker processes (default: 1 = serial)")
+    parser.add_argument(
+        "--resume", default=None, metavar="PATH",
+        help="crash-consistent journal; re-invoking with the same PATH "
+        "skips already-completed tasks",
+    )
+    parser.add_argument(
+        "--interrupt-after", dest="interrupt_after", type=int,
+        default=None, metavar="N",
+        help="stop (exit 3) after N completed tasks, leaving the "
+        "journal resumable (test/ops hook)",
+    )
+    _add_output(parser, "the repro.runner/1 execution report", "--runner-json")
+    parser.add_argument(
+        "--spans", default=None, metavar="PATH",
+        help="write an OTLP-flavored span JSONL timeline of the "
+        "campaign (wall-clock only; the byte-stable report never "
+        "carries it)",
+    )
+    parser.add_argument(
+        "--progress", action="store_true",
+        help="print live per-slice progress lines to stderr",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -725,60 +672,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def command(name: str, func, help: str) -> argparse.ArgumentParser:
+        target = sub.add_parser(name, help=help)
+        target.set_defaults(func=func)
+        return target
+
     for name in ("table1", "table2", "table3", "fig9"):
-        table_parser = sub.add_parser(name, help=f"regenerate {name}")
-        table_parser.add_argument("--fast", action="store_true",
-                                  help="shrink FFT1024 for quick runs")
-        table_parser.set_defaults(func=_cmd_table)
+        _add_fast(command(name, _cmd_table, f"regenerate {name}"))
 
-    def add_runner_options(target: argparse.ArgumentParser) -> None:
-        target.add_argument("--jobs", type=int, default=1, metavar="N",
-                            help="worker processes (default: 1 = serial)")
-        target.add_argument(
-            "--resume", default=None, metavar="PATH",
-            help="crash-consistent journal; re-invoking with the same PATH "
-            "skips already-completed tasks",
-        )
-        target.add_argument(
-            "--interrupt-after", dest="interrupt_after", type=int,
-            default=None, metavar="N",
-            help="stop (exit 3) after N completed tasks, leaving the "
-            "journal resumable (test/ops hook)",
-        )
-        target.add_argument(
-            "--runner-json", dest="runner_json", nargs="?", const="-",
-            default=None, metavar="PATH",
-            help="write the repro.runner/1 execution report ('-': stdout)",
-        )
-        target.add_argument(
-            "--spans", default=None, metavar="PATH",
-            help="write an OTLP-flavored span JSONL timeline of the "
-            "campaign (wall-clock only; the byte-stable report never "
-            "carries it)",
-        )
-        target.add_argument(
-            "--progress", action="store_true",
-            help="print live per-slice progress lines to stderr",
-        )
-
-    run_parser = sub.add_parser(
-        "run", help="verify and compare kernels (sweeps run on the "
+    run_parser = command(
+        "run", _cmd_run, "verify and compare kernels (sweeps run on the "
         "resilient campaign runner)",
     )
-    run_parser.add_argument(
-        "kernel", nargs="*",
-        help=f"kernel(s) to run (choose from {', '.join(sorted(ALL_KERNELS))})",
-    )
-    run_parser.add_argument("--all", action="store_true",
-                            help="run every registered kernel")
-    run_parser.add_argument("--fast", action="store_true",
-                            help="shrink FFT1024 for quick runs")
-    add_runner_options(run_parser)
-    run_parser.set_defaults(func=_cmd_run)
+    _add_kernels(run_parser, "kernel(s) to run",
+                 every="run every registered kernel")
+    _add_fast(run_parser)
+    _add_runner_options(run_parser)
 
-    serve_parser = sub.add_parser(
-        "serve", help="run the durable simulation job service (journalled "
-        "jobs, crash recovery, admission control; see docs/robustness.md)",
+    serve_parser = command(
+        "serve", _cmd_serve, "run the durable simulation job service "
+        "(journalled jobs, crash recovery, admission control; see "
+        "docs/robustness.md)",
     )
     serve_parser.add_argument(
         "--journal-dir", required=True,
@@ -835,54 +749,41 @@ def build_parser() -> argparse.ArgumentParser:
         help="compact the journal when idle once it exceeds this many "
         "records (0 = never)",
     )
-    serve_parser.set_defaults(func=_cmd_serve)
 
-    list_parser = sub.add_parser("list", help="list kernels")
-    list_parser.set_defaults(func=_cmd_list)
+    command("list", _cmd_list, "list kernels")
 
-    cost_parser = sub.add_parser("cost", help="SPU hardware cost summary")
+    cost_parser = command("cost", _cmd_cost, "SPU hardware cost summary")
     cost_parser.add_argument("--config", default="D", help="configuration A-D")
     cost_parser.add_argument("--contexts", type=int, default=1)
-    cost_parser.set_defaults(func=_cmd_cost)
 
-    offload_parser = sub.add_parser("offload", help="show the off-load transform")
-    offload_parser.add_argument("kernel", choices=sorted(ALL_KERNELS))
-    offload_parser.set_defaults(func=_cmd_offload)
+    _add_kernels(command("offload", _cmd_offload, "show the off-load transform"))
 
-    compile_parser = sub.add_parser(
-        "compile", help="compile a plain .asm file into its SPU-accelerated form"
+    compile_parser = command(
+        "compile", _cmd_compile,
+        "compile a plain .asm file into its SPU-accelerated form",
     )
     compile_parser.add_argument("file", help="assembly source file")
     compile_parser.add_argument("--config", default="D", help="configuration A-D")
-    compile_parser.set_defaults(func=_cmd_compile)
 
-    profile_parser = sub.add_parser(
-        "profile", help="instruction mix + cycle attribution + SPU occupancy"
+    profile_parser = command(
+        "profile", _cmd_profile,
+        "instruction mix + cycle attribution + SPU occupancy",
     )
-    profile_parser.add_argument("kernel", help="kernel name (forgiving match)")
+    _add_kernels(profile_parser)
     profile_parser.add_argument("--variant", choices=("mmx", "spu", "both"),
                                 default="both")
-    profile_parser.add_argument(
-        "--json", nargs="?", const="-", default=None, metavar="PATH",
-        help="write the schema-versioned JSON report ('-' or no value: stdout)",
-    )
-    profile_parser.set_defaults(func=_cmd_profile)
+    _add_output(profile_parser, "the schema-versioned JSON report")
 
-    top_parser = sub.add_parser(
-        "top",
-        help="hot-trace profile: per-trace cycles, stalls and fusibility "
-        "(the superop-compilation planning input)",
+    top_parser = command(
+        "top", _cmd_top, "hot-trace profile: per-trace cycles, stalls and "
+        "fusibility (the superop-compilation planning input)",
     )
-    top_parser.add_argument("kernel", help="kernel name (forgiving match)")
+    _add_kernels(top_parser)
     top_parser.add_argument("--variant", choices=("mmx", "spu", "both"),
                             default="both")
     top_parser.add_argument("--limit", type=int, default=10,
                             help="max traces listed (text mode; default: 10)")
-    top_parser.add_argument(
-        "--json", nargs="?", const="-", default=None, metavar="PATH",
-        help="write the repro.obs/2 trace-profile JSON ('-' or no value: "
-        "stdout)",
-    )
+    _add_output(top_parser, "the repro.obs/2 trace-profile JSON")
     top_parser.add_argument(
         "--fail-on", dest="fail_on",
         choices=("uncertified", "not-fusible"), default=None,
@@ -890,30 +791,23 @@ def build_parser() -> argparse.ArgumentParser:
         "a replay-checked certificate; not-fusible: exit 1 when any "
         "trace is not certified fusible (default: always exit 0)",
     )
-    top_parser.set_defaults(func=_cmd_top)
 
-    trace_parser = sub.add_parser(
-        "trace", help="issue-by-issue pipeline listing for one kernel"
+    trace_parser = command(
+        "trace", _cmd_trace, "issue-by-issue pipeline listing for one kernel"
     )
-    trace_parser.add_argument("kernel", help="kernel name (forgiving match)")
+    _add_kernels(trace_parser)
     trace_parser.add_argument("--variant", choices=("mmx", "spu"), default="spu")
     trace_parser.add_argument("--limit", type=int, default=64,
                               help="max listing lines (text mode)")
     trace_parser.add_argument("--max-entries", type=int, default=100_000)
-    trace_parser.add_argument(
-        "--jsonl", nargs="?", const="-", default=None, metavar="PATH",
-        help="write one JSON record per issued instruction ('-': stdout)",
-    )
-    trace_parser.set_defaults(func=_cmd_trace)
+    _add_output(trace_parser, "one JSON record per issued instruction",
+                "--jsonl")
 
-    check_parser = sub.add_parser(
-        "check",
-        help="differential self-check + seeded fault-injection campaign",
+    check_parser = command(
+        "check", _cmd_check,
+        "differential self-check + seeded fault-injection campaign",
     )
-    check_parser.add_argument(
-        "kernel", nargs="*",
-        help="kernel(s) to check (forgiving match; default: all)",
-    )
+    _add_kernels(check_parser, "kernel(s) to check; default: all")
     check_parser.add_argument("--faults", type=int, default=0, metavar="N",
                               help="fault injections to run (default: none)")
     check_parser.add_argument("--seed", type=int, default=0,
@@ -922,92 +816,61 @@ def build_parser() -> argparse.ArgumentParser:
         "--mode", choices=("strict", "degrade", "halt"), default="degrade",
         help="resilience mode of the machines under test (default: degrade)",
     )
-    check_parser.add_argument("--fast", action="store_true",
-                              help="shrink FFT1024 for quick runs")
+    _add_fast(check_parser)
     check_parser.add_argument(
         "--swar-check", dest="swar_check", action="store_true",
         help="also sample-diff the SWAR data path against the NumPy "
         "reference backend (adds summary.swar_mismatches to the report)",
     )
-    check_parser.add_argument(
-        "--json", nargs="?", const="-", default=None, metavar="PATH",
-        help="write the fault-campaign JSON report ('-' or no value: stdout)",
-    )
-    add_runner_options(check_parser)
-    check_parser.set_defaults(func=_cmd_check)
+    _add_output(check_parser, "the fault-campaign JSON report")
+    _add_runner_options(check_parser)
 
-    lint_parser = sub.add_parser(
-        "lint",
-        help="static verifier: microprograms, schedule agreement, "
-        "off-load certificates, superop fusion legality",
+    lint_parser = command(
+        "lint", _cmd_lint, "static verifier: microprograms, schedule "
+        "agreement, off-load certificates, superop fusion legality",
     )
-    lint_parser.add_argument(
-        "kernel", nargs="*",
-        help="kernel(s) to lint (forgiving match)",
-    )
-    lint_parser.add_argument("--all", action="store_true",
-                             help="lint every registered kernel")
-    lint_parser.add_argument(
-        "--json", nargs="?", const="-", default=None, metavar="PATH",
-        help="write the repro.analysis/1 JSON report ('-': stdout)",
-    )
+    _add_kernels(lint_parser, "kernel(s) to lint",
+                 every="lint every registered kernel")
+    _add_output(lint_parser, "the repro.analysis/1 JSON report")
     lint_parser.add_argument(
         "--fail-on", dest="fail_on", choices=("info", "warn", "error"),
         default="error",
         help="exit 1 when an unsuppressed finding reaches this severity "
         "(default: error)",
     )
-    lint_parser.set_defaults(func=_cmd_lint)
 
-    certify_parser = sub.add_parser(
-        "certify",
-        help="superop legality cross-check: static certificates vs "
-        "dynamic trace verdicts, per loop region",
+    certify_parser = command(
+        "certify", _cmd_certify, "superop legality cross-check: static "
+        "certificates vs dynamic trace verdicts, per loop region",
     )
-    certify_parser.add_argument(
-        "kernel", nargs="*",
-        help="kernel(s) to certify (forgiving match)",
-    )
-    certify_parser.add_argument("--all", action="store_true",
-                                help="certify every registered kernel")
-    certify_parser.add_argument(
-        "--json", nargs="?", const="-", default=None, metavar="PATH",
-        help="write the repro.analysis/2 fusion-audit JSON ('-': stdout)",
-    )
+    _add_kernels(certify_parser, "kernel(s) to certify",
+                 every="certify every registered kernel")
+    _add_output(certify_parser, "the repro.analysis/2 fusion-audit JSON")
     certify_parser.add_argument(
         "--fail-on", dest="fail_on", choices=("unexplained", "uncertified"),
         default="unexplained",
         help="also exit 1 on static-diagnosed regions (default: only "
         "unexplained disagreements fail)",
     )
-    certify_parser.set_defaults(func=_cmd_certify)
 
-    report_parser = sub.add_parser(
-        "report", help="run the full evaluation and write REPORT.md"
+    report_parser = command(
+        "report", _cmd_report, "run the full evaluation and write REPORT.md"
     )
     report_parser.add_argument("--output", default="REPORT.md")
-    report_parser.add_argument("--fast", action="store_true")
-    report_parser.set_defaults(func=_cmd_report)
+    _add_fast(report_parser)
 
-    bench_parser = sub.add_parser(
-        "bench",
-        help="simulation throughput: SWAR data path vs the NumPy reference",
+    bench_parser = command(
+        "bench", _cmd_bench,
+        "simulation throughput: SWAR data path vs the NumPy reference",
     )
-    bench_parser.add_argument(
-        "kernel", nargs="*",
-        help="benchmark kernel(s) (default: DotProduct, FIR12, SAD)",
-    )
+    _add_kernels(bench_parser,
+                 "benchmark kernel(s); default: DotProduct, FIR12, SAD")
     bench_parser.add_argument(
         "--rounds", type=int, default=5, metavar="N",
         help="timed rounds per kernel and backend; the median is reported "
         "(default: 5)",
     )
-    bench_parser.add_argument(
-        "--json", nargs="?", const="-", default=None, metavar="PATH",
-        help="write the repro.simspeed/1 measurement ('-' or no value: "
-        "stdout)",
-    )
-    bench_parser.set_defaults(func=_cmd_bench)
+    _add_output(bench_parser, "the repro.simspeed/1 measurement")
     return parser
 
 

@@ -296,6 +296,7 @@ def run_check(
     watchdog_slack: int | None = None,
     swar_check: bool = False,
     tracer=None,
+    root=None,
 ) -> CheckResult:
     """The full ``repro check`` measurement: clean differential + campaign.
 
@@ -306,8 +307,10 @@ def run_check(
     *tracer* (a :class:`repro.obs.spans.SpanTracer`) records the serial
     campaign as a ``campaign → slice → task → run → phase`` span tree.
     Slice spans stay open across both phases — a kernel's injections nest
-    under the same slice as its clean check.  The tracer only observes;
-    the returned :class:`CheckResult` is identical with or without it.
+    under the same slice as its clean check.  *root*, an open span of
+    *tracer*, takes the place of the ``campaign:check`` root (its owner
+    closes it).  The tracer only observes; the returned
+    :class:`CheckResult` is identical with or without it.
     """
     from repro.kernels import ALL_KERNELS, make_sized_kernel
 
@@ -317,11 +320,12 @@ def run_check(
         name: np.asarray(instances[name].reference()) for name in names
     }
 
-    root = None
-    slices: dict = {}
-    if tracer is not None:
+    own_root = tracer is not None and root is None
+    if own_root:
         root = tracer.begin("campaign:check", kernels=len(names),
                             faults=faults, seed=seed)
+    slices: dict = {}
+    if tracer is not None:
         slices = {
             name: tracer.begin(f"slice:{name}", parent=root, kernel=name)
             for name in names
@@ -330,10 +334,9 @@ def run_check(
     clean = []
     for name in names:
         with maybe_span(tracer, f"task:clean:{name}",
-                        parent=slices.get(name), kernel=name):
+                        parent=slices.get(name), kernel=name) as task:
             clean.append(_clean_check(
-                instances[name], references[name],
-                tracer=tracer, parent=slices.get(name),
+                instances[name], references[name], tracer=tracer, parent=task,
             ))
 
     result = CheckResult(kernels=names, clean=clean)
@@ -366,5 +369,6 @@ def run_check(
     if tracer is not None:
         for span in slices.values():
             tracer.end(span)
+    if own_root:
         tracer.end(root)
     return result

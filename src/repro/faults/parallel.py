@@ -169,6 +169,7 @@ def run_check_parallel(
     journal_path=None,
     runner_config: RunnerConfig | None = None,
     tracer=None,
+    root=None,
     progress=None,
 ) -> tuple[CheckResult, Runner]:
     """``repro check`` on the worker pool; merges to serial-identical results.
@@ -184,11 +185,12 @@ def run_check_parallel(
 
     *tracer* opens a ``campaign:check`` root span and hands it to the
     runner as the parent of its per-slice and per-task spans; *progress*
-    (a file-like) gets the runner's live per-slice progress lines.  The
-    root span closes only on success — an interrupted campaign exports it
-    (and any in-flight task spans) with an aborted status.  Neither
-    observer touches task payloads, so the merged report stays
-    byte-identical to a serial run.
+    (a file-like) gets the runner's live per-slice progress lines.  *root*,
+    an open span of *tracer*, takes the place of that root span (its owner
+    closes it).  The root span closes only on success — an interrupted
+    campaign exports it (and any in-flight task spans) with an aborted
+    status.  Neither observer touches task payloads, so the merged report
+    stays byte-identical to a serial run.
     """
     from repro.kernels import ALL_KERNELS
 
@@ -206,8 +208,8 @@ def run_check_parallel(
         Journal(journal_path, fingerprint, fsync_every=config.fsync_every)
         if journal_path is not None else None
     )
-    root = None
-    if tracer is not None:
+    own_root = tracer is not None and root is None
+    if own_root:
         root = tracer.begin("campaign:check", kernels=len(names),
                             faults=faults, seed=seed, jobs=config.jobs)
     runner = Runner(config, journal=journal,
@@ -286,7 +288,7 @@ def run_check_parallel(
             from repro.simd.selftest import sample_diff
 
             result.swar_check = sample_diff(seed=seed)
-        if root is not None:
+        if own_root:
             tracer.end(root)
         return result, runner
     finally:

@@ -185,16 +185,22 @@ class SpanTracer:
             })
         return out
 
-    def write(self, path: str | Path) -> Path | None:
-        """Header + span records, one JSON object per line (``"-"``: stdout)."""
-        from repro.obs.export import SCHEMA_VERSION_2, write_jsonl
+    def jsonl(self) -> list[dict]:
+        """The ``span-header`` record followed by :meth:`records`."""
+        from repro.obs.export import SCHEMA_VERSION_2
 
         header = {
             "schema": SCHEMA_VERSION_2,
             "kind": "span-header",
             "spans": len(self.spans),
         }
-        return write_jsonl(path, [header, *self.records()])
+        return [header, *self.records()]
+
+    def write(self, path: str | Path) -> Path | None:
+        """:meth:`jsonl`, one JSON object per line (``"-"``: stdout)."""
+        from repro.obs.export import write_jsonl
+
+        return write_jsonl(path, self.jsonl())
 
 
 @contextmanager

@@ -76,6 +76,13 @@ class TestCheckSpans:
             assert span["status"] == {"code": "STATUS_CODE_OK"}
         roots = [span for span in spans if span["parentSpanId"] is None]
         assert [root["name"] for root in roots] == ["campaign:check"]
+        # Runs and compares nest under their clean task, not the slice.
+        [task] = [span for span in spans
+                  if span["name"] == "task:clean:DotProduct"]
+        nested = [span for span in spans
+                  if span["name"] in ("run:mmx", "run:spu", "phase:compare")]
+        assert len(nested) == 4
+        assert {span["parentSpanId"] for span in nested} == {task["spanId"]}
 
     def test_spans_never_touch_the_campaign_report(self, tmp_path, capsys):
         plain = tmp_path / "plain.json"

@@ -1,10 +1,12 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import main
 from repro.errors import RunnerError
-from repro.kernels import DotProductKernel, make_kernel
+from repro.kernels import ALL_KERNELS, DotProductKernel, make_kernel, make_sized_kernel
 
 
 class TestCLI:
@@ -31,9 +33,19 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "bit-exactly" in out and "speedup" in out
 
-    def test_run_unknown_kernel_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["run", "Sobel"])
+    def test_run_unknown_kernel_rejected(self, capsys):
+        assert main(["run", "Sobel"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "repro run: error: unknown kernel 'Sobel'; choose from [")
+
+    def test_run_fast_shrinks_fft1024(self, capsys):
+        # One kernel runs in process; --fast still builds it at 256 points.
+        assert main(["run", "FFT1024", "--fast"]) == 0
+        comparison = make_sized_kernel("FFT1024", True).compare()
+        cycles = next(line for line in capsys.readouterr().out.splitlines()
+                      if line.startswith("cycles "))
+        assert cycles.split("|")[1].strip() == str(comparison.mmx.cycles)
+        assert comparison.mmx.cycles != make_kernel("FFT1024").compare().mmx.cycles
 
     def test_offload(self, capsys):
         assert main(["offload", "DotProduct"]) == 0
@@ -134,3 +146,67 @@ class TestCompileCommand:
         source.write_text("mov r0, 2\ntop: paddw mm0, mm1\nloop r0, top\nhalt\n")
         assert main(["compile", str(source)]) == 1
         assert "no loops accelerated" in capsys.readouterr().out
+
+
+#: Every command that names kernels, with the argv that runs it cheaply.
+KERNEL_COMMANDS = {
+    "run": [], "offload": [], "profile": [], "top": [], "trace": [],
+    "check": [], "lint": [], "certify": [], "bench": ["--rounds", "1"],
+}
+
+
+class TestKernelSelection:
+    """One forgiving selector and one error path for every command."""
+
+    @pytest.mark.parametrize("command", [name for name in KERNEL_COMMANDS
+                                         if name != "bench"])
+    def test_lowercase_prefix_is_accepted(self, command, capsys):
+        assert main([command, "dotprod"]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("command", list(KERNEL_COMMANDS))
+    def test_unknown_name_exits_2_with_the_shared_message(self, command, capsys):
+        assert main([command, "Sobel", *KERNEL_COMMANDS[command]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"repro {command}: error: unknown kernel 'Sobel'; "
+            f"choose from {sorted(ALL_KERNELS)}\n"
+        )
+
+    @pytest.mark.parametrize("command", ["run", "lint", "certify"])
+    def test_no_kernel_and_no_all_exits_2(self, command, capsys):
+        assert main([command]) == 2
+        assert capsys.readouterr().err == (
+            f"repro {command}: error: name at least one kernel or pass --all\n"
+        )
+
+    def test_bench_rejects_a_kernel_without_a_benchmark_case(self, capsys):
+        assert main(["bench", "dct", "--rounds", "1"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "repro bench: error: no benchmark case for ['DCT']")
+
+
+@pytest.mark.parametrize("argv", [
+    ["profile", "dotprod"],
+    ["top", "dotprod"],
+    ["check", "dotprod"],
+    ["lint", "dotprod"],
+    ["certify", "dotprod"],
+    ["bench", "DotProduct", "--rounds", "1"],
+])
+def test_json_dash_writes_the_envelope_to_stdout(argv, capsys):
+    assert main([*argv, "--json", "-"]) == 0
+    document = json.loads(capsys.readouterr().out)
+    assert document["schema"].startswith("repro.") and document["kind"]
+    assert "data" in document
+
+
+class TestCheckProgress:
+    def test_progress_prints_one_line_per_task_on_the_default_path(self, capsys):
+        # --progress alone selects the runner path, like --resume does.
+        assert main(["check", "dotprod", "--faults", "2", "--progress"]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert [line.split()[2] for line in lines] == [
+            "clean:DotProduct:", "inject:0:", "inject:1:"]
+        assert all(line.startswith("[DotProduct/D] ") for line in lines)
